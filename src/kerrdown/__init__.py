@@ -14,6 +14,7 @@ from .errors import (
     KerrdownError,
     NormDrift,
     NotAnExtremumTime,
+    NumericOverflow,
     TailOverflow,
     TruncationTooSevere,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "KerrdownError",
     "NormDrift",
     "NotAnExtremumTime",
+    "NumericOverflow",
     "QuadratureMoments",
     "SqueezeKind",
     "SqueezingFactors",

@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 verification/physics failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,8 +58,8 @@ class SweepRequest:
             raise ValueError(f"engine must be one of {_ENGINES}")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
-        if self.t_max <= 0:
-            raise ValueError("tmax must be > 0")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"tmax must be finite and > 0, got {self.t_max}")
 
 
 @dataclass
@@ -71,7 +73,7 @@ class SweepResult:
             for k in ("engine", "kind", "chi", "k", "alpha1", "alpha2", "d_convention")
         )
         meta2 = ", ".join(
-            f"{k}={self.metadata[k]}" for k in ("package", "numpy", "variant", "cutoff", "dt")
+            f"{k}={self.metadata[k]}" for k in ("package", "numpy", "variant", "cutoff")
         )
         lines = [f"# {meta1}", f"# {meta2}", "t,f,g,v"]
         for r in self.rows:
@@ -79,28 +81,31 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _factors_one(req: SweepRequest, t: float) -> SqueezingFactors:
+def _factor_rows(req: SweepRequest, ts: list[float]) -> Iterator[SqueezingFactors]:
     p, kind, conv = req.params, req.kind, req.d_convention
     if req.engine == "oracle":
-        m = fock_oracle.moment_set_numeric(p, t, kind, req.cfg, conv)
-        return quad_core.factors_at(m, t)
-    m = moments_engine.moments_for(p, t, kind, conv)
-    if req.engine == "moments":
-        return quad_core.factors_at(m, t)
-    # analytic: closed-form f, g; the envelope has no expanded closed form and
-    # is taken from the moment route
-    f, g = squeezing_analytic.factors(p, t, kind, conv)
-    return SqueezingFactors(f=f, g=g, v=quad_core.principal(m), t=t)
+        for t, state in zip(ts, fock_oracle.evolve_seed(p, ts, req.cfg)):
+            (m,) = fock_oracle.moment_sets(state, p, t, [(kind, conv)])
+            yield quad_core.factors_at(m, t)
+        return
+    for t in ts:
+        m = moments_engine.moments_for(p, t, kind, conv)
+        if req.engine == "moments":
+            yield quad_core.factors_at(m, t)
+        else:
+            # analytic: closed-form f, g; the envelope has no expanded closed
+            # form and is taken from the moment route
+            f, g = squeezing_analytic.factors(p, t, kind, conv)
+            yield SqueezingFactors(f=f, g=g, v=quad_core.principal(m), t=t)
 
 
 def run_sweep(req: SweepRequest) -> SweepResult:
     ts = [i * req.t_max / (req.steps - 1) for i in range(req.steps)]
     rows = []
-    for t in ts:
-        row = _factors_one(req, t)
+    for row in _factor_rows(req, ts):
         if row.v > min(row.f, row.g) + 1e-10:
             raise KerrdownError(
-                f"envelope violation at t={t}: v={row.v} > min(f,g)={min(row.f, row.g)}"
+                f"envelope violation at t={row.t}: v={row.v} > min(f,g)={min(row.f, row.g)}"
             )
         rows.append(row)
     p = req.params
@@ -116,7 +121,6 @@ def run_sweep(req: SweepRequest) -> SweepResult:
         "numpy": np.__version__,
         "variant": "arbitrated",
         "cutoff": req.cfg.n_max,
-        "dt": repr(req.cfg.dt),
     }
     return SweepResult(rows=rows, metadata=metadata)
 
@@ -183,7 +187,6 @@ def write_figure(fig_id: str, out_dir: Path, t_max: float | None = None,
             t_max=cv.t_max, steps=steps,
         )
         result = run_sweep(req)
-        col = {"f": "f", "g": "g", "v": "v"}[cv.quantity]
         lines = [
             f"# figure={fig_id}, curve={cv.quantity}, kind={cv.kind.value}, "
             f"engine=analytic, chi={cv.params.chi_bar!r}, k={cv.params.k!r}, "
@@ -192,7 +195,7 @@ def write_figure(fig_id: str, out_dir: Path, t_max: float | None = None,
             "t,value",
         ]
         for row in result.rows:
-            lines.append(f"{_fmt(row.t)},{_fmt(getattr(row, col))}")
+            lines.append(f"{_fmt(row.t)},{_fmt(getattr(row, cv.quantity))}")
         path = out_dir / cv.name
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
@@ -232,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--d-convention", choices=sorted(_CONVENTIONS), default="paper")
     sweep.add_argument("--cutoff", type=int, default=24)
-    sweep.add_argument("--dt", type=float, default=1e-3)
     sweep.add_argument("--out", type=Path, default=None)
 
     figure = sub.add_parser("figure", help="emit the standard figure datasets")
@@ -244,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="cross-engine verification grid")
     verify.add_argument("--tol", type=float, default=1e-6)
     verify.add_argument("--cutoff", type=int, default=24)
-    verify.add_argument("--dt", type=float, default=1e-3)
     return parser
 
 
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
                     t_max=args.tmax,
                     steps=args.steps,
                     d_convention=_CONVENTIONS[args.d_convention],
-                    cfg=OracleConfig(n_max=args.cutoff, dt=args.dt),
+                    cfg=OracleConfig(n_max=args.cutoff),
                 )
             except (ValueError, TypeError) as exc:
                 print(f"kerrdown sweep: {exc}", file=sys.stderr)
@@ -277,7 +278,11 @@ def main(argv=None) -> int:
                 print(path)
             return 0
         if args.command == "verify":
-            cfg = OracleConfig(n_max=args.cutoff, dt=args.dt)
+            try:
+                cfg = OracleConfig(n_max=args.cutoff)
+            except ValueError as exc:
+                print(f"kerrdown verify: {exc}", file=sys.stderr)
+                return 2
             report = run_verification(cfg, args.tol)
             print(report.render())
             return 0 if report.passed else 1

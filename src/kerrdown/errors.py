@@ -13,6 +13,10 @@ class DegenerateDenominator(KerrdownError):
     """
 
 
+class NumericOverflow(KerrdownError):
+    """A phase, gain factor or moment left the float range, came out nan or lost its precision."""
+
+
 class NotAnExtremumTime(KerrdownError):
     """Requested time is not one of the discrete Kerr extremum times chi*t = m*pi/2, m odd."""
 

@@ -17,7 +17,7 @@ i.e. the self-phase couplings locked to the cross coupling with the resulting
 single-mode frequency shifts absorbed into the frame (see `moments_engine` for
 the dressing).  In this frame the Schrodinger expectations of a1 are exactly
 the dressed-mode moments <A1(t)...>; mode-2 moments additionally carry the
-2*chi carrier, applied per power in `moment_set_numeric`.
+2*chi carrier, applied per power in `moment_sets`.
 
 The seed state is kept truncated-unnormalized: its norm deficit is the
 truncation diagnostic, and every moment divides by the norm squared so the
@@ -27,12 +27,14 @@ deficit cannot bias moments.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormDrift, TailOverflow, TruncationTooSevere
+from .errors import NormDrift, NumericOverflow, TailOverflow, TruncationTooSevere
 from .moments_engine import DConvention, SqueezeKind, SystemParams
 from .quad_core import QuadratureMoments
 
@@ -41,10 +43,16 @@ __all__ = [
     "OracleConfig",
     "build_hamiltonian",
     "coherent_state",
-    "evolve",
+    "evolve_seed",
     "expect",
     "moment_set_numeric",
+    "moment_sets",
 ]
+
+# Spectra kept warm.  Callers walk one (n_max, chi, k) at a time, or alternate
+# two cutoffs of one parameter set (the cutoff-doubling check); each entry of a
+# 32-cutoff spectrum holds a 1089^2 complex eigenvector matrix (19 MB).
+_SPECTRA = 2
 
 
 @dataclass
@@ -52,9 +60,6 @@ class OracleConfig:
     """Knobs of the numerical oracle.
 
     n_max     -- Fock cutoff per mode (>= 4)
-    dt        -- nominal step, retained for interface compatibility; the
-                 spectral propagator used here is step-free (exact up to
-                 diagonalization roundoff), so halving dt changes nothing
     tau_norm  -- allowed drift of the state norm under evolution
     tau_tail  -- allowed population of the top two number shells (relative to
                  the norm); exceeding it raises TailOverflow instead of
@@ -63,7 +68,6 @@ class OracleConfig:
     """
 
     n_max: int = 24
-    dt: float = 1e-3
     tau_norm: float = 1e-10
     tau_tail: float = 1e-10
     tau_trunc: float = 1e-12
@@ -71,8 +75,6 @@ class OracleConfig:
     def __post_init__(self):
         if self.n_max < 4:
             raise ValueError(f"n_max must be >= 4, got {self.n_max}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
 
 
 @dataclass
@@ -144,7 +146,7 @@ def coherent_state(
             c = np.zeros(n_max + 1)
             c[0] = 1.0
             return c
-        return np.exp(-0.5 * alpha**2 + ns * math.log(alpha) - 0.5 * log_fact)
+        return np.exp(-0.5 * alpha * alpha + ns * math.log(alpha) - 0.5 * log_fact)
 
     amp = np.outer(coeffs(alpha1), coeffs(alpha2)).astype(complex)
     deficit = 1.0 - float(np.sum(np.abs(amp) ** 2))
@@ -155,67 +157,56 @@ def coherent_state(
     return FockState(amp=amp, n_max=n_max)
 
 
-# spectral decompositions are expensive relative to everything else, so they
-# are cached: by parameter set for the sweep path, by matrix content for
-# standalone evolve() calls
-_EIG_CACHE: dict = {}
+@functools.lru_cache(maxsize=_SPECTRA)
+def _spectrum(n_max: int, chi: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the generator at (chi, k) on the n_max grid."""
+    with np.errstate(over="ignore"):  # an overflowing entry is reported below
+        h = build_hamiltonian(SystemParams(chi, k, 0.0, 0.0), n_max)
+    if not np.isfinite(h).all():
+        raise NumericOverflow(f"generator entries overflow at chi={chi}, k={k}, n_max={n_max}")
+    return np.linalg.eigh(h)
 
 
-def _eig(h: np.ndarray, key=None):
-    if key is None:
-        key = ("raw", h.shape[0], hash(h.tobytes()))
-    if key not in _EIG_CACHE:
-        evals, evecs = np.linalg.eigh(h)
-        _EIG_CACHE[key] = (evals, evecs)
-    return _EIG_CACHE[key]
+def evolve_seed(
+    p: SystemParams, ts: Iterable[float], cfg: OracleConfig | None = None
+) -> Iterator[FockState]:
+    """Yield the coherent seed of `p` evolved by exp(-i H t) to each t of `ts`, in order.
 
-
-def _propagate(state: FockState, evals, evecs, t: float, cfg: OracleConfig) -> FockState:
-    vec = state.vector()
-    out = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ vec))
-    new = FockState(amp=out.reshape(state.amp.shape), n_max=state.n_max)
-    drift = abs(math.sqrt(new.norm_sq()) - math.sqrt(state.norm_sq()))
-    if drift > cfg.tau_norm:
-        raise NormDrift(f"norm drift {drift:.3e} > {cfg.tau_norm:.3e}")
-    tail = new.tail_population()
-    if tail > cfg.tau_tail:
-        raise TailOverflow(
-            f"top-shell population {tail:.3e} > {cfg.tau_tail:.3e}; "
-            f"raise n_max for this time span"
-        )
-    return new
-
-
-def evolve(state: FockState, h: np.ndarray, t: float, cfg: OracleConfig) -> FockState:
-    """Propagate `state` by exp(-i h t) via spectral decomposition of h.
-
-    Unitary to within cfg.tau_norm; raises TailOverflow when the cutoff is too
-    small for the requested time span.
+    The seed is projected onto the generator's eigenbasis once; each state is
+    then one product evecs @ (exp(-i lambda t) c), checked before it is
+    yielded: NormDrift past cfg.tau_norm, TailOverflow when the cutoff is too
+    small for its time.  States are produced one at a time, so memory does not
+    grow with the number of times.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    evals, evecs = _eig(h)
-    return _propagate(state, evals, evecs, t, cfg)
-
-
-def _evolved(p: SystemParams, t: float, cfg: OracleConfig) -> FockState:
-    key = ("params", cfg.n_max, p.chi_bar, p.k)
-    if key not in _EIG_CACHE:
-        _EIG_CACHE[key] = np.linalg.eigh(build_hamiltonian(p, cfg.n_max))
-    evals, evecs = _EIG_CACHE[key]
+    cfg = cfg if cfg is not None else OracleConfig()
     seed = coherent_state(p.alpha1, p.alpha2, cfg.n_max, cfg.tau_trunc)
-    return _propagate(seed, evals, evecs, t, cfg)
+    norm0 = math.sqrt(seed.norm_sq())
+    evals, evecs = _spectrum(cfg.n_max, p.chi_bar, p.k)
+    # evecs^H psi0 as a row product, without a conjugated copy of evecs
+    c = (seed.vector().conj() @ evecs).conj()
+    reach = float(np.abs(evals).max())
+    for t in ts:
+        if not t >= 0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        if not reach * t < math.inf:
+            raise NumericOverflow(f"phase lambda t overflows at t={t} (|lambda| <= {reach:.3e})")
+        amp = evecs @ (np.exp(-1j * evals * t) * c)
+        state = FockState(amp=amp.reshape(seed.amp.shape), n_max=cfg.n_max)
+        drift = abs(math.sqrt(state.norm_sq()) - norm0)
+        if drift > cfg.tau_norm:
+            raise NormDrift(f"norm drift {drift:.3e} > {cfg.tau_norm:.3e}")
+        tail = state.tail_population()
+        if tail > cfg.tau_tail:
+            raise TailOverflow(
+                f"top-shell population {tail:.3e} > {cfg.tau_tail:.3e}; "
+                f"raise n_max for this time span"
+            )
+        yield state
 
 
-_SQRT_FACT_CACHE: dict = {}
-
-
+@functools.cache
 def _sqrt_fact(n_max: int) -> np.ndarray:
-    if n_max not in _SQRT_FACT_CACHE:
-        _SQRT_FACT_CACHE[n_max] = np.sqrt(
-            np.array([math.factorial(n) for n in range(n_max + 1)], dtype=float)
-        )
-    return _SQRT_FACT_CACHE[n_max]
+    return np.sqrt(np.array([math.factorial(n) for n in range(n_max + 1)], dtype=float))
 
 
 def expect(state: FockState, powers: tuple[int, int, int, int]) -> complex:
@@ -256,6 +247,60 @@ def _real(z: complex, what: str) -> float:
     return z.real
 
 
+def moment_sets(
+    state: FockState,
+    p: SystemParams,
+    t: float,
+    cells: Sequence[tuple[SqueezeKind, DConvention]],
+) -> list[QuadratureMoments]:
+    """Moment sets of each (kind, d_convention) cell, read from the state at time t.
+
+    Schrodinger expectations in the co-rotating frame equal the dressed-mode
+    moments directly for mode 1; mode-2 moments carry the carrier phase
+    e^{2i chi t} once per net power of the mode-2 amplitude.  The cells share
+    one read-out: each distinct normally ordered moment is contracted once.
+    """
+    ex = functools.cache(functools.partial(expect, state))
+    ph = cmath.exp(2j * p.chi_bar * t)
+    sets = []
+    for kind, d_convention in cells:
+        if kind is SqueezeKind.SINGLE1:
+            mean_b = ex((0, 1, 0, 0))
+            mean_b_sq = ex((0, 2, 0, 0))
+            mean_n = _real(ex((1, 1, 0, 0)), "<n1>")
+            d = 1.0
+        elif kind is SqueezeKind.SINGLE2:
+            mean_b = ph * ex((0, 0, 0, 1))
+            mean_b_sq = ph * ph * ex((0, 0, 0, 2))
+            mean_n = _real(ex((0, 0, 1, 1)), "<n2>")
+            d = 1.0
+        elif kind is SqueezeKind.TWO_MODE:
+            mean_b = ex((0, 1, 0, 0)) + ph * ex((0, 0, 0, 1))
+            mean_b_sq = (
+                ex((0, 2, 0, 0))
+                + ph * ph * ex((0, 0, 0, 2))
+                + 2.0 * ph * ex((0, 1, 0, 1))
+            )
+            mean_n = (
+                _real(ex((1, 1, 0, 0)), "<n1>")
+                + _real(ex((0, 0, 1, 1)), "<n2>")
+                + 2.0 * (ph * ex((1, 0, 0, 1))).real
+            )
+            d = 2.0
+        elif kind is SqueezeKind.SUM:
+            mean_b = ph * ex((0, 1, 0, 1))
+            mean_b_sq = ph * ph * ex((0, 2, 0, 2))
+            mean_n = _real(ex((1, 1, 1, 1)), "<n1 n2>")
+            n_total = _real(ex((1, 1, 0, 0)), "<n1>") + _real(ex((0, 0, 1, 1)), "<n2>")
+            d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        sets.append(
+            QuadratureMoments(mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_n, mean_d=d)
+        )
+    return sets
+
+
 def moment_set_numeric(
     p: SystemParams,
     t: float,
@@ -263,48 +308,6 @@ def moment_set_numeric(
     cfg: OracleConfig | None = None,
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ) -> QuadratureMoments:
-    """Oracle moment set, drop-in replacement for the `moments_engine` output.
-
-    Schrodinger expectations in the co-rotating frame equal the dressed-mode
-    moments directly for mode 1; mode-2 moments carry the carrier phase
-    e^{2i chi t} once per net power of the mode-2 amplitude.
-    """
-    cfg = cfg if cfg is not None else OracleConfig()
-    psi = _evolved(p, t, cfg)
-    ph = cmath.exp(2j * p.chi_bar * t)
-    if kind is SqueezeKind.SINGLE1:
-        mean_b = expect(psi, (0, 1, 0, 0))
-        mean_b_sq = expect(psi, (0, 2, 0, 0))
-        mean_n = _real(expect(psi, (1, 1, 0, 0)), "<n1>")
-        d = 1.0
-    elif kind is SqueezeKind.SINGLE2:
-        mean_b = ph * expect(psi, (0, 0, 0, 1))
-        mean_b_sq = ph * ph * expect(psi, (0, 0, 0, 2))
-        mean_n = _real(expect(psi, (0, 0, 1, 1)), "<n2>")
-        d = 1.0
-    elif kind is SqueezeKind.TWO_MODE:
-        mean_b = expect(psi, (0, 1, 0, 0)) + ph * expect(psi, (0, 0, 0, 1))
-        mean_b_sq = (
-            expect(psi, (0, 2, 0, 0))
-            + ph * ph * expect(psi, (0, 0, 0, 2))
-            + 2.0 * ph * expect(psi, (0, 1, 0, 1))
-        )
-        mean_n = (
-            _real(expect(psi, (1, 1, 0, 0)), "<n1>")
-            + _real(expect(psi, (0, 0, 1, 1)), "<n2>")
-            + 2.0 * (ph * expect(psi, (1, 0, 0, 1))).real
-        )
-        d = 2.0
-    elif kind is SqueezeKind.SUM:
-        mean_b = ph * expect(psi, (0, 1, 0, 1))
-        mean_b_sq = ph * ph * expect(psi, (0, 2, 0, 2))
-        mean_n = _real(expect(psi, (1, 1, 1, 1)), "<n1 n2>")
-        n_total = _real(expect(psi, (1, 1, 0, 0)), "<n1>") + _real(
-            expect(psi, (0, 0, 1, 1)), "<n2>"
-        )
-        d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return QuadratureMoments(
-        mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_n, mean_d=d
-    )
+    """Oracle moment set at one time, drop-in replacement for the `moments_engine` output."""
+    state = next(evolve_seed(p, (t,), cfg))
+    return moment_sets(state, p, t, [(kind, d_convention)])[0]

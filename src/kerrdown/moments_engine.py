@@ -68,8 +68,10 @@ import cmath
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
+from .errors import NumericOverflow
 from .quad_core import QuadratureMoments
 
 __all__ = [
@@ -85,6 +87,12 @@ __all__ = [
     "sum_moments",
     "moments_for",
 ]
+
+
+# The closed forms take trig functions of up to 6 chi t plus the seed terms
+# eps1, eps2 ~ alpha^2; bounding chi t and alpha1^2 + alpha2^2 by this keeps
+# those arguments finite.
+_MAX_ARG = sys.float_info.max / 16
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,8 @@ class SystemParams:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("coherent amplitudes must be >= 0")
+        if not self.alpha1 * self.alpha1 + self.alpha2 * self.alpha2 < _MAX_ARG:
+            raise ValueError("alpha1^2 + alpha2^2 must stay within the float range")
 
     @property
     def chi_self(self) -> float:
@@ -164,14 +174,25 @@ class AuxQuantities:
     theta: float
 
 
+def _hyperbolic(p: SystemParams, t: float) -> tuple[float, float]:
+    """(cosh kt, sinh kt), once the Kerr phases of (p, t) are checked to be finite."""
+    if not abs(p.chi_bar * t) < _MAX_ARG:  # also fails for a nan t
+        raise NumericOverflow(f"Kerr phase chi t = {p.chi_bar * t} is out of float range")
+    try:
+        return math.cosh(p.k * t), math.sinh(p.k * t)
+    except OverflowError:
+        raise NumericOverflow(f"cosh(k t) overflows at k t = {p.k * t}") from None
+
+
 def aux_quantities(p: SystemParams, t: float) -> AuxQuantities:
     """Evaluate the AuxQuantities bundle of `p` at time `t`."""
+    c, s = _hyperbolic(p, t)
     x = p.chi_bar * t
     eps2 = p.alpha1**2 - p.alpha2**2
     s4 = math.sin(4.0 * x)
     return AuxQuantities(
-        c=math.cosh(p.k * t),
-        s=math.sinh(p.k * t),
+        c=c,
+        s=s,
         eps1=-2.0 * (p.alpha1**2 + p.alpha2**2),
         eps2=eps2,
         theta_plus=2.0 * x + eps2 * s4,
@@ -204,7 +225,7 @@ def mode_moments(p: SystemParams, t: float, which: int) -> QuadratureMoments:
     a1, a2 = (p.alpha1, p.alpha2) if which == 1 else (p.alpha2, p.alpha1)
     # mode 2 is the exact amplitude swap, which conjugates the kernel
     sign = -1 if which == 1 else 1
-    c, s = math.cosh(p.k * t), math.sinh(p.k * t)
+    c, s = _hyperbolic(p, t)
     e = cmath.exp(2j * p.chi_bar * t)
     mean_b = (a1 * c + a2 * s * e) * kerr_kernel(p, sign, t)
     mean_b_sq = (
@@ -222,7 +243,7 @@ def pair_moments(p: SystemParams, t: float) -> QuadratureMoments:
     """Moments of the mode sum B = A1(t) + A2(t); d = 2."""
     m1 = mode_moments(p, t, 1)
     m2 = mode_moments(p, t, 2)
-    c, s = math.cosh(p.k * t), math.sinh(p.k * t)
+    c, s = _hyperbolic(p, t)
     a1, a2 = p.alpha1, p.alpha2
     e = cmath.exp(2j * p.chi_bar * t)
     cross_bb = e * (a1 * a2 * (c * c + s * s) + c * s * (a1 * a1 + a2 * a2 + 1.0))
@@ -249,7 +270,7 @@ def sum_moments(
     The Kerr phase enters only through the carrier rotation e^{2i chi t} of B;
     all magnitudes are those of the pure down-converter.
     """
-    c, s = math.cosh(p.k * t), math.sinh(p.k * t)
+    c, s = _hyperbolic(p, t)
     b1 = p.alpha1 * c + p.alpha2 * s
     b2 = p.alpha2 * c + p.alpha1 * s
     e = cmath.exp(2j * p.chi_bar * t)
@@ -260,7 +281,7 @@ def sum_moments(
         + 2.0 * b1 * b2 * c * s
         + s * s * (b1 * b1 + b2 * b2)
         + c * c * s * s
-        + s**4
+        + s * s * s * s
     )
     n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
     d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0

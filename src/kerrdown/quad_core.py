@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, NumericOverflow
 
 # Below this the normalized factors are undefined (division by the commutator
 # expectation); callers must treat such points as degenerate, not as limits.
@@ -39,6 +40,10 @@ EPS_DEN = 1e-12
 # Slack for the construction-time sanity checks.  Moment sets produced by the
 # numerical oracle carry O(1e-13) arithmetic noise.
 _CHECK_TOL = 1e-9
+
+# Every factor numerator adds a few multiples of |<B>|^2, |<B^2>|, <B+ B> and
+# |d|; keeping <B+ B> + |d| below this leaves the factor arithmetic finite.
+_MOMENT_MAX = sys.float_info.max / 64
 
 
 @dataclass(frozen=True)
@@ -63,19 +68,27 @@ class QuadratureMoments:
         object.__setattr__(self, "mean_b_sq", complex(self.mean_b_sq))
         object.__setattr__(self, "mean_bdag_b", float(self.mean_bdag_b))
         object.__setattr__(self, "mean_d", float(self.mean_d))
-        n = self.mean_bdag_b
+        n, b_abs = self.mean_bdag_b, abs(self.mean_b)
+        cap = n + abs(self.mean_d)
         if not n >= -_CHECK_TOL:
-            raise ValueError(f"mean_bdag_b must be >= 0, got {n}")
+            problem = f"mean_bdag_b must be >= 0, got {n}"
         # Cauchy-Schwarz for any physical state
-        if not n >= abs(self.mean_b) ** 2 - _CHECK_TOL:
-            raise ValueError(
-                f"mean_bdag_b={n} < |mean_b|^2={abs(self.mean_b)**2}: unphysical moment set"
-            )
+        elif not n >= b_abs * b_abs - _CHECK_TOL:
+            problem = f"mean_bdag_b={n} < |mean_b|^2={b_abs * b_abs}: unphysical moment set"
         # finite-second-moment sanity bound (checked, not assumed)
-        if not abs(self.mean_b_sq) <= n + abs(self.mean_d) + _CHECK_TOL:
-            raise ValueError(
-                f"|mean_b_sq|={abs(self.mean_b_sq)} exceeds mean_bdag_b + |mean_d|"
-            )
+        elif not abs(self.mean_b_sq) <= cap + _CHECK_TOL:
+            problem = f"|mean_b_sq|={abs(self.mean_b_sq)} exceeds mean_bdag_b + |mean_d|"
+        elif not cap < _MOMENT_MAX:
+            problem = f"mean_bdag_b + |mean_d| = {cap} is out of float range"
+        else:
+            return
+        # A failed check shows an unphysical state only while the roundoff of
+        # the moments stays below the slack; past that, and for nan or
+        # infinite moments, the arithmetic ran out of range or precision.
+        scale = b_abs * b_abs + abs(self.mean_b_sq) + abs(n) + abs(self.mean_d)
+        if not scale * sys.float_info.epsilon <= _CHECK_TOL:
+            raise NumericOverflow(f"{problem} (moments of size {scale:.3e})")
+        raise ValueError(problem)
 
 
 @dataclass(frozen=True)

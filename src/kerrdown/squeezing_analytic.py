@@ -8,22 +8,23 @@ holds the two routes together to 1e-10 and both against the Fock oracle.
 
 Variants
 --------
-These factor formulas circulate with two defects that the Fock oracle rules
-out, so every function takes a `variant`:
+The single-mode formulas circulate with defects that the Fock oracle rules
+out, so the single-mode functions take a `variant`:
 
 * ``"arbitrated"`` (default) -- the form the oracle confirms.
-* ``"sin-theta"`` -- single-mode only: the alpha2^2 S^2 term of the middle
-  block carries sin(theta) instead of cos(theta).  Already the k -> 0 limit
-  shows it wrong (it gives 2 S^2 - 2 alpha2^2 S^2 against the exact Bogoliubov
-  answer 2 S^2), but the choice is proven, not assumed: `verify` measures both
-  variants against the oracle.
-* ``"single-dephasing"`` -- single-mode only: the mean-field blocks
-  [Re<B>]^2, [Im<B>]^2 are weighted by exp(eps1 sin^2(chi t)) instead of its
-  square.  Since Re<B> itself scales with exp(eps1 sin^2(chi t)), the squared
-  weight is forced; the single weight overstates the squeezing dips.
-* ``"unarbitrated"`` -- all defects of that kind's circulated form together
-  (for two-mode: unnormalized cross terms and a shifted second bracket; for
-  sum: conjugate-mixed sub-moments that erase the y-projection).
+* ``"sin-theta"`` -- the alpha2^2 S^2 term of the middle block carries
+  sin(theta) instead of cos(theta).  Already the k -> 0 limit shows it wrong
+  (it gives 2 S^2 - 2 alpha2^2 S^2 against the exact Bogoliubov answer
+  2 S^2), but the choice is proven, not assumed.
+* ``"single-dephasing"`` -- the mean-field blocks [Re<B>]^2, [Im<B>]^2 are
+  weighted by exp(eps1 sin^2(chi t)) instead of its square.  Since Re<B>
+  itself scales with exp(eps1 sin^2(chi t)), the squared weight is forced;
+  the single weight overstates the squeezing dips.
+* ``"unarbitrated"`` -- both defects together.
+
+`verify` measures every single-mode variant against the oracle and fails
+when a rejected one comes within 1e-3 of it.  The two-mode and sum factors
+have the arbitrated form only.
 
 The principal squeezing has no expanded per-kind closed form (it needs the
 complex moments), so sweep assembly takes V from the moment route.
@@ -44,7 +45,7 @@ from .moments_engine import (
 from .quad_core import EPS_DEN
 
 _SINGLE_VARIANTS = ("arbitrated", "sin-theta", "single-dephasing", "unarbitrated")
-_PAIR_VARIANTS = ("arbitrated", "unarbitrated")
+_EXTREMUM_VARIANTS = ("arbitrated", "unarbitrated")
 
 # extremum times chi*t = m*pi/2 are accepted within this window
 _EXTREMUM_TOL = 1e-9
@@ -106,7 +107,7 @@ def single_mode_extremum(
     must be used instead.  The "unarbitrated" variant keeps the circulated
     exp(eps1 - 2kt) weight.
     """
-    _check_variant(variant, _PAIR_VARIANTS)
+    _check_variant(variant, _EXTREMUM_VARIANTS)
     if abs(p.alpha1 - p.alpha2) > 1e-12:
         raise AsymmetricAmplitudes(
             f"extremum reduction needs alpha1 == alpha2, got {p.alpha1}, {p.alpha2}"
@@ -125,35 +126,27 @@ def single_mode_extremum(
     return f, g
 
 
-def two_mode_fg(
-    p: SystemParams, t: float, variant: str = "arbitrated"
-) -> tuple[float, float]:
+def two_mode_fg(p: SystemParams, t: float) -> tuple[float, float]:
     """Two-mode squeezing factors (F, G) for B = A1 + A2; d = 2.
 
     Head terms delegate to `single_mode_fg`; on top come the pair-coherence
     term ~ cos(2 chi t), the exp(eps1 sin^2 2 chi t) exchange block, and the
-    exp(2 eps1 sin^2 chi t) mean-field product block.  The "unarbitrated"
-    variant doubles the three cross terms (skipping their 1/d normalization),
-    uses the single mean-field dephasing weight, and keeps the circulated
-    second brackets whose 2 chi t arguments carry the wrong eps2 shift.
+    exp(2 eps1 sin^2 chi t) mean-field product block.
     """
-    _check_variant(variant, _PAIR_VARIANTS)
-    arb = variant == "arbitrated"
-    f1, g1 = single_mode_fg(p, t, 1, "arbitrated" if arb else "unarbitrated")
-    f2, g2 = single_mode_fg(p, t, 2, "arbitrated" if arb else "unarbitrated")
+    f1, g1 = single_mode_fg(p, t, 1)
+    f2, g2 = single_mode_fg(p, t, 2)
     aux = aux_quantities(p, t)
     c, s = aux.c, aux.s
     a1, a2 = p.alpha1, p.alpha2
     x = p.chi_bar * t
     s2, s4 = math.sin(2.0 * x), math.sin(4.0 * x)
-    cross_scale = 2.0 if arb else 4.0
     pair = (
-        cross_scale
+        2.0
         * (a1 * a2 * (s * s + c * c) + s * c * (a1 * a1 + a2 * a2 + 1.0))
         * math.cos(2.0 * x)
     )
     exchange = (
-        cross_scale
+        2.0
         * math.exp(aux.eps1 * s2 * s2)
         * (
             a1 * a2 * (c * c + s * s) * math.cos(aux.eps2 * s4)
@@ -161,21 +154,13 @@ def two_mode_fg(
             + c * s * a2 * a2 * math.cos(4.0 * x - aux.eps2 * s4)
         )
     )
-    # the circulated two-mode product block already carries the squared weight
     mean_weight = math.exp(2.0 * aux.eps1 * math.sin(x) ** 2)
     re1 = a1 * c * math.cos(aux.eps2 * s2) + a2 * s * math.cos(2.0 * x - aux.eps2 * s2)
     im1 = -a1 * c * math.sin(aux.eps2 * s2) + a2 * s * math.sin(2.0 * x - aux.eps2 * s2)
-    if arb:
-        re2 = a2 * c * math.cos(aux.eps2 * s2) + a1 * s * math.cos(2.0 * x + aux.eps2 * s2)
-        im2 = a2 * c * math.sin(aux.eps2 * s2) + a1 * s * math.sin(2.0 * x + aux.eps2 * s2)
-        prod_scale = 4.0
-    else:
-        re2 = a2 * c * math.cos(aux.eps2 * s2) + a1 * s * math.cos(2.0 * x - aux.eps2 * s2)
-        im2 = a2 * c * math.sin(aux.eps2 * s2) - a1 * s * math.sin(2.0 * x - aux.eps2 * s2)
-        im1 = -im1  # circulated bracket order [a1 C sin(..) - a2 S sin(..)]
-        prod_scale = 8.0
-    f = 0.5 * (f1 + f2) + pair + exchange - prod_scale * re1 * re2 * mean_weight
-    g = 0.5 * (g1 + g2) - pair + exchange - prod_scale * im1 * im2 * mean_weight
+    re2 = a2 * c * math.cos(aux.eps2 * s2) + a1 * s * math.cos(2.0 * x + aux.eps2 * s2)
+    im2 = a2 * c * math.sin(aux.eps2 * s2) + a1 * s * math.sin(2.0 * x + aux.eps2 * s2)
+    f = 0.5 * (f1 + f2) + pair + exchange - 4.0 * re1 * re2 * mean_weight
+    g = 0.5 * (g1 + g2) - pair + exchange - 4.0 * im1 * im2 * mean_weight
     return f, g
 
 
@@ -183,7 +168,6 @@ def sum_fg(
     p: SystemParams,
     t: float,
     d_convention: DConvention = DConvention.NUMBER_SUM,
-    variant: str = "arbitrated",
 ) -> tuple[float, float]:
     """Sum-squeezing factors (F, G) for B = A1 A2.
 
@@ -191,12 +175,7 @@ def sum_fg(
     cos^2/sin^2(2 chi t) projection factors; the sub-moments are those of the
     pure down-converter, obtained from `moments_engine` with chi forced to 0.
     Reduces exactly to the y-only form at chi = 0 and to (0, 0) at k = 0.
-
-    The "unarbitrated" variant mixes in conjugated sub-moments (<A1+^2 A2^2>,
-    <A1+ A2> at chi = 0), which collapse to bare mean-field powers and lose
-    the y-quadrature projection.
     """
-    _check_variant(variant, _PAIR_VARIANTS)
     p0 = SystemParams(0.0, p.k, p.alpha1, p.alpha2)
     m0 = sum_moments(p0, t, d_convention)
     d = m0.mean_d
@@ -205,20 +184,10 @@ def sum_fg(
     x = p.chi_bar * t
     c4, c2, s2 = math.cos(4.0 * x), math.cos(2.0 * x), math.sin(2.0 * x)
     m_nn = m0.mean_bdag_b
-    if variant == "arbitrated":
-        m_b2 = m0.mean_b_sq.real
-        m_b = m0.mean_b.real
-        f = (2.0 * m_nn + 2.0 * m_b2 * c4 - 4.0 * m_b * m_b * c2 * c2) / d
-        g = (2.0 * m_nn - 2.0 * m_b2 * c4 - 4.0 * m_b * m_b * s2 * s2) / d
-    else:
-        # conjugate-mixed sub-moments: <A1+^2 A2^2>_0 = (b1 b2 displaced)^2,
-        # <A1+ A2>_0 is real, so its imaginary part contributes nothing to G
-        c_, s_ = math.cosh(p.k * t), math.sinh(p.k * t)
-        b1 = p.alpha1 * c_ + p.alpha2 * s_
-        b2 = p.alpha2 * c_ + p.alpha1 * s_
-        conj_sq = (b1 * b2) ** 2
-        f = (2.0 * m_nn + 2.0 * conj_sq * c4 - 4.0 * conj_sq * c2 * c2) / d
-        g = (2.0 * m_nn - 2.0 * conj_sq * c4) / d
+    m_b2 = m0.mean_b_sq.real
+    m_b = m0.mean_b.real
+    f = (2.0 * m_nn + 2.0 * m_b2 * c4 - 4.0 * m_b * m_b * c2 * c2) / d
+    g = (2.0 * m_nn - 2.0 * m_b2 * c4 - 4.0 * m_b * m_b * s2 * s2) / d
     return f, g
 
 
@@ -227,15 +196,14 @@ def factors(
     t: float,
     kind: SqueezeKind,
     d_convention: DConvention = DConvention.NUMBER_SUM,
-    variant: str = "arbitrated",
 ) -> tuple[float, float]:
     """(F, G) of the requested kind along this module's closed-form route."""
     if kind is SqueezeKind.SINGLE1:
-        return single_mode_fg(p, t, 1, variant)
+        return single_mode_fg(p, t, 1)
     if kind is SqueezeKind.SINGLE2:
-        return single_mode_fg(p, t, 2, variant)
+        return single_mode_fg(p, t, 2)
     if kind is SqueezeKind.TWO_MODE:
-        return two_mode_fg(p, t, variant)
+        return two_mode_fg(p, t)
     if kind is SqueezeKind.SUM:
-        return sum_fg(p, t, d_convention, variant)
+        return sum_fg(p, t, d_convention)
     raise ValueError(f"unknown kind {kind!r}")

@@ -187,15 +187,26 @@ def test_criterion_5_typo_arbitration(verification):
     report, _ = verification
     good = _check(report, "single-mode arbitrated variant vs oracle")
     bad = _check(report, "single-mode sin-theta variant vs oracle")
-    ok = good.value <= TOL_ORACLE and bad.value >= 1e-3
+    dephasing = _check(report, "single-mode single-dephasing variant vs oracle")
+    unarbitrated = _check(report, "single-mode unarbitrated variant vs oracle")
+    ok = (
+        good.value <= TOL_ORACLE
+        and bad.value >= 1e-3
+        and dephasing.passed
+        and unarbitrated.passed
+    )
     _line(
         "criterion 5 trig-term arbitration",
         ok,
         f"arbitrated max dev = {good.value:.2e} (<=1e-6), "
-        f"sin-theta max dev = {bad.value:.2e} (>=1e-3)",
+        f"sin-theta max dev = {bad.value:.2e} (>=1e-3), "
+        f"single-dephasing = {dephasing.value:.2e}, unarbitrated = {unarbitrated.value:.2e} "
+        f"(>={dephasing.bound:.0e})",
     )
     assert good.value <= TOL_ORACLE
     assert bad.value >= 1e-3
+    assert dephasing.passed, dephasing.render()
+    assert unarbitrated.passed, unarbitrated.render()
 
 
 def _grid_min_refined(m):

@@ -1,9 +1,13 @@
 """CLI behavior: CSV contracts, exit codes, figure datasets."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kerrdown.cli import main
 
@@ -143,6 +147,65 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "7"])
         assert exc.value.code == 2
+
+
+# ordinary, huge and non-finite values, each passed as --flag=value so that
+# negative ones reach the program
+_ANY_FLOAT = st.one_of(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.sampled_from([400.0, 1e10, 1e154, 1e200, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@given(
+    kind=st.sampled_from(["single1", "single2", "two", "sum"]),
+    engine=st.sampled_from(["analytic", "moments", "oracle"]),
+    conv=st.sampled_from(["paper", "commutator"]),
+    values=st.tuples(*[_ANY_FLOAT] * 5),
+    steps=st.integers(2, 5),
+    cutoff=st.integers(4, 8),
+)
+def test_sweep_argv_ends_in_result_or_typed_error(kind, engine, conv, values, steps, cutoff):
+    chi, k, alpha1, alpha2, tmax = values
+    argv = [
+        "sweep", "--kind", kind, "--engine", engine, "--d-convention", conv,
+        f"--chi={chi!r}", f"--k={k!r}", f"--alpha1={alpha1!r}", f"--alpha2={alpha2!r}",
+        f"--tmax={tmax!r}", "--steps", str(steps), "--cutoff", str(cutoff),
+    ]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tmax", "nan"],
+    ["--tmax", "inf"],
+])
+def test_non_finite_tmax_is_usage_error(capsys, argv):
+    code, _, err = _run(capsys, SWEEP_ARGS + argv)
+    assert code == 2
+    assert "tmax" in err
+
+
+@pytest.mark.parametrize("engine", ["analytic", "moments", "oracle"])
+@pytest.mark.parametrize("overrides", [
+    ["--k", "400", "--tmax", "1"],
+    ["--chi", "1e308", "--tmax", "1e10"],
+    ["--tmax", "1e308", "--k", "0.1"],
+])
+def test_overflow_is_typed_physics_error(capsys, engine, overrides):
+    base = ["sweep", "--kind", "two", "--chi", "0.5", "--k", "0",
+            "--alpha1", "0.4", "--alpha2", "0.3", "--tmax", "1", "--steps", "3",
+            "--cutoff", "8", "--engine", engine]
+    code, _, err = _run(capsys, base + overrides)
+    assert code == 1
+    assert "NumericOverflow" in err or (engine == "oracle" and "TailOverflow" in err)
 
 
 def _read_curve(path):

@@ -14,15 +14,17 @@ from kerrdown import (
     factor_x,
     moments_for,
 )
+from kerrdown import fock_oracle
 from kerrdown.fock_oracle import (
     OracleConfig,
     build_hamiltonian,
     coherent_state,
-    evolve,
+    evolve_seed,
     expect,
     moment_set_numeric,
+    moment_sets,
 )
-from kerrdown.verify import conservation_checks
+from kerrdown.verify import KIND_CELLS, conservation_checks, run_verification
 
 
 def _idx(n1, n2, n_max):
@@ -115,49 +117,37 @@ class TestExpect:
 class TestEvolve:
     def test_time_zero_is_identity(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        h = build_hamiltonian(p, 16)
         st = coherent_state(0.4, 0.2, 16)
-        out = evolve(st, h, 0.0, OracleConfig(n_max=16))
+        (out,) = evolve_seed(p, [0.0], OracleConfig(n_max=16))
         assert np.allclose(out.amp, st.amp, atol=1e-12)
 
     def test_two_mode_squeezed_vacuum_photon_number(self):
         p = SystemParams(0.0, 0.1, 0.0, 0.0)
-        h = build_hamiltonian(p, 16)
-        st = coherent_state(0.0, 0.0, 16)
-        out = evolve(st, h, 1.0, OracleConfig(n_max=16))
+        (out,) = evolve_seed(p, [1.0], OracleConfig(n_max=16))
         assert expect(out, (1, 1, 0, 0)).real == pytest.approx(
             math.sinh(0.1) ** 2, abs=1e-10
         )
 
     def test_kerr_conserves_mode_numbers(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.4)
-        h = build_hamiltonian(p, 20)
-        st = coherent_state(0.4, 0.4, 20)
-        for t in (0.7, 2.5):
-            out = evolve(st, h, t, OracleConfig(n_max=20))
+        for out in evolve_seed(p, (0.7, 2.5), OracleConfig(n_max=20)):
             assert expect(out, (1, 1, 0, 0)).real == pytest.approx(0.16, abs=1e-10)
 
     def test_tail_overflow_guards_cutoff(self):
         # kt = 4 wants hundreds of photons; must refuse, not degrade
         p = SystemParams(0.0, 1.0, 0.0, 0.0)
-        h = build_hamiltonian(p, 12)
-        st = coherent_state(0.0, 0.0, 12)
         with pytest.raises(TailOverflow):
-            evolve(st, h, 4.0, OracleConfig(n_max=12))
+            list(evolve_seed(p, [4.0], OracleConfig(n_max=12)))
 
     def test_norm_drift_budget_enforced(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        h = build_hamiltonian(p, 12)
-        st = coherent_state(0.4, 0.2, 12)
         with pytest.raises(NormDrift):
-            evolve(st, h, 1.0, OracleConfig(n_max=12, tau_norm=0.0))
+            list(evolve_seed(p, [1.0], OracleConfig(n_max=12, tau_norm=0.0)))
 
     def test_negative_time_rejected(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        h = build_hamiltonian(p, 8)
-        st = coherent_state(0.0, 0.0, 8)
         with pytest.raises(ValueError):
-            evolve(st, h, -1.0, OracleConfig(n_max=8))
+            list(evolve_seed(p, [-1.0], OracleConfig(n_max=8)))
 
 
 class TestMomentSets:
@@ -187,6 +177,35 @@ class TestMomentSets:
                 assert b.mean_b == pytest.approx(a.mean_b, abs=1e-6)
 
 
+class TestStream:
+    def test_streamed_sets_match_per_point_sets(self, grid_times):
+        # one evolution read for every kind cell == one evolution per cell
+        cfg = OracleConfig()
+        ts = grid_times[::5].tolist()
+        for p in (SystemParams(0.5, 0.1, 0.4, 0.3), SystemParams(0.25, 0.05, 0.2, 0.0)):
+            for t, state in zip(ts, evolve_seed(p, ts, cfg)):
+                for (kind, conv), m in zip(KIND_CELLS, moment_sets(state, p, t, KIND_CELLS)):
+                    ref = moment_set_numeric(p, t, kind, cfg, conv)
+                    assert abs(m.mean_b - ref.mean_b) <= 1e-14
+                    assert abs(m.mean_b_sq - ref.mean_b_sq) <= 1e-14
+                    assert abs(m.mean_bdag_b - ref.mean_bdag_b) <= 1e-14
+                    assert abs(m.mean_d - ref.mean_d) <= 1e-14
+
+    def test_verification_diagonalizes_each_generator_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(h):
+            calls.append(h.shape[0])
+            return eigh(h)
+
+        fock_oracle._spectrum.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        run_verification()
+        # 3 chi x 3 k grid generators; the probe and the conservation run reuse one
+        assert len(calls) == 9
+
+
 class TestConservation:
     def test_motion_constants(self):
         checks = conservation_checks(OracleConfig())
@@ -198,10 +217,6 @@ class TestConfig:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
             OracleConfig(n_max=3)
-
-    def test_step_positive(self):
-        with pytest.raises(ValueError):
-            OracleConfig(dt=0.0)
 
 
 def test_uncertainty_product_on_oracle_sets():

@@ -261,5 +261,3 @@ class TestInvariants:
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
         with pytest.raises(ValueError):
             single_mode_fg(p, 1.0, variant="bogus")
-        with pytest.raises(ValueError):
-            two_mode_fg(p, 1.0, variant="sin-theta")
