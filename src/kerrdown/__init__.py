@@ -36,7 +36,6 @@ from .quad_core import (
     factor_phase,
     factor_x,
     factor_y,
-    factors_at,
     principal,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "factor_phase",
     "factor_x",
     "factor_y",
-    "factors_at",
     "kernel",
     "mode_moments",
     "moments_for",

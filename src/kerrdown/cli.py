@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,13 +33,28 @@ _KINDS = {k.value: k for k in SqueezeKind}
 _CONVENTIONS = {c.value: c for c in DConvention}
 _ENGINES = ("analytic", "moments", "oracle")
 
-# figure time ranges default to two Kerr periods (k = 0) or to the
-# truncation-safe window kt <= 0.3 (k > 0); --tmax overrides
+# figure id -> kind, quantities, default time range, curve title, and the
+# params of each curve set.  Time ranges default to two Kerr periods of
+# chi = 0.5 (k = 0) or to the truncation-safe window kt <= 0.3 (k > 0);
+# --tmax overrides
+_TWO_PERIODS = 2.0 * math.pi / 0.5
+_FIGURES = {
+    "1": (SqueezeKind.SINGLE1, "vf", _TWO_PERIODS, "({alpha1},{alpha2})",
+          [(0.5, 0.0, 0.4, 0.0), (0.5, 0.0, 0.4, 0.4)]),
+    "2a": (SqueezeKind.TWO_MODE, "vfg", _TWO_PERIODS, "({alpha1},{alpha2})",
+           [(0.5, 0.0, 0.4, 0.0), (0.5, 0.0, 0.4, 0.4)]),
+    "2b": (SqueezeKind.TWO_MODE, "vfg", 3.0, "chi={chi_bar}",
+           [(0.5, 0.1, 0.4, 0.0), (0.0, 0.1, 0.4, 0.0)]),
+    "3": (SqueezeKind.SUM, "vfg", 3.0, "chi={chi_bar}",
+          [(0.0, 0.1, 0.4, 0.0), (0.5, 0.1, 0.4, 0.0)]),
+}
 _FIGURE_STEPS = 241
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_rows(*columns: np.ndarray) -> list[str]:
+    """One line per time: the columns' values to 17 significant digits, comma-separated."""
+    rows = zip(*(column.tolist() for column in columns))
+    return [",".join(format(x, ".17g") for x in row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -64,7 +78,7 @@ class SweepRequest:
 
 @dataclass
 class SweepResult:
-    rows: list[SqueezingFactors]
+    factors: SqueezingFactors  # (f, g, v, t) columns
     metadata: dict
 
     def to_csv(self) -> str:
@@ -75,39 +89,37 @@ class SweepResult:
         meta2 = ", ".join(
             f"{k}={self.metadata[k]}" for k in ("package", "numpy", "variant", "cutoff")
         )
-        lines = [f"# {meta1}", f"# {meta2}", "t,f,g,v"]
-        for r in self.rows:
-            lines.append(f"{_fmt(r.t)},{_fmt(r.f)},{_fmt(r.g)},{_fmt(r.v)}")
+        sf = self.factors
+        lines = [f"# {meta1}", f"# {meta2}", "t,f,g,v", *_csv_rows(sf.t, sf.f, sf.g, sf.v)]
         return "\n".join(lines) + "\n"
 
 
-def _factor_rows(req: SweepRequest, ts: list[float]) -> Iterator[SqueezingFactors]:
+def _factors(req: SweepRequest, ts: np.ndarray) -> SqueezingFactors:
     p, kind, conv = req.params, req.kind, req.d_convention
     if req.engine == "oracle":
-        for t, state in zip(ts, fock_oracle.evolve_seed(p, ts, req.cfg)):
-            (m,) = fock_oracle.moment_sets(state, p, t, [(kind, conv)])
-            yield quad_core.factors_at(m, t)
-        return
-    for t in ts:
-        m = moments_engine.moments_for(p, t, kind, conv)
-        if req.engine == "moments":
-            yield quad_core.factors_at(m, t)
-        else:
-            # analytic: closed-form f, g; the envelope has no expanded closed
-            # form and is taken from the moment route
-            f, g = squeezing_analytic.factors(p, t, kind, conv)
-            yield SqueezingFactors(f=f, g=g, v=quad_core.principal(m), t=t)
+        (m,) = fock_oracle.moment_sets(p, ts, [(kind, conv)], req.cfg)
+    else:
+        m = moments_engine.moments_for(p, ts, kind, conv)
+    if req.engine == "analytic":
+        # closed-form f, g; the envelope has no expanded closed form and is
+        # taken from the moment route
+        f, g = squeezing_analytic.factors(p, ts, kind, conv)
+    else:
+        f, g = quad_core.factor_x(m), quad_core.factor_y(m)
+    return SqueezingFactors(f=f, g=g, v=quad_core.principal(m), t=ts)
 
 
 def run_sweep(req: SweepRequest) -> SweepResult:
-    ts = [i * req.t_max / (req.steps - 1) for i in range(req.steps)]
-    rows = []
-    for row in _factor_rows(req, ts):
-        if row.v > min(row.f, row.g) + 1e-10:
-            raise KerrdownError(
-                f"envelope violation at t={row.t}: v={row.v} > min(f,g)={min(row.f, row.g)}"
-            )
-        rows.append(row)
+    with np.errstate(over="ignore"):  # the engines report an infinite time
+        ts = np.arange(req.steps) * req.t_max / (req.steps - 1)
+    sf = _factors(req, ts)
+    low = np.minimum(sf.f, sf.g)
+    violated = sf.v > low + 1e-10
+    if violated.any():
+        i = int(np.argmax(violated))
+        raise KerrdownError(
+            f"envelope violation at t={ts[i]}: v={sf.v[i]} > min(f,g)={low[i]}"
+        )
     p = req.params
     metadata = {
         "engine": req.engine,
@@ -122,84 +134,54 @@ def run_sweep(req: SweepRequest) -> SweepResult:
         "variant": "arbitrated",
         "cutoff": req.cfg.n_max,
     }
-    return SweepResult(rows=rows, metadata=metadata)
+    return SweepResult(factors=sf, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
 # figure datasets
 
 
-@dataclass(frozen=True)
-class _Curve:
-    name: str
-    kind: SqueezeKind
-    quantity: str  # f | g | v
-    params: SystemParams
-    t_max: float
-    title: str
-
-
-def _figure_curves(fig_id: str, t_max: float | None) -> list[_Curve]:
-    two_periods = 2.0 * np.pi / 0.5  # k = 0 figures use chi = 0.5
-    curves: list[_Curve] = []
-
-    def add(kind, quantity, p, tm, tag):
-        name = (
-            f"fig{fig_id}_{quantity}_chi{p.chi_bar:g}_k{p.k:g}"
-            f"_a{p.alpha1:g}_{p.alpha2:g}.csv"
-        )
-        curves.append(_Curve(name, kind, quantity, p, t_max or tm, tag))
-
-    if fig_id == "1":
-        for a1, a2 in ((0.4, 0.0), (0.4, 0.4)):
-            p = SystemParams(0.5, 0.0, a1, a2)
-            for q in ("v", "f"):
-                add(SqueezeKind.SINGLE1, q, p, two_periods, f"{q.upper()} ({a1},{a2})")
-    elif fig_id == "2a":
-        for a1, a2 in ((0.4, 0.0), (0.4, 0.4)):
-            p = SystemParams(0.5, 0.0, a1, a2)
-            for q in ("v", "f", "g"):
-                add(SqueezeKind.TWO_MODE, q, p, two_periods, f"{q.upper()} ({a1},{a2})")
-    elif fig_id == "2b":
-        for chi, k in ((0.5, 0.1), (0.0, 0.1)):
-            p = SystemParams(chi, k, 0.4, 0.0)
-            for q in ("v", "f", "g"):
-                add(SqueezeKind.TWO_MODE, q, p, 3.0, f"{q.upper()} chi={chi}")
-    elif fig_id == "3":
-        for chi in (0.0, 0.5):
-            p = SystemParams(chi, 0.1, 0.4, 0.0)
-            for q in ("v", "f", "g"):
-                add(SqueezeKind.SUM, q, p, 3.0, f"{q.upper()} chi={chi}")
-    else:
+def _figure_sets(
+    fig_id: str, t_max: float | None, steps: int
+) -> list[tuple[SweepRequest, str, str]]:
+    """(request, quantities, title) of each curve set of a figure; bad input raises ValueError."""
+    if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}")
-    return curves
+    kind, quantities, default_t_max, title, sets = _FIGURES[fig_id]
+    requests = [
+        SweepRequest(kind=kind, engine="analytic", params=SystemParams(*params),
+                     t_max=t_max or default_t_max, steps=steps)
+        for params in sets
+    ]
+    return [(req, quantities, title.format(**vars(req.params))) for req in requests]
 
 
-def write_figure(fig_id: str, out_dir: Path, t_max: float | None = None,
-                 steps: int = _FIGURE_STEPS) -> list[Path]:
-    """Write one CSV per caption curve plus a gnuplot script; returns the paths."""
+def _write_curve_sets(
+    fig_id: str, curve_sets: list[tuple[SweepRequest, str, str]], out_dir: Path
+) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     plot_terms = []
-    for cv in _figure_curves(fig_id, t_max):
-        req = SweepRequest(
-            kind=cv.kind, engine="analytic", params=cv.params,
-            t_max=cv.t_max, steps=steps,
-        )
-        result = run_sweep(req)
-        lines = [
-            f"# figure={fig_id}, curve={cv.quantity}, kind={cv.kind.value}, "
-            f"engine=analytic, chi={cv.params.chi_bar!r}, k={cv.params.k!r}, "
-            f"alpha1={cv.params.alpha1!r}, alpha2={cv.params.alpha2!r}, "
-            f"d_convention={req.d_convention.value}",
-            "t,value",
-        ]
-        for row in result.rows:
-            lines.append(f"{_fmt(row.t)},{_fmt(getattr(row, cv.quantity))}")
-        path = out_dir / cv.name
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-        plot_terms.append(f"    '{cv.name}' using 1:2 with lines title '{cv.title}'")
+    for req, quantities, title in curve_sets:
+        p = req.params
+        sf = run_sweep(req).factors
+        for q in quantities:
+            name = (
+                f"fig{fig_id}_{q}_chi{p.chi_bar:g}_k{p.k:g}"
+                f"_a{p.alpha1:g}_{p.alpha2:g}.csv"
+            )
+            lines = [
+                f"# figure={fig_id}, curve={q}, kind={req.kind.value}, "
+                f"engine=analytic, chi={p.chi_bar!r}, k={p.k!r}, "
+                f"alpha1={p.alpha1!r}, alpha2={p.alpha2!r}, "
+                f"d_convention={req.d_convention.value}",
+                "t,value",
+            ]
+            lines += _csv_rows(sf.t, getattr(sf, q))
+            path = out_dir / name
+            path.write_text("\n".join(lines) + "\n")
+            written.append(path)
+            plot_terms.append(f"    '{name}' using 1:2 with lines title '{q.upper()} {title}'")
     script = out_dir / f"fig{fig_id}.gp"
     script.write_text(
         "# gnuplot script; run from this directory\n"
@@ -211,6 +193,17 @@ def write_figure(fig_id: str, out_dir: Path, t_max: float | None = None,
     )
     written.append(script)
     return written
+
+
+def write_figure(fig_id: str, out_dir: Path, t_max: float | None = None,
+                 steps: int = _FIGURE_STEPS) -> list[Path]:
+    """Write one CSV per caption curve plus a gnuplot script; returns the paths.
+
+    Each (kind, params) curve set is evaluated once and its f/g/v curves are
+    written from the same columns.  A bad t_max or steps raises ValueError
+    before anything is written.
+    """
+    return _write_curve_sets(fig_id, _figure_sets(fig_id, t_max, steps), out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=Path, default=None)
 
     figure = sub.add_parser("figure", help="emit the standard figure datasets")
-    figure.add_argument("id", choices=("1", "2a", "2b", "3"))
+    figure.add_argument("id", choices=sorted(_FIGURES))
     figure.add_argument("--out-dir", type=Path, default=Path("figures"))
     figure.add_argument("--tmax", type=float, default=None)
     figure.add_argument("--steps", type=int, default=_FIGURE_STEPS)
@@ -273,8 +266,12 @@ def main(argv=None) -> int:
                 args.out.write_text(result.to_csv())
             return 0
         if args.command == "figure":
-            paths = write_figure(args.id, args.out_dir, args.tmax, args.steps)
-            for path in paths:
+            try:
+                curve_sets = _figure_sets(args.id, args.tmax, args.steps)
+            except ValueError as exc:
+                print(f"kerrdown figure: {exc}", file=sys.stderr)
+                return 2
+            for path in _write_curve_sets(args.id, curve_sets, args.out_dir):
                 print(path)
             return 0
         if args.command == "verify":

@@ -17,7 +17,7 @@ i.e. the self-phase couplings locked to the cross coupling with the resulting
 single-mode frequency shifts absorbed into the frame (see `moments_engine` for
 the dressing).  In this frame the Schrodinger expectations of a1 are exactly
 the dressed-mode moments <A1(t)...>; mode-2 moments additionally carry the
-2*chi carrier, applied per power in `moment_sets`.
+2*chi carrier, applied per power when `moment_sets` reads them out.
 
 The seed state is kept truncated-unnormalized: its norm deficit is the
 truncation diagnostic, and every moment divides by the norm squared so the
@@ -185,7 +185,7 @@ def evolve_seed(
     # evecs^H psi0 as a row product, without a conjugated copy of evecs
     c = (seed.vector().conj() @ evecs).conj()
     reach = float(np.abs(evals).max())
-    for t in ts:
+    for t in map(float, ts):
         if not t >= 0:
             raise ValueError(f"t must be >= 0, got {t}")
         if not reach * t < math.inf:
@@ -248,57 +248,62 @@ def _real(z: complex, what: str) -> float:
 
 
 def moment_sets(
-    state: FockState,
     p: SystemParams,
-    t: float,
+    t,
     cells: Sequence[tuple[SqueezeKind, DConvention]],
+    cfg: OracleConfig | None = None,
 ) -> list[QuadratureMoments]:
-    """Moment sets of each (kind, d_convention) cell, read from the state at time t.
+    """Moment sets of each (kind, d_convention) cell, shaped like t (a float or a 1-D array).
 
-    Schrodinger expectations in the co-rotating frame equal the dressed-mode
-    moments directly for mode 1; mode-2 moments carry the carrier phase
-    e^{2i chi t} once per net power of the mode-2 amplitude.  The cells share
-    one read-out: each distinct normally ordered moment is contracted once.
+    Every cell is read from the one state `evolve_seed` yields per time, each
+    distinct normally ordered moment contracted once.  Schrodinger
+    expectations in the co-rotating frame equal the dressed-mode moments
+    directly for mode 1; mode-2 moments carry the carrier phase e^{2i chi t}
+    once per net power of the mode-2 amplitude.
     """
-    ex = functools.cache(functools.partial(expect, state))
-    ph = cmath.exp(2j * p.chi_bar * t)
-    sets = []
-    for kind, d_convention in cells:
-        if kind is SqueezeKind.SINGLE1:
-            mean_b = ex((0, 1, 0, 0))
-            mean_b_sq = ex((0, 2, 0, 0))
-            mean_n = _real(ex((1, 1, 0, 0)), "<n1>")
-            d = 1.0
-        elif kind is SqueezeKind.SINGLE2:
-            mean_b = ph * ex((0, 0, 0, 1))
-            mean_b_sq = ph * ph * ex((0, 0, 0, 2))
-            mean_n = _real(ex((0, 0, 1, 1)), "<n2>")
-            d = 1.0
-        elif kind is SqueezeKind.TWO_MODE:
-            mean_b = ex((0, 1, 0, 0)) + ph * ex((0, 0, 0, 1))
-            mean_b_sq = (
-                ex((0, 2, 0, 0))
-                + ph * ph * ex((0, 0, 0, 2))
-                + 2.0 * ph * ex((0, 1, 0, 1))
-            )
-            mean_n = (
-                _real(ex((1, 1, 0, 0)), "<n1>")
-                + _real(ex((0, 0, 1, 1)), "<n2>")
-                + 2.0 * (ph * ex((1, 0, 0, 1))).real
-            )
-            d = 2.0
-        elif kind is SqueezeKind.SUM:
-            mean_b = ph * ex((0, 1, 0, 1))
-            mean_b_sq = ph * ph * ex((0, 2, 0, 2))
-            mean_n = _real(ex((1, 1, 1, 1)), "<n1 n2>")
-            n_total = _real(ex((1, 1, 0, 0)), "<n1>") + _real(ex((0, 0, 1, 1)), "<n2>")
-            d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        sets.append(
-            QuadratureMoments(mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_n, mean_d=d)
-        )
-    return sets
+    ts = np.ravel(t).tolist()
+    reads = []  # per time, (<B>, <B^2>, <B+ B>, d) of each cell
+    for t_i, state in zip(ts, evolve_seed(p, ts, cfg)):
+        ex = functools.cache(functools.partial(expect, state))
+        ph = cmath.exp(2j * p.chi_bar * t_i)
+        reads.append([])
+        for kind, d_convention in cells:
+            if kind is SqueezeKind.SINGLE1:
+                mean_b = ex((0, 1, 0, 0))
+                mean_b_sq = ex((0, 2, 0, 0))
+                mean_n = _real(ex((1, 1, 0, 0)), "<n1>")
+                d = 1.0
+            elif kind is SqueezeKind.SINGLE2:
+                mean_b = ph * ex((0, 0, 0, 1))
+                mean_b_sq = ph * ph * ex((0, 0, 0, 2))
+                mean_n = _real(ex((0, 0, 1, 1)), "<n2>")
+                d = 1.0
+            elif kind is SqueezeKind.TWO_MODE:
+                mean_b = ex((0, 1, 0, 0)) + ph * ex((0, 0, 0, 1))
+                mean_b_sq = (
+                    ex((0, 2, 0, 0))
+                    + ph * ph * ex((0, 0, 0, 2))
+                    + 2.0 * ph * ex((0, 1, 0, 1))
+                )
+                mean_n = (
+                    _real(ex((1, 1, 0, 0)), "<n1>")
+                    + _real(ex((0, 0, 1, 1)), "<n2>")
+                    + 2.0 * (ph * ex((1, 0, 0, 1))).real
+                )
+                d = 2.0
+            elif kind is SqueezeKind.SUM:
+                mean_b = ph * ex((0, 1, 0, 1))
+                mean_b_sq = ph * ph * ex((0, 2, 0, 2))
+                mean_n = _real(ex((1, 1, 1, 1)), "<n1 n2>")
+                n_total = _real(ex((1, 1, 0, 0)), "<n1>") + _real(ex((0, 0, 1, 1)), "<n2>")
+                d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+            else:
+                raise ValueError(f"unknown kind {kind!r}")
+            reads[-1].append((mean_b, mean_b_sq, mean_n, d))
+    return [
+        QuadratureMoments(*(np.reshape(column, np.shape(t)) for column in zip(*cell)))
+        for cell in zip(*reads)
+    ]
 
 
 def moment_set_numeric(
@@ -309,5 +314,4 @@ def moment_set_numeric(
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ) -> QuadratureMoments:
     """Oracle moment set at one time, drop-in replacement for the `moments_engine` output."""
-    state = next(evolve_seed(p, (t,), cfg))
-    return moment_sets(state, p, t, [(kind, d_convention)])[0]
+    return moment_sets(p, t, [(kind, d_convention)], cfg)[0]

@@ -58,18 +58,21 @@ the pure down-converter:
 All of these are proven against `fock_oracle` by the test suite (each moment to
 1e-6 on the verification grid, limited only by the evolution arithmetic).
 
-Everything here is a pure function of immutable inputs; sweeps may evaluate
-time grids concurrently.
+Every function takes t as a float (scalar moments) or a 1-D numpy array (one
+moment set per time).  Overflow becomes inf or nan, which `_hyperbolic` and
+`QuadratureMoments` report as NumericOverflow, so numpy's floating-point
+warnings are silenced.  Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import numbers
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericOverflow
 from .quad_core import QuadratureMoments
@@ -155,7 +158,7 @@ class DConvention(enum.Enum):
 
 @dataclass(frozen=True)
 class AuxQuantities:
-    """Hyperbolic and dephasing abbreviations at one time t.
+    """Hyperbolic and dephasing abbreviations at the time(s) t.
 
     c, s        -- cosh(kt), sinh(kt)
     eps1        -- -2 (alpha1^2 + alpha2^2)  (total dephasing weight, <= 0)
@@ -165,31 +168,33 @@ class AuxQuantities:
     theta       -- 6 chi t - eps2 sin(4 chi t)
     """
 
-    c: float
-    s: float
+    c: float | np.ndarray
+    s: float | np.ndarray
     eps1: float
     eps2: float
-    theta_plus: float
-    theta_minus: float
-    theta: float
+    theta_plus: float | np.ndarray
+    theta_minus: float | np.ndarray
+    theta: float | np.ndarray
 
 
-def _hyperbolic(p: SystemParams, t: float) -> tuple[float, float]:
+def _hyperbolic(p: SystemParams, t):
     """(cosh kt, sinh kt), once the Kerr phases of (p, t) are checked to be finite."""
-    if not abs(p.chi_bar * t) < _MAX_ARG:  # also fails for a nan t
-        raise NumericOverflow(f"Kerr phase chi t = {p.chi_bar * t} is out of float range")
-    try:
-        return math.cosh(p.k * t), math.sinh(p.k * t)
-    except OverflowError:
-        raise NumericOverflow(f"cosh(k t) overflows at k t = {p.k * t}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, kt = np.abs(p.chi_bar * t), p.k * t
+        c, s = np.cosh(kt), np.sinh(kt)
+    if not np.all(x < _MAX_ARG):  # also fails for a nan t
+        raise NumericOverflow(f"Kerr phase chi t = {np.max(x)} is out of float range")
+    if not np.all(np.isfinite(c)):
+        raise NumericOverflow(f"cosh(k t) overflows at k t = {np.max(kt)}")
+    return c, s
 
 
-def aux_quantities(p: SystemParams, t: float) -> AuxQuantities:
-    """Evaluate the AuxQuantities bundle of `p` at time `t`."""
+def aux_quantities(p: SystemParams, t) -> AuxQuantities:
+    """Evaluate the AuxQuantities bundle of `p` at the time(s) `t`."""
     c, s = _hyperbolic(p, t)
     x = p.chi_bar * t
     eps2 = p.alpha1**2 - p.alpha2**2
-    s4 = math.sin(4.0 * x)
+    s4 = np.sin(4.0 * x)
     return AuxQuantities(
         c=c,
         s=s,
@@ -201,15 +206,15 @@ def aux_quantities(p: SystemParams, t: float) -> AuxQuantities:
     )
 
 
-def kernel(alpha: float, lam: float) -> complex:
+def kernel(alpha: float, lam):
     """Coherent displacement kernel <alpha| e^{i lam n} |alpha> for real alpha.
 
     Equals exp(alpha^2 (cos lam - 1)) * exp(i alpha^2 sin lam); magnitude <= 1.
     """
-    return cmath.exp(alpha * alpha * (cmath.exp(1j * lam) - 1.0))
+    return np.exp(alpha * alpha * (np.exp(1j * lam) - 1.0))
 
 
-def kerr_kernel(p: SystemParams, m: int, t: float) -> complex:
+def kerr_kernel(p: SystemParams, m: int, t):
     """Two-mode kernel <e^{i m phi N}> on |alpha1, alpha2>, phi = 2 chi t.
 
     Magnitude exp(eps1 sin^2(m chi t)), phase eps2 sin(2 m chi t).
@@ -218,7 +223,7 @@ def kerr_kernel(p: SystemParams, m: int, t: float) -> complex:
     return kernel(p.alpha1, m * phi) * kernel(p.alpha2, -m * phi)
 
 
-def mode_moments(p: SystemParams, t: float, which: int) -> QuadratureMoments:
+def mode_moments(p: SystemParams, t, which: int) -> QuadratureMoments:
     """Moments of a single dressed mode amplitude, B = A1(t) or A2(t); d = 1."""
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
@@ -226,43 +231,44 @@ def mode_moments(p: SystemParams, t: float, which: int) -> QuadratureMoments:
     # mode 2 is the exact amplitude swap, which conjugates the kernel
     sign = -1 if which == 1 else 1
     c, s = _hyperbolic(p, t)
-    e = cmath.exp(2j * p.chi_bar * t)
-    mean_b = (a1 * c + a2 * s * e) * kerr_kernel(p, sign, t)
-    mean_b_sq = (
-        (1.0 / e)
-        * kerr_kernel(p, 2 * sign, t)
-        * (c * c * a1 * a1 + s * s * a2 * a2 * e**4 + 2.0 * c * s * a1 * a2 * e**2)
-    )
-    mean_n = c * c * a1 * a1 + s * s * (a2 * a2 + 1.0) + 2.0 * c * s * a1 * a2
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(2j * p.chi_bar * t)
+        mean_b = (a1 * c + a2 * s * e) * kerr_kernel(p, sign, t)
+        mean_b_sq = (
+            (1.0 / e)
+            * kerr_kernel(p, 2 * sign, t)
+            * (c * c * a1 * a1 + s * s * a2 * a2 * e**4 + 2.0 * c * s * a1 * a2 * e**2)
+        )
+        mean_n = c * c * a1 * a1 + s * s * (a2 * a2 + 1.0) + 2.0 * c * s * a1 * a2
     return QuadratureMoments(
         mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_n, mean_d=1.0
     )
 
 
-def pair_moments(p: SystemParams, t: float) -> QuadratureMoments:
+def pair_moments(p: SystemParams, t) -> QuadratureMoments:
     """Moments of the mode sum B = A1(t) + A2(t); d = 2."""
     m1 = mode_moments(p, t, 1)
     m2 = mode_moments(p, t, 2)
     c, s = _hyperbolic(p, t)
     a1, a2 = p.alpha1, p.alpha2
-    e = cmath.exp(2j * p.chi_bar * t)
-    cross_bb = e * (a1 * a2 * (c * c + s * s) + c * s * (a1 * a1 + a2 * a2 + 1.0))
-    cross_nb = kerr_kernel(p, 2, t) * (
-        a1 * a2 * (c * c + s * s)
-        + c * s * a1 * a1 * e * e
-        + c * s * a2 * a2 / (e * e)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(2j * p.chi_bar * t)
+        cross_bb = e * (a1 * a2 * (c * c + s * s) + c * s * (a1 * a1 + a2 * a2 + 1.0))
+        cross_nb = kerr_kernel(p, 2, t) * (
+            a1 * a2 * (c * c + s * s)
+            + c * s * a1 * a1 * e * e
+            + c * s * a2 * a2 / (e * e)
+        )
+        mean_b_sq = m1.mean_b_sq + m2.mean_b_sq + 2.0 * cross_bb
+        mean_n = m1.mean_bdag_b + m2.mean_bdag_b + 2.0 * cross_nb.real
     return QuadratureMoments(
-        mean_b=m1.mean_b + m2.mean_b,
-        mean_b_sq=m1.mean_b_sq + m2.mean_b_sq + 2.0 * cross_bb,
-        mean_bdag_b=m1.mean_bdag_b + m2.mean_bdag_b + 2.0 * cross_nb.real,
-        mean_d=2.0,
+        mean_b=m1.mean_b + m2.mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_n, mean_d=2.0
     )
 
 
 def sum_moments(
     p: SystemParams,
-    t: float,
+    t,
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ) -> QuadratureMoments:
     """Moments of the pair amplitude B = A1(t) A2(t).
@@ -271,19 +277,20 @@ def sum_moments(
     all magnitudes are those of the pure down-converter.
     """
     c, s = _hyperbolic(p, t)
-    b1 = p.alpha1 * c + p.alpha2 * s
-    b2 = p.alpha2 * c + p.alpha1 * s
-    e = cmath.exp(2j * p.chi_bar * t)
-    mean_b = e * (b1 * b2 + c * s)
-    mean_b_sq = e * e * (b1 * b1 * b2 * b2 + 4.0 * b1 * b2 * c * s + 2.0 * c * c * s * s)
-    mean_nb = (
-        b1 * b1 * b2 * b2
-        + 2.0 * b1 * b2 * c * s
-        + s * s * (b1 * b1 + b2 * b2)
-        + c * c * s * s
-        + s * s * s * s
-    )
-    n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1 = p.alpha1 * c + p.alpha2 * s
+        b2 = p.alpha2 * c + p.alpha1 * s
+        e = np.exp(2j * p.chi_bar * t)
+        mean_b = e * (b1 * b2 + c * s)
+        mean_b_sq = e * e * (b1 * b1 * b2 * b2 + 4.0 * b1 * b2 * c * s + 2.0 * c * c * s * s)
+        mean_nb = (
+            b1 * b1 * b2 * b2
+            + 2.0 * b1 * b2 * c * s
+            + s * s * (b1 * b1 + b2 * b2)
+            + c * c * s * s
+            + s * s * s * s
+        )
+        n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
     d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
     return QuadratureMoments(
         mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_nb, mean_d=d
@@ -292,11 +299,11 @@ def sum_moments(
 
 def moments_for(
     p: SystemParams,
-    t: float,
+    t,
     kind: SqueezeKind,
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ) -> QuadratureMoments:
-    """Dispatch to the moment set of the requested squeezing kind."""
+    """Dispatch to the moment set of the requested squeezing kind at the time(s) t."""
     if kind is SqueezeKind.SINGLE1:
         return mode_moments(p, t, 1)
     if kind is SqueezeKind.SINGLE2:

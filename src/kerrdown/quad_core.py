@@ -29,7 +29,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import DegenerateDenominator, NumericOverflow
 
@@ -48,44 +50,54 @@ _MOMENT_MAX = sys.float_info.max / 64
 
 @dataclass(frozen=True)
 class QuadratureMoments:
-    """The moment set of one composite amplitude B at one instant.
+    """The moment set of one composite amplitude B at one instant, or one set per time.
 
     mean_b      -- <B>
     mean_b_sq   -- <B^2>
     mean_bdag_b -- <B+ B>, photon-number-like, real and nonnegative
     mean_d      -- commutator expectation <[B, B+]>; real for every B used
                    here (identity, a number, or a number-operator sum)
+
+    Stored as numpy arrays: 0-d for one instant, 1-D for one set per time
+    (scalars given with 1-D fields are broadcast).
     """
 
-    mean_b: complex
-    mean_b_sq: complex
-    mean_bdag_b: float
-    mean_d: float
+    mean_b: complex | np.ndarray
+    mean_b_sq: complex | np.ndarray
+    mean_bdag_b: float | np.ndarray
+    mean_d: float | np.ndarray
 
     def __post_init__(self):
-        # mean_d and mean_bdag_b are real by contract; float() raises on complex
-        object.__setattr__(self, "mean_b", complex(self.mean_b))
-        object.__setattr__(self, "mean_b_sq", complex(self.mean_b_sq))
-        object.__setattr__(self, "mean_bdag_b", float(self.mean_bdag_b))
-        object.__setattr__(self, "mean_d", float(self.mean_d))
-        n, b_abs = self.mean_bdag_b, abs(self.mean_b)
-        cap = n + abs(self.mean_d)
-        if not n >= -_CHECK_TOL:
-            problem = f"mean_bdag_b must be >= 0, got {n}"
-        # Cauchy-Schwarz for any physical state
-        elif not n >= b_abs * b_abs - _CHECK_TOL:
-            problem = f"mean_bdag_b={n} < |mean_b|^2={b_abs * b_abs}: unphysical moment set"
-        # finite-second-moment sanity bound (checked, not assumed)
-        elif not abs(self.mean_b_sq) <= cap + _CHECK_TOL:
-            problem = f"|mean_b_sq|={abs(self.mean_b_sq)} exceeds mean_bdag_b + |mean_d|"
-        elif not cap < _MOMENT_MAX:
-            problem = f"mean_bdag_b + |mean_d| = {cap} is out of float range"
-        else:
-            return
+        values = np.broadcast_arrays(self.mean_b, self.mean_b_sq, self.mean_bdag_b, self.mean_d)
+        for f, x, dtype in zip(fields(self), values, (complex, complex, float, float)):
+            # mean_d and mean_bdag_b are real by contract: refuse, not drop, an imaginary part
+            if dtype is float and np.iscomplexobj(x):
+                raise TypeError(f"{f.name} must be real, got {x}")
+            object.__setattr__(self, f.name, np.asarray(x, dtype))
+        with np.errstate(over="ignore", invalid="ignore"):  # nan and inf fail the checks
+            n, d_abs = self.mean_bdag_b, abs(self.mean_d)
+            b_abs2, b_sq_abs = abs(self.mean_b) ** 2, abs(self.mean_b_sq)
+            cap = n + d_abs
+            scale = b_abs2 + b_sq_abs + abs(n) + d_abs
+            for passed, problem, value in (
+                (n >= -_CHECK_TOL, "mean_bdag_b must be >= 0, got", n),
+                # Cauchy-Schwarz for any physical state
+                (n >= b_abs2 - _CHECK_TOL,
+                 "unphysical moment set: mean_bdag_b < |mean_b|^2 =", b_abs2),
+                # finite-second-moment sanity bound (checked, not assumed)
+                (b_sq_abs <= cap + _CHECK_TOL,
+                 "|mean_b_sq| exceeds mean_bdag_b + |mean_d|:", b_sq_abs),
+                (cap < _MOMENT_MAX, "mean_bdag_b + |mean_d| is out of float range:", cap),
+            ):
+                if not passed.all():
+                    i = np.argmin(np.ravel(passed))  # report the first failing set
+                    break
+            else:
+                return
+        problem, scale = f"{problem} {np.ravel(value)[i]}", np.ravel(scale)[i]
         # A failed check shows an unphysical state only while the roundoff of
         # the moments stays below the slack; past that, and for nan or
         # infinite moments, the arithmetic ran out of range or precision.
-        scale = b_abs * b_abs + abs(self.mean_b_sq) + abs(n) + abs(self.mean_d)
         if not scale * sys.float_info.epsilon <= _CHECK_TOL:
             raise NumericOverflow(f"{problem} (moments of size {scale:.3e})")
         raise ValueError(problem)
@@ -93,28 +105,28 @@ class QuadratureMoments:
 
 @dataclass(frozen=True)
 class SqueezingFactors:
-    """The (F, G, V) triple at one interaction time t."""
+    """The (F, G, V) columns over the interaction times t (scalars at one time)."""
 
-    f: float
-    g: float
-    v: float
-    t: float
+    f: float | np.ndarray
+    g: float | np.ndarray
+    v: float | np.ndarray
+    t: float | np.ndarray
 
 
-def _check_denominator(m: QuadratureMoments) -> float:
+def _check_denominator(m: QuadratureMoments):
     d_abs = abs(m.mean_d)
-    if d_abs <= EPS_DEN:
+    if np.any(d_abs <= EPS_DEN):
         raise DegenerateDenominator(
-            f"|<D>| = {d_abs} <= {EPS_DEN}; squeezing factor undefined"
+            f"|<D>| = {np.min(d_abs)} <= {EPS_DEN}; squeezing factor undefined"
         )
     return d_abs
 
 
-def factor_phase(m: QuadratureMoments, phi: float) -> float:
+def factor_phase(m: QuadratureMoments, phi: float):
     """Squeezing factor of the phase-rotated quadrature X_phi = (B e^-iphi + B+ e^iphi)/2.
 
     Expanded form of (4 <(dX_phi)^2> - |d|) / |d|.  Raises DegenerateDenominator
-    when |mean_d| <= EPS_DEN.
+    when |mean_d| <= EPS_DEN at any point.
     """
     d_abs = _check_denominator(m)
     rot = cmath.exp(-1j * phi)
@@ -128,17 +140,17 @@ def factor_phase(m: QuadratureMoments, phi: float) -> float:
     return num / d_abs
 
 
-def factor_x(m: QuadratureMoments) -> float:
+def factor_x(m: QuadratureMoments):
     """Squeezing factor of the X quadrature; F < 0 signals squeezing in X."""
     return factor_phase(m, 0.0)
 
 
-def factor_y(m: QuadratureMoments) -> float:
+def factor_y(m: QuadratureMoments):
     """Squeezing factor of the Y quadrature."""
     return factor_phase(m, 0.5 * math.pi)
 
 
-def principal(m: QuadratureMoments) -> float:
+def principal(m: QuadratureMoments):
     """Principal squeezing: the exact minimum of factor_phase over the homodyne phase.
 
     Closed form of min_phi factor_phase(m, phi); V <= F and V <= G always.
@@ -153,8 +165,3 @@ def principal(m: QuadratureMoments) -> float:
         - 2.0 * abs(w)
     )
     return num / d_abs
-
-
-def factors_at(m: QuadratureMoments, t: float) -> SqueezingFactors:
-    """Bundle (F, G, V) of a moment set into a SqueezingFactors row."""
-    return SqueezingFactors(f=factor_x(m), g=factor_y(m), v=principal(m), t=t)

@@ -9,7 +9,7 @@ holds the two routes together to 1e-10 and both against the Fock oracle.
 Variants
 --------
 The single-mode formulas circulate with defects that the Fock oracle rules
-out, so the single-mode functions take a `variant`:
+out, so the single-mode functions take a `Variant` (or its string value):
 
 * ``"arbitrated"`` (default) -- the form the oracle confirms.
 * ``"sin-theta"`` -- the alpha2^2 S^2 term of the middle block carries
@@ -28,13 +28,24 @@ have the arbitrated form only.
 
 The principal squeezing has no expanded per-kind closed form (it needs the
 complex moments), so sweep assembly takes V from the moment route.
+
+As in `moments_engine`, t is a float or a 1-D numpy array (the extremum
+reduction takes a float only), and F or G out of range raises NumericOverflow.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 
-from .errors import AsymmetricAmplitudes, DegenerateDenominator, NotAnExtremumTime
+import numpy as np
+
+from .errors import (
+    AsymmetricAmplitudes,
+    DegenerateDenominator,
+    NotAnExtremumTime,
+    NumericOverflow,
+)
 from .moments_engine import (
     DConvention,
     SqueezeKind,
@@ -44,59 +55,63 @@ from .moments_engine import (
 )
 from .quad_core import EPS_DEN
 
-_SINGLE_VARIANTS = ("arbitrated", "sin-theta", "single-dephasing", "unarbitrated")
-_EXTREMUM_VARIANTS = ("arbitrated", "unarbitrated")
-
 # extremum times chi*t = m*pi/2 are accepted within this window
 _EXTREMUM_TOL = 1e-9
 
 
-def _check_variant(variant: str, allowed) -> None:
-    if variant not in allowed:
-        raise ValueError(f"variant must be one of {allowed}, got {variant!r}")
+class Variant(enum.Enum):
+    """Single-mode closed-form variant; `Variant(value)` converts and validates a string."""
+
+    ARBITRATED = "arbitrated"
+    SIN_THETA = "sin-theta"
+    SINGLE_DEPHASING = "single-dephasing"
+    UNARBITRATED = "unarbitrated"
+
+
+def _finite(f, g):
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        raise NumericOverflow("squeezing factor F or G is out of float range")
+    return f, g
 
 
 def single_mode_fg(
-    p: SystemParams, t: float, which: int = 1, variant: str = "arbitrated"
-) -> tuple[float, float]:
+    p: SystemParams, t, which: int = 1, variant: Variant | str = Variant.ARBITRATED
+):
     """Single-mode squeezing factors (F, G) for mode 1 or 2; d = 1.
 
     Mode 2 is the exact alpha1 <-> alpha2 swap of mode 1 (eps2 flips with it).
     """
-    _check_variant(variant, _SINGLE_VARIANTS)
+    variant = Variant(variant)
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
     a1, a2 = (p.alpha1, p.alpha2) if which == 1 else (p.alpha2, p.alpha1)
-    aux = aux_quantities(
-        SystemParams(p.chi_bar, p.k, a1, a2), t
-    )
+    aux = aux_quantities(SystemParams(p.chi_bar, p.k, a1, a2), t)
     c, s = aux.c, aux.s
-    x = p.chi_bar * t
-    s2 = math.sin(2.0 * x)
-    dephase_mid = math.exp(aux.eps1 * s2 * s2)
-    e1_weight = 2.0 * aux.eps1 if variant in ("arbitrated", "sin-theta") else aux.eps1
-    dephase_mean = math.exp(e1_weight * math.sin(x) ** 2)
-    theta_term = (
-        math.sin(aux.theta)
-        if variant in ("sin-theta", "unarbitrated")
-        else math.cos(aux.theta)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = p.chi_bar * t
+        s2 = np.sin(2.0 * x)
+        dephase_mid = np.exp(aux.eps1 * s2 * s2)
+        single_dephasing = variant in (Variant.SINGLE_DEPHASING, Variant.UNARBITRATED)
+        e1_weight = aux.eps1 if single_dephasing else 2.0 * aux.eps1
+        dephase_mean = np.exp(e1_weight * np.sin(x) ** 2)
+        sin_theta = variant in (Variant.SIN_THETA, Variant.UNARBITRATED)
+        theta_term = np.sin(aux.theta) if sin_theta else np.cos(aux.theta)
 
-    head = 2.0 * (a1 * a1 * c * c + 2.0 * a1 * a2 * s * c + s * s * (a2 * a2 + 1.0))
-    mid = 2.0 * dephase_mid * (
-        a1 * a1 * c * c * math.cos(aux.theta_plus)
-        + a2 * a2 * s * s * theta_term
-        + 2.0 * a1 * a2 * c * s * math.cos(aux.theta_minus)
-    )
-    re_b = a1 * c * math.cos(aux.eps2 * s2) + a2 * s * math.cos(2.0 * x - aux.eps2 * s2)
-    im_b = a1 * c * math.sin(aux.eps2 * s2) - a2 * s * math.sin(2.0 * x - aux.eps2 * s2)
-    f = head + mid - 4.0 * re_b * re_b * dephase_mean
-    g = head - mid - 4.0 * im_b * im_b * dephase_mean
-    return f, g
+        head = 2.0 * (a1 * a1 * c * c + 2.0 * a1 * a2 * s * c + s * s * (a2 * a2 + 1.0))
+        mid = 2.0 * dephase_mid * (
+            a1 * a1 * c * c * np.cos(aux.theta_plus)
+            + a2 * a2 * s * s * theta_term
+            + 2.0 * a1 * a2 * c * s * np.cos(aux.theta_minus)
+        )
+        re_b = a1 * c * np.cos(aux.eps2 * s2) + a2 * s * np.cos(2.0 * x - aux.eps2 * s2)
+        im_b = a1 * c * np.sin(aux.eps2 * s2) - a2 * s * np.sin(2.0 * x - aux.eps2 * s2)
+        f = head + mid - 4.0 * re_b * re_b * dephase_mean
+        g = head - mid - 4.0 * im_b * im_b * dephase_mean
+    return _finite(f, g)
 
 
 def single_mode_extremum(
-    p: SystemParams, t: float, variant: str = "arbitrated"
+    p: SystemParams, t: float, variant: Variant | str = Variant.ARBITRATED
 ) -> tuple[float, float]:
     """Reduced single-mode factors at the Kerr extremum times, alpha1 == alpha2.
 
@@ -104,10 +119,12 @@ def single_mode_extremum(
 
     Valid only at chi*t = m*pi/2 with m an odd positive integer: at even
     multiples the Kerr dephasing rewinds completely and the full expression
-    must be used instead.  The "unarbitrated" variant keeps the circulated
-    exp(eps1 - 2kt) weight.
+    must be used instead.  Only the "arbitrated" form and the "unarbitrated"
+    one, which keeps the circulated exp(eps1 - 2kt) weight, are reduced.
     """
-    _check_variant(variant, _EXTREMUM_VARIANTS)
+    variant = Variant(variant)
+    if variant not in (Variant.ARBITRATED, Variant.UNARBITRATED):
+        raise ValueError(f"the extremum reduction has no {variant.value!r} form")
     if abs(p.alpha1 - p.alpha2) > 1e-12:
         raise AsymmetricAmplitudes(
             f"extremum reduction needs alpha1 == alpha2, got {p.alpha1}, {p.alpha2}"
@@ -120,13 +137,13 @@ def single_mode_extremum(
         )
     aux = aux_quantities(p, t)
     c, s = aux.c, aux.s
-    weight = 2.0 * aux.eps1 if variant == "arbitrated" else aux.eps1
+    weight = 2.0 * aux.eps1 if variant is Variant.ARBITRATED else aux.eps1
     f = 2.0 * s * s - 4.0 * p.alpha1**2 * math.exp(weight - 2.0 * p.k * t)
     g = 4.0 * p.alpha1**2 * (c + s) ** 2 + 2.0 * s * s
     return f, g
 
 
-def two_mode_fg(p: SystemParams, t: float) -> tuple[float, float]:
+def two_mode_fg(p: SystemParams, t):
     """Two-mode squeezing factors (F, G) for B = A1 + A2; d = 2.
 
     Head terms delegate to `single_mode_fg`; on top come the pair-coherence
@@ -138,37 +155,38 @@ def two_mode_fg(p: SystemParams, t: float) -> tuple[float, float]:
     aux = aux_quantities(p, t)
     c, s = aux.c, aux.s
     a1, a2 = p.alpha1, p.alpha2
-    x = p.chi_bar * t
-    s2, s4 = math.sin(2.0 * x), math.sin(4.0 * x)
-    pair = (
-        2.0
-        * (a1 * a2 * (s * s + c * c) + s * c * (a1 * a1 + a2 * a2 + 1.0))
-        * math.cos(2.0 * x)
-    )
-    exchange = (
-        2.0
-        * math.exp(aux.eps1 * s2 * s2)
-        * (
-            a1 * a2 * (c * c + s * s) * math.cos(aux.eps2 * s4)
-            + c * s * a1 * a1 * math.cos(4.0 * x + aux.eps2 * s4)
-            + c * s * a2 * a2 * math.cos(4.0 * x - aux.eps2 * s4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = p.chi_bar * t
+        s2, s4 = np.sin(2.0 * x), np.sin(4.0 * x)
+        pair = (
+            2.0
+            * (a1 * a2 * (s * s + c * c) + s * c * (a1 * a1 + a2 * a2 + 1.0))
+            * np.cos(2.0 * x)
         )
-    )
-    mean_weight = math.exp(2.0 * aux.eps1 * math.sin(x) ** 2)
-    re1 = a1 * c * math.cos(aux.eps2 * s2) + a2 * s * math.cos(2.0 * x - aux.eps2 * s2)
-    im1 = -a1 * c * math.sin(aux.eps2 * s2) + a2 * s * math.sin(2.0 * x - aux.eps2 * s2)
-    re2 = a2 * c * math.cos(aux.eps2 * s2) + a1 * s * math.cos(2.0 * x + aux.eps2 * s2)
-    im2 = a2 * c * math.sin(aux.eps2 * s2) + a1 * s * math.sin(2.0 * x + aux.eps2 * s2)
-    f = 0.5 * (f1 + f2) + pair + exchange - 4.0 * re1 * re2 * mean_weight
-    g = 0.5 * (g1 + g2) - pair + exchange - 4.0 * im1 * im2 * mean_weight
-    return f, g
+        exchange = (
+            2.0
+            * np.exp(aux.eps1 * s2 * s2)
+            * (
+                a1 * a2 * (c * c + s * s) * np.cos(aux.eps2 * s4)
+                + c * s * a1 * a1 * np.cos(4.0 * x + aux.eps2 * s4)
+                + c * s * a2 * a2 * np.cos(4.0 * x - aux.eps2 * s4)
+            )
+        )
+        mean_weight = np.exp(2.0 * aux.eps1 * np.sin(x) ** 2)
+        re1 = a1 * c * np.cos(aux.eps2 * s2) + a2 * s * np.cos(2.0 * x - aux.eps2 * s2)
+        im1 = -a1 * c * np.sin(aux.eps2 * s2) + a2 * s * np.sin(2.0 * x - aux.eps2 * s2)
+        re2 = a2 * c * np.cos(aux.eps2 * s2) + a1 * s * np.cos(2.0 * x + aux.eps2 * s2)
+        im2 = a2 * c * np.sin(aux.eps2 * s2) + a1 * s * np.sin(2.0 * x + aux.eps2 * s2)
+        f = 0.5 * (f1 + f2) + pair + exchange - 4.0 * re1 * re2 * mean_weight
+        g = 0.5 * (g1 + g2) - pair + exchange - 4.0 * im1 * im2 * mean_weight
+    return _finite(f, g)
 
 
 def sum_fg(
     p: SystemParams,
-    t: float,
+    t,
     d_convention: DConvention = DConvention.NUMBER_SUM,
-) -> tuple[float, float]:
+):
     """Sum-squeezing factors (F, G) for B = A1 A2.
 
     The Kerr coupling enters only through the explicit cos(4 chi t),
@@ -179,10 +197,10 @@ def sum_fg(
     p0 = SystemParams(0.0, p.k, p.alpha1, p.alpha2)
     m0 = sum_moments(p0, t, d_convention)
     d = m0.mean_d
-    if abs(d) <= EPS_DEN:
-        raise DegenerateDenominator(f"<n1> + <n2> = {d} <= {EPS_DEN}")
+    if np.any(np.abs(d) <= EPS_DEN):
+        raise DegenerateDenominator(f"<n1> + <n2> = {np.min(d)} <= {EPS_DEN}")
     x = p.chi_bar * t
-    c4, c2, s2 = math.cos(4.0 * x), math.cos(2.0 * x), math.sin(2.0 * x)
+    c4, c2, s2 = np.cos(4.0 * x), np.cos(2.0 * x), np.sin(2.0 * x)
     m_nn = m0.mean_bdag_b
     m_b2 = m0.mean_b_sq.real
     m_b = m0.mean_b.real
@@ -193,10 +211,10 @@ def sum_fg(
 
 def factors(
     p: SystemParams,
-    t: float,
+    t,
     kind: SqueezeKind,
     d_convention: DConvention = DConvention.NUMBER_SUM,
-) -> tuple[float, float]:
+):
     """(F, G) of the requested kind along this module's closed-form route."""
     if kind is SqueezeKind.SINGLE1:
         return single_mode_fg(p, t, 1)

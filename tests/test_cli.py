@@ -3,12 +3,14 @@
 import contextlib
 import io
 import math
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kerrdown import cli
 from kerrdown.cli import main
 
 
@@ -208,6 +210,49 @@ def test_overflow_is_typed_physics_error(capsys, engine, overrides):
     assert "NumericOverflow" in err or (engine == "oracle" and "TailOverflow" in err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tmax", "nan"],
+    ["--tmax", "inf"],
+    ["--tmax=-1"],
+    ["--steps", "1"],
+])
+def test_bad_figure_input_is_usage_error(capsys, tmp_path, argv):
+    out_dir = tmp_path / "figs"
+    code, out, err = _run(capsys, ["figure", "2b", "--out-dir", str(out_dir)] + argv)
+    assert code == 2
+    assert err.startswith("kerrdown figure: ")
+    assert out == "" and not out_dir.exists()  # nothing was written
+
+
+def test_zero_figure_tmax_means_the_default_range(capsys, tmp_path):
+    for out_dir, extra in ((tmp_path / "zero", ["--tmax", "0"]), (tmp_path / "default", [])):
+        code, _, _ = _run(capsys, ["figure", "2b", "--out-dir", str(out_dir), "--steps", "5"] + extra)
+        assert code == 0
+    zero = sorted((tmp_path / "zero").iterdir())
+    assert [p.name for p in zero] == sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert all(p.read_bytes() == (tmp_path / "default" / p.name).read_bytes() for p in zero)
+
+
+@given(
+    fig=st.sampled_from(["1", "2a", "2b", "3"]),
+    tmax=st.one_of(st.none(), _ANY_FLOAT),
+    steps=st.integers(-1, 4),
+)
+def test_figure_argv_ends_in_result_or_typed_error(fig, tmax, steps):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = ["figure", fig, "--out-dir", out_dir, "--steps", str(steps)]
+        if tmax is not None:
+            argv.append(f"--tmax={tmax!r}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
 def _read_curve(path):
     return _parse_csv(path.read_text())
 
@@ -262,6 +307,15 @@ class TestFigures:
         code, _, _ = _run(capsys, ["figure", "2a", "--out-dir", str(tmp_path)])
         assert code == 0
         assert len(sorted(tmp_path.glob("fig2a_*.csv"))) == 6
+
+    def test_each_curve_set_is_evaluated_once(self, monkeypatch, tmp_path):
+        # 22 curves over the four figures come from 8 (kind, params) sets
+        sweeps = []
+        run_sweep = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep", lambda req: sweeps.append(req) or run_sweep(req))
+        paths = [p for fig in ("1", "2a", "2b", "3") for p in cli.write_figure(fig, tmp_path)]
+        assert len(sweeps) == 8
+        assert sum(p.suffix == ".csv" for p in paths) == 22
 
 
 def test_verify_command_passes(capsys):

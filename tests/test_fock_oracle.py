@@ -179,17 +179,18 @@ class TestMomentSets:
 
 class TestStream:
     def test_streamed_sets_match_per_point_sets(self, grid_times):
-        # one evolution read for every kind cell == one evolution per cell
+        # one evolution read for every kind cell, gathered over the time axis,
+        # == one evolution per (cell, t)
         cfg = OracleConfig()
-        ts = grid_times[::5].tolist()
+        ts = grid_times[::5]
         for p in (SystemParams(0.5, 0.1, 0.4, 0.3), SystemParams(0.25, 0.05, 0.2, 0.0)):
-            for t, state in zip(ts, evolve_seed(p, ts, cfg)):
-                for (kind, conv), m in zip(KIND_CELLS, moment_sets(state, p, t, KIND_CELLS)):
+            for (kind, conv), m in zip(KIND_CELLS, moment_sets(p, ts, KIND_CELLS, cfg)):
+                for i, t in enumerate(ts.tolist()):
                     ref = moment_set_numeric(p, t, kind, cfg, conv)
-                    assert abs(m.mean_b - ref.mean_b) <= 1e-14
-                    assert abs(m.mean_b_sq - ref.mean_b_sq) <= 1e-14
-                    assert abs(m.mean_bdag_b - ref.mean_bdag_b) <= 1e-14
-                    assert abs(m.mean_d - ref.mean_d) <= 1e-14
+                    assert abs(m.mean_b[i] - ref.mean_b) <= 1e-14
+                    assert abs(m.mean_b_sq[i] - ref.mean_b_sq) <= 1e-14
+                    assert abs(m.mean_bdag_b[i] - ref.mean_bdag_b) <= 1e-14
+                    assert abs(m.mean_d[i] - ref.mean_d) <= 1e-14
 
     def test_verification_diagonalizes_each_generator_once(self, monkeypatch):
         calls = []
