@@ -1,10 +1,10 @@
 """Independent numerical ground truth on a truncated two-mode Fock basis.
 
-Builds the co-rotating-frame generator of the Kerr + pair-production system,
-evolves the coherent seed exactly (spectral decomposition of the small dense
-Hamiltonian), and reads out arbitrary normally ordered moments.  Every closed
-form in `moments_engine` / `squeezing_analytic` is validated against this
-module; it is also the arbiter between the circulated formula variants.
+Evolves the coherent seed exactly under the co-rotating-frame generator of the
+Kerr + pair-production system (spectral decomposition, sector by sector) and
+reads out arbitrary normally ordered moments.  Every closed form in
+`moments_engine` / `squeezing_analytic` is validated against this module; it
+is also the arbiter between the circulated formula variants.
 
 Basis and frame
 ---------------
@@ -22,11 +22,24 @@ the dressed-mode moments <A1(t)...>; mode-2 moments additionally carry the
 The seed state is kept truncated-unnormalized: its norm deficit is the
 truncation diagnostic, and every moment divides by the norm squared so the
 deficit cannot bias moments.
+
+Sector propagator
+-----------------
+N commutes with H, so H splits into 2 n_max + 1 sectors, one per N, each the
+chain |m + N+, m + N-> (m = 0 .. n_max - |N|, N+ = max(N, 0), N- = max(-N, 0)).
+Within a sector the Kerr term is the scalar chi N(N - 1) and the pair term is
+tridiagonal with -i k sqrt((n1 + 1)(n2 + 1)) above the diagonal; the gauge
+diag(i^m) turns it into the real symmetric chain k sqrt((n1 + 1)(n2 + 1)),
+which does not depend on chi.  All sectors, zero-padded to n_max + 1, are
+diagonalized in one stacked `eigh` per (n_max, k), and chi enters only as the
+phase exp(-i chi N(N - 1) t).  Padded slots are never scattered back onto the
+grid.  Times are propagated in blocks of `_BLOCK`: one batched product per
+block, checked and read out as a whole.  The dense `build_hamiltonian` stays
+for the conservation checks, which measure sector-evolved states against it.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
@@ -49,10 +62,13 @@ __all__ = [
     "moment_sets",
 ]
 
-# Spectra kept warm.  Callers walk one (n_max, chi, k) at a time, or alternate
-# two cutoffs of one parameter set (the cutoff-doubling check); each entry of a
-# 32-cutoff spectrum holds a 1089^2 complex eigenvector matrix (19 MB).
+# Spectra kept warm.  Callers walk one (n_max, k) at a time, or alternate two
+# cutoffs of one parameter set (the cutoff-doubling check); an entry at cutoff
+# 32 holds 65 complex 33^2 sector eigenvector matrices (1.1 MB).
 _SPECTRA = 2
+# Times propagated and read out together; bounds the memory of one call at
+# about _BLOCK amplitude tensors whatever the length of the time axis.
+_BLOCK = 64
 
 
 @dataclass
@@ -91,16 +107,26 @@ class FockState:
             raise ValueError(f"amp must have shape {(dim, dim)}, got {self.amp.shape}")
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2))
+        return float(_norm_sq(self.amp))
 
     def tail_population(self) -> float:
         """Relative weight sitting in the top two shells of either mode."""
-        w = np.abs(self.amp) ** 2
-        tail = w[-2:, :].sum() + w[:-2, -2:].sum()
-        return float(tail / w.sum())
+        return float(_tail_population(self.amp))
 
     def vector(self) -> np.ndarray:
         return self.amp.reshape(-1)
+
+
+def _norm_sq(amp: np.ndarray) -> np.ndarray:
+    """Norm squared over the trailing (n1, n2) axes of amp."""
+    return (np.abs(amp) ** 2).sum(axis=(-2, -1))
+
+
+def _tail_population(amp: np.ndarray) -> np.ndarray:
+    """Weight in the top two shells of either mode relative to the norm, over the trailing axes."""
+    w = np.abs(amp) ** 2
+    tail = w[..., -2:, :].sum(axis=(-2, -1)) + w[..., :-2, -2:].sum(axis=(-2, -1))
+    return tail / w.sum(axis=(-2, -1))
 
 
 def _ladder(n_max: int) -> np.ndarray:
@@ -157,14 +183,81 @@ def coherent_state(
     return FockState(amp=amp, n_max=n_max)
 
 
+@functools.cache
+def _sector_slots(n_max: int) -> np.ndarray:
+    """Flat sector slot (N + n_max) * (n_max + 1) + min(n1, n2) of each grid point, row-major."""
+    n1, n2 = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
+    return (n1 - n2 + n_max) * (n_max + 1) + np.minimum(n1, n2)
+
+
 @functools.lru_cache(maxsize=_SPECTRA)
-def _spectrum(n_max: int, chi: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the generator at (chi, k) on the n_max grid."""
+def _spectrum(n_max: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-term eigenvalues (sector, j) and gauged eigenvectors (sector, m, j) of every N sector."""
+    dim = n_max + 1
+    nu = np.abs(np.arange(-n_max, n_max + 1))[:, None]
+    m = np.arange(n_max)
     with np.errstate(over="ignore"):  # an overflowing entry is reported below
-        h = build_hamiltonian(SystemParams(chi, k, 0.0, 0.0), n_max)
-    if not np.isfinite(h).all():
-        raise NumericOverflow(f"generator entries overflow at chi={chi}, k={k}, n_max={n_max}")
-    return np.linalg.eigh(h)
+        off = k * np.sqrt((m + 1.0) * (m + 1.0 + nu))
+    off[m >= n_max - nu] = 0.0  # beyond the sector's last state: padding
+    if not np.isfinite(off).all():
+        raise NumericOverflow(f"generator entries overflow at k={k}, n_max={n_max}")
+    chain = np.zeros((2 * n_max + 1, dim, dim))
+    chain[:, m, m + 1] = off
+    chain[:, m + 1, m] = off
+    evals, evecs = np.linalg.eigh(chain)
+    gauge = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]  # i^m, exact
+    return evals, gauge[:, None] * evecs
+
+
+def _propagate(
+    p: SystemParams, ts: Iterable[float], cfg: OracleConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (times, amplitudes (times, n1, n2), norms squared) per block of ts.
+
+    The whole time axis is validated before the first block; every block is
+    checked for norm drift and tail population before it is yielded.  An
+    empty axis gives one empty block.
+    """
+    ts = np.fromiter(ts, dtype=float)
+    bad = ~(ts >= 0)
+    if bad.any():
+        raise ValueError(f"t must be >= 0, got {ts[bad][0]}")
+    n_max = cfg.n_max
+    seed = coherent_state(p.alpha1, p.alpha2, n_max, cfg.tau_trunc)
+    norm0 = math.sqrt(seed.norm_sq())
+    evals, evecs = _spectrum(n_max, p.k)
+    nu = np.arange(-n_max, n_max + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        energy = evals + (p.chi_bar * nu * (nu - 1.0))[:, None]
+    if not np.isfinite(energy).all():
+        raise NumericOverflow(
+            f"generator entries overflow at chi={p.chi_bar}, k={p.k}, n_max={n_max}"
+        )
+    reach, t_end = float(np.abs(energy).max()), float(ts.max(initial=0.0))
+    if not reach * t_end < math.inf:
+        raise NumericOverflow(f"phase lambda t overflows at t={t_end} (|lambda| <= {reach:.3e})")
+    slots = _sector_slots(n_max)
+    seed_s = np.zeros(evals.size, dtype=complex)
+    seed_s[slots] = seed.vector()
+    # evecs^H psi0 per sector, without a conjugated copy of evecs
+    c = np.einsum("smj,sm->sj", evecs, seed_s.reshape(evals.shape).conj()).conj()
+    for lo in range(0, max(ts.size, 1), _BLOCK):
+        tb = ts[lo : lo + _BLOCK]
+        out = evecs @ (np.exp(-1j * (energy[..., None] * tb)) * c[..., None])
+        amp = out.reshape(evals.size, tb.size)[slots].T.reshape(tb.size, n_max + 1, n_max + 1)
+        norm_sq = _norm_sq(amp)
+        drift = np.abs(np.sqrt(norm_sq) - norm0)
+        bad = drift > cfg.tau_norm
+        if bad.any():
+            raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {cfg.tau_norm:.3e}")
+        tail = _tail_population(amp)
+        bad = tail > cfg.tau_tail
+        if bad.any():
+            raise TailOverflow(
+                f"top-shell population {tail[bad][0]:.3e} > {cfg.tau_tail:.3e}; "
+                f"raise n_max for this time span"
+            )
+        yield tb, amp, norm_sq
 
 
 def evolve_seed(
@@ -172,36 +265,17 @@ def evolve_seed(
 ) -> Iterator[FockState]:
     """Yield the coherent seed of `p` evolved by exp(-i H t) to each t of `ts`, in order.
 
-    The seed is projected onto the generator's eigenbasis once; each state is
-    then one product evecs @ (exp(-i lambda t) c), checked before it is
-    yielded: NormDrift past cfg.tau_norm, TailOverflow when the cutoff is too
-    small for its time.  States are produced one at a time, so memory does not
-    grow with the number of times.
+    The seed is projected onto the sector eigenbases once and propagated a
+    block of times at a time.  Before the first state the whole of `ts` is
+    checked (ValueError for a negative or nan t, NumericOverflow when
+    lambda t overflows); each block is checked for NormDrift past
+    cfg.tau_norm and TailOverflow when the cutoff is too small for its times.
+    Memory does not grow with the number of times.
     """
     cfg = cfg if cfg is not None else OracleConfig()
-    seed = coherent_state(p.alpha1, p.alpha2, cfg.n_max, cfg.tau_trunc)
-    norm0 = math.sqrt(seed.norm_sq())
-    evals, evecs = _spectrum(cfg.n_max, p.chi_bar, p.k)
-    # evecs^H psi0 as a row product, without a conjugated copy of evecs
-    c = (seed.vector().conj() @ evecs).conj()
-    reach = float(np.abs(evals).max())
-    for t in map(float, ts):
-        if not t >= 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        if not reach * t < math.inf:
-            raise NumericOverflow(f"phase lambda t overflows at t={t} (|lambda| <= {reach:.3e})")
-        amp = evecs @ (np.exp(-1j * evals * t) * c)
-        state = FockState(amp=amp.reshape(seed.amp.shape), n_max=cfg.n_max)
-        drift = abs(math.sqrt(state.norm_sq()) - norm0)
-        if drift > cfg.tau_norm:
-            raise NormDrift(f"norm drift {drift:.3e} > {cfg.tau_norm:.3e}")
-        tail = state.tail_population()
-        if tail > cfg.tau_tail:
-            raise TailOverflow(
-                f"top-shell population {tail:.3e} > {cfg.tau_tail:.3e}; "
-                f"raise n_max for this time span"
-            )
-        yield state
+    for _, amps, _ in _propagate(p, ts, cfg):
+        for amp in amps:
+            yield FockState(amp=amp, n_max=cfg.n_max)
 
 
 @functools.cache
@@ -209,14 +283,14 @@ def _sqrt_fact(n_max: int) -> np.ndarray:
     return np.sqrt(np.array([math.factorial(n) for n in range(n_max + 1)], dtype=float))
 
 
-def expect(state: FockState, powers: tuple[int, int, int, int]) -> complex:
-    """Normally ordered moment <a1+^p a1^q a2+^r a2^s>, norm-squared normalized.
+def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
+    """Unnormalized <a1+^p a1^q a2+^r a2^s> over the trailing (n1, n2) axes of amp.
 
-    Exact contraction over the amplitude tensor with the ladder factors
-    sqrt(n!/(n-q)!) etc.
+    Exact contraction with the ladder factors sqrt(n!/(n-q)!) etc.; leading
+    axes (a block of times) are kept.
     """
     pw_p, pw_q, pw_r, pw_s = powers
-    n_max = state.n_max
+    n_max = amp.shape[-1] - 1
     if min(powers) < 0:
         raise ValueError(f"powers must be >= 0, got {powers}")
     if pw_p + pw_q > n_max or pw_r + pw_s > n_max:
@@ -232,18 +306,24 @@ def expect(state: FockState, powers: tuple[int, int, int, int]) -> complex:
 
     lo1, hi1, w1 = weights(pw_q, pw_p)
     lo2, hi2, w2 = weights(pw_s, pw_r)
-    ket = state.amp[lo1 : hi1 + 1, lo2 : hi2 + 1]
-    bra = state.amp[
+    ket = amp[..., lo1 : hi1 + 1, lo2 : hi2 + 1]
+    bra = amp[
+        ...,
         lo1 - pw_q + pw_p : hi1 - pw_q + pw_p + 1,
         lo2 - pw_s + pw_r : hi2 - pw_s + pw_r + 1,
     ]
-    val = np.einsum("ij,ij,i,j->", bra.conj(), ket, w1, w2)
-    return complex(val) / state.norm_sq()
+    return np.einsum("...ij,...ij,i,j->...", bra.conj(), ket, w1, w2)
 
 
-def _real(z: complex, what: str) -> float:
-    if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
-        raise ValueError(f"{what} should be real, got {z}")
+def expect(state: FockState, powers: tuple[int, int, int, int]) -> complex:
+    """Normally ordered moment <a1+^p a1^q a2+^r a2^s>, norm-squared normalized."""
+    return complex(_contract(state.amp, powers)) / state.norm_sq()
+
+
+def _real(z: np.ndarray, what: str) -> np.ndarray:
+    bad = np.abs(z.imag) > 1e-9 * np.maximum(1.0, np.abs(z))
+    if bad.any():
+        raise ValueError(f"{what} should be real, got {z[bad][0]}")
     return z.real
 
 
@@ -255,29 +335,29 @@ def moment_sets(
 ) -> list[QuadratureMoments]:
     """Moment sets of each (kind, d_convention) cell, shaped like t (a float or a 1-D array).
 
-    Every cell is read from the one state `evolve_seed` yields per time, each
-    distinct normally ordered moment contracted once.  Schrodinger
-    expectations in the co-rotating frame equal the dressed-mode moments
-    directly for mode 1; mode-2 moments carry the carrier phase e^{2i chi t}
-    once per net power of the mode-2 amplitude.
+    Every cell is read from the same propagated blocks, each distinct
+    normally ordered moment contracted once per block over all its times.
+    Schrodinger expectations in the co-rotating frame equal the dressed-mode
+    moments directly for mode 1; mode-2 moments carry the carrier phase
+    e^{2i chi t} once per net power of the mode-2 amplitude.
     """
-    ts = np.ravel(t).tolist()
-    reads = []  # per time, (<B>, <B^2>, <B+ B>, d) of each cell
-    for t_i, state in zip(ts, evolve_seed(p, ts, cfg)):
-        ex = functools.cache(functools.partial(expect, state))
-        ph = cmath.exp(2j * p.chi_bar * t_i)
-        reads.append([])
-        for kind, d_convention in cells:
+    cfg = cfg if cfg is not None else OracleConfig()
+    parts = [[] for _ in cells]  # per cell, (<B>, <B^2>, <B+ B>, d) of each block
+    for tb, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
+        ex = functools.cache(lambda powers: _contract(amp, powers) / norm_sq)
+        ph = np.exp(2j * p.chi_bar * tb)
+        one = np.ones(tb.size)
+        for part, (kind, d_convention) in zip(parts, cells):
             if kind is SqueezeKind.SINGLE1:
                 mean_b = ex((0, 1, 0, 0))
                 mean_b_sq = ex((0, 2, 0, 0))
                 mean_n = _real(ex((1, 1, 0, 0)), "<n1>")
-                d = 1.0
+                d = one
             elif kind is SqueezeKind.SINGLE2:
                 mean_b = ph * ex((0, 0, 0, 1))
                 mean_b_sq = ph * ph * ex((0, 0, 0, 2))
                 mean_n = _real(ex((0, 0, 1, 1)), "<n2>")
-                d = 1.0
+                d = one
             elif kind is SqueezeKind.TWO_MODE:
                 mean_b = ex((0, 1, 0, 0)) + ph * ex((0, 0, 0, 1))
                 mean_b_sq = (
@@ -290,7 +370,7 @@ def moment_sets(
                     + _real(ex((0, 0, 1, 1)), "<n2>")
                     + 2.0 * (ph * ex((1, 0, 0, 1))).real
                 )
-                d = 2.0
+                d = 2.0 * one
             elif kind is SqueezeKind.SUM:
                 mean_b = ph * ex((0, 1, 0, 1))
                 mean_b_sq = ph * ph * ex((0, 2, 0, 2))
@@ -299,10 +379,10 @@ def moment_sets(
                 d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
             else:
                 raise ValueError(f"unknown kind {kind!r}")
-            reads[-1].append((mean_b, mean_b_sq, mean_n, d))
+            part.append((mean_b, mean_b_sq, mean_n, d))
     return [
-        QuadratureMoments(*(np.reshape(column, np.shape(t)) for column in zip(*cell)))
-        for cell in zip(*reads)
+        QuadratureMoments(*(np.concatenate(column).reshape(np.shape(t)) for column in zip(*part)))
+        for part in parts
     ]
 
 

@@ -80,10 +80,12 @@ def grid_times() -> np.ndarray:
 
 
 def grid_params() -> list[SystemParams]:
+    # k outermost: the oracle's spectra are keyed by (n_max, k), so each is
+    # diagonalized once per grid
     return [
         SystemParams(chi, k, a1, a2)
-        for chi in GRID_CHIS
         for k in GRID_KS
+        for chi in GRID_CHIS
         for (a1, a2) in GRID_ALPHAS
     ]
 

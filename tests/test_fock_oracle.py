@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kerrdown import (
+    DConvention,
     NormDrift,
+    NumericOverflow,
     SqueezeKind,
     SystemParams,
     TailOverflow,
@@ -24,7 +26,7 @@ from kerrdown.fock_oracle import (
     moment_set_numeric,
     moment_sets,
 )
-from kerrdown.verify import KIND_CELLS, conservation_checks, run_verification
+from kerrdown.verify import GRID_KS, KIND_CELLS, conservation_checks, run_verification
 
 
 def _idx(n1, n2, n_max):
@@ -139,15 +141,55 @@ class TestEvolve:
         with pytest.raises(TailOverflow):
             list(evolve_seed(p, [4.0], OracleConfig(n_max=12)))
 
-    def test_norm_drift_budget_enforced(self):
+    def test_norm_drift_budget_enforced(self, monkeypatch):
+        # a non-unitary leak in the spectrum (eigenvectors 1e-8 too long)
+        # must trip the default budget; the exact spectrum must not
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
+        cfg = OracleConfig(n_max=12)
+        list(evolve_seed(p, [1.0], cfg))
+        spectrum = fock_oracle._spectrum
+
+        def leaky(n_max, k):
+            evals, evecs = spectrum(n_max, k)
+            return evals, evecs * (1.0 + 1e-8)
+
+        monkeypatch.setattr(fock_oracle, "_spectrum", leaky)
         with pytest.raises(NormDrift):
-            list(evolve_seed(p, [1.0], OracleConfig(n_max=12, tau_norm=0.0)))
+            list(evolve_seed(p, [1.0], cfg))
 
     def test_negative_time_rejected(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
         with pytest.raises(ValueError):
             list(evolve_seed(p, [-1.0], OracleConfig(n_max=8)))
+
+    @pytest.mark.parametrize("bad_t, error", [
+        (-1.0, ValueError),
+        (math.nan, ValueError),
+        (math.inf, NumericOverflow),
+        (1e308, NumericOverflow),
+    ])
+    def test_whole_time_axis_checked_before_any_state(self, bad_t, error):
+        p = SystemParams(0.5, 0.1, 0.4, 0.2)
+        states = evolve_seed(p, [0.5, 1.0, bad_t], OracleConfig(n_max=8))
+        with pytest.raises(error):
+            next(states)
+        with pytest.raises(error):
+            moment_sets(p, np.array([0.5, bad_t]), KIND_CELLS, OracleConfig(n_max=8))
+
+    @pytest.mark.parametrize("n_max", [8, 12])
+    @pytest.mark.parametrize("chi, k", [(0.0, 0.1), (0.5, 0.0), (0.25, 0.05), (0.5, 0.1)])
+    def test_sector_evolution_matches_dense_propagator(self, n_max, chi, k):
+        # independent of the sector split: exp(-iHt) of the dense generator,
+        # diagonalized here; both sides evolve the same truncated generator,
+        # so the tail guard is off
+        cfg = OracleConfig(n_max=n_max, tau_tail=1.0)
+        ts = [0.0, 0.4, 1.3, 3.0, 7.5]
+        for p in (SystemParams(chi, k, 0.4, 0.3), SystemParams(chi, k, 0.25, 0.4)):
+            evals, evecs = np.linalg.eigh(build_hamiltonian(p, n_max))
+            psi0 = coherent_state(p.alpha1, p.alpha2, n_max).vector()
+            for t, state in zip(ts, evolve_seed(p, ts, cfg)):
+                dense = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi0))
+                assert np.max(np.abs(state.vector() - dense)) <= 1e-12
 
 
 class TestMomentSets:
@@ -177,34 +219,55 @@ class TestMomentSets:
                 assert b.mean_b == pytest.approx(a.mean_b, abs=1e-6)
 
 
+def _assert_sets_match_per_point_sets(ts):
+    # one propagation read for every kind cell, gathered over the time axis,
+    # == one propagation per (cell, t)
+    cfg = OracleConfig()
+    for p in (SystemParams(0.5, 0.1, 0.4, 0.3), SystemParams(0.25, 0.05, 0.2, 0.0)):
+        for (kind, conv), m in zip(KIND_CELLS, moment_sets(p, ts, KIND_CELLS, cfg)):
+            for i, t in enumerate(ts.tolist()):
+                ref = moment_set_numeric(p, t, kind, cfg, conv)
+                assert abs(m.mean_b[i] - ref.mean_b) <= 1e-14
+                assert abs(m.mean_b_sq[i] - ref.mean_b_sq) <= 1e-14
+                assert abs(m.mean_bdag_b[i] - ref.mean_bdag_b) <= 1e-14
+                assert abs(m.mean_d[i] - ref.mean_d) <= 1e-14
+
+
 class TestStream:
     def test_streamed_sets_match_per_point_sets(self, grid_times):
-        # one evolution read for every kind cell, gathered over the time axis,
-        # == one evolution per (cell, t)
-        cfg = OracleConfig()
-        ts = grid_times[::5]
-        for p in (SystemParams(0.5, 0.1, 0.4, 0.3), SystemParams(0.25, 0.05, 0.2, 0.0)):
-            for (kind, conv), m in zip(KIND_CELLS, moment_sets(p, ts, KIND_CELLS, cfg)):
-                for i, t in enumerate(ts.tolist()):
-                    ref = moment_set_numeric(p, t, kind, cfg, conv)
-                    assert abs(m.mean_b[i] - ref.mean_b) <= 1e-14
-                    assert abs(m.mean_b_sq[i] - ref.mean_b_sq) <= 1e-14
-                    assert abs(m.mean_bdag_b[i] - ref.mean_bdag_b) <= 1e-14
-                    assert abs(m.mean_d[i] - ref.mean_d) <= 1e-14
+        _assert_sets_match_per_point_sets(grid_times[::5])
+
+    def test_sets_across_time_blocks_match_per_point_sets(self):
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
+        assert len(ts) > fock_oracle._BLOCK and len(ts) % fock_oracle._BLOCK
+        _assert_sets_match_per_point_sets(ts)
+
+    def test_empty_time_axis_gives_empty_sets(self):
+        p = SystemParams(0.5, 0.1, 0.4, 0.3)
+        sets = moment_sets(p, np.array([]), KIND_CELLS)
+        assert len(sets) == len(KIND_CELLS)
+        for (kind, conv), m in zip(KIND_CELLS, sets):
+            ref = moments_for(p, np.array([]), kind, conv)
+            for name in ("mean_b", "mean_b_sq", "mean_bdag_b", "mean_d"):
+                assert getattr(m, name).shape == getattr(ref, name).shape == (0,)
+        assert list(evolve_seed(p, [])) == []
 
     def test_verification_diagonalizes_each_generator_once(self, monkeypatch):
-        calls = []
+        shapes = []
         eigh = np.linalg.eigh
 
         def counting_eigh(h):
-            calls.append(h.shape[0])
+            shapes.append(h.shape)
             return eigh(h)
 
         fock_oracle._spectrum.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         run_verification()
-        # 3 chi x 3 k grid generators; the probe and the conservation run reuse one
-        assert len(calls) == 9
+        # one stacked call per (n_max, k) of the grid; the probe and the
+        # conservation run reuse the last; every block is one N sector
+        dim = OracleConfig().n_max + 1
+        assert len(shapes) == len(GRID_KS)
+        assert all(shape[-2:] == (dim, dim) for shape in shapes)
 
 
 class TestConservation:
@@ -222,7 +285,7 @@ class TestConfig:
 
 def test_uncertainty_product_on_oracle_sets():
     # with the true commutator in mean_d, (F+1)(G+1) >= 1 for every kind
-    from kerrdown import DConvention, factor_y
+    from kerrdown import factor_y
 
     cfg = OracleConfig()
     for p in (SystemParams(0.5, 0.1, 0.4, 0.4), SystemParams(0.25, 0.05, 0.2, 0.3)):
@@ -242,17 +305,18 @@ def test_cutoff_convergence(grid_times):
         for k in (0.0, 0.05, 0.1)
         for a1, a2 in ((0.4, 0.0), (0.4, 0.4), (0.2, 0.3))
     ]
+    cells = [(kind, DConvention.NUMBER_SUM) for kind in kinds]
+    ts = grid_times[::7]
     worst = 0.0
     for p in params:
-        for kind in kinds:
-            for t in grid_times[::7]:
-                lo = moment_set_numeric(p, float(t), kind, OracleConfig(n_max=24))
-                hi = moment_set_numeric(p, float(t), kind, OracleConfig(n_max=32))
-                worst = max(
-                    worst,
-                    abs(lo.mean_b - hi.mean_b),
-                    abs(lo.mean_b_sq - hi.mean_b_sq),
-                    abs(lo.mean_bdag_b - hi.mean_bdag_b),
-                    abs(lo.mean_d - hi.mean_d),
-                )
+        lo_sets = moment_sets(p, ts, cells, OracleConfig(n_max=24))
+        hi_sets = moment_sets(p, ts, cells, OracleConfig(n_max=32))
+        for lo, hi in zip(lo_sets, hi_sets):
+            worst = max(
+                worst,
+                np.max(abs(lo.mean_b - hi.mean_b)),
+                np.max(abs(lo.mean_b_sq - hi.mean_b_sq)),
+                np.max(abs(lo.mean_bdag_b - hi.mean_bdag_b)),
+                np.max(abs(lo.mean_d - hi.mean_d)),
+            )
     assert worst <= 1e-8
