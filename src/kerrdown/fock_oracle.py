@@ -34,8 +34,9 @@ which does not depend on chi.  All sectors, zero-padded to n_max + 1, are
 diagonalized in one stacked `eigh` per (n_max, k), and chi enters only as the
 phase exp(-i chi N(N - 1) t).  Padded slots are never scattered back onto the
 grid.  Times are propagated in blocks of `_BLOCK`: one batched product per
-block, checked and read out as a whole.  The dense `build_hamiltonian` stays
-for the conservation checks, which measure sector-evolved states against it.
+block, checked and read out as a whole.  Every read-out, the squeezing moment
+sets and the motion constants of the conservation checks alike, contracts
+those blocks through `_contract`.
 """
 
 from __future__ import annotations
@@ -52,14 +53,11 @@ from .moments_engine import DConvention, SqueezeKind, SystemParams
 from .quad_core import QuadratureMoments
 
 __all__ = [
-    "FockState",
     "OracleConfig",
-    "build_hamiltonian",
     "coherent_state",
-    "evolve_seed",
-    "expect",
     "moment_set_numeric",
     "moment_sets",
+    "motion_constants",
 ]
 
 # Spectra kept warm.  Callers walk one (n_max, k) at a time, or alternate two
@@ -69,98 +67,32 @@ _SPECTRA = 2
 # Times propagated and read out together; bounds the memory of one call at
 # about _BLOCK amplitude tensors whatever the length of the time axis.
 _BLOCK = 64
+# Largest cutoff: the stacked spectrum of 2 n_max + 1 complex (n_max + 1)^2
+# eigenvector matrices stays near 1 GB at 256.
+_N_MAX_LIMIT = 256
+_TAU_NORM = 1e-10  # allowed drift of the state norm under evolution
+# Allowed population of the top two number shells (relative to the norm);
+# past it TailOverflow is raised instead of silently degrading.
+_TAU_TAIL = 1e-10
+_TAU_TRUNC = 1e-12  # allowed norm deficit of the truncated coherent seed
 
 
 @dataclass
 class OracleConfig:
-    """Knobs of the numerical oracle.
-
-    n_max     -- Fock cutoff per mode (>= 4)
-    tau_norm  -- allowed drift of the state norm under evolution
-    tau_tail  -- allowed population of the top two number shells (relative to
-                 the norm); exceeding it raises TailOverflow instead of
-                 silently degrading
-    tau_trunc -- allowed norm deficit of the truncated coherent seed
-    """
+    """Fock cutoff n_max per mode of the numerical oracle (4 <= n_max <= 256)."""
 
     n_max: int = 24
-    tau_norm: float = 1e-10
-    tau_tail: float = 1e-10
-    tau_trunc: float = 1e-12
 
     def __post_init__(self):
-        if self.n_max < 4:
-            raise ValueError(f"n_max must be >= 4, got {self.n_max}")
+        if not 4 <= self.n_max <= _N_MAX_LIMIT:
+            raise ValueError(f"n_max must be in [4, {_N_MAX_LIMIT}], got {self.n_max}")
 
 
-@dataclass
-class FockState:
-    """Amplitude tensor over the truncated two-mode number basis."""
-
-    amp: np.ndarray  # complex, shape (n_max + 1, n_max + 1)
-    n_max: int
-
-    def __post_init__(self):
-        self.amp = np.asarray(self.amp, dtype=complex)
-        dim = self.n_max + 1
-        if self.amp.shape != (dim, dim):
-            raise ValueError(f"amp must have shape {(dim, dim)}, got {self.amp.shape}")
-
-    def norm_sq(self) -> float:
-        return float(_norm_sq(self.amp))
-
-    def tail_population(self) -> float:
-        """Relative weight sitting in the top two shells of either mode."""
-        return float(_tail_population(self.amp))
-
-    def vector(self) -> np.ndarray:
-        return self.amp.reshape(-1)
-
-
-def _norm_sq(amp: np.ndarray) -> np.ndarray:
-    """Norm squared over the trailing (n1, n2) axes of amp."""
-    return (np.abs(amp) ** 2).sum(axis=(-2, -1))
-
-
-def _tail_population(amp: np.ndarray) -> np.ndarray:
-    """Weight in the top two shells of either mode relative to the norm, over the trailing axes."""
-    w = np.abs(amp) ** 2
-    tail = w[..., -2:, :].sum(axis=(-2, -1)) + w[..., :-2, -2:].sum(axis=(-2, -1))
-    return tail / w.sum(axis=(-2, -1))
-
-
-def _ladder(n_max: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-
-
-def build_hamiltonian(p: SystemParams, n_max: int) -> np.ndarray:
-    """Dense Hermitian generator on the truncated basis.
-
-    Diagonal: chi * nu (nu - 1) with nu = n1 - n2.  Off-diagonal: the pair
-    term couples |n1, n2> to |n1-1, n2-1> with element -i k sqrt(n1 n2) and
-    its conjugate.
-    """
-    dim = n_max + 1
-    a = _ladder(n_max)
-    eye = np.eye(dim)
-    a1 = np.kron(a, eye)
-    a2 = np.kron(eye, a)
-    n1 = np.arange(dim).repeat(dim)
-    n2 = np.tile(np.arange(dim), dim)
-    nu = (n1 - n2).astype(float)
-    h = np.diag(p.chi_bar * nu * (nu - 1.0)).astype(complex)
-    pair = a1 @ a2
-    h += -1j * p.k * (pair - pair.conj().T)
-    return h
-
-
-def coherent_state(
-    alpha1: float, alpha2: float, n_max: int, tau_trunc: float = 1e-12
-) -> FockState:
-    """Truncated product coherent state |alpha1, alpha2>; not renormalized.
+def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
+    """Amplitudes (n1, n2) of the truncated product coherent state |alpha1, alpha2>; not renormalized.
 
     The norm deficit 1 - sum|amp|^2 is the truncation diagnostic; it must not
-    exceed tau_trunc.
+    exceed _TAU_TRUNC.
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("coherent amplitudes must be >= 0")
@@ -176,11 +108,11 @@ def coherent_state(
 
     amp = np.outer(coeffs(alpha1), coeffs(alpha2)).astype(complex)
     deficit = 1.0 - float(np.sum(np.abs(amp) ** 2))
-    if deficit > tau_trunc:
+    if deficit > _TAU_TRUNC:
         raise TruncationTooSevere(
-            f"norm deficit {deficit:.3e} > {tau_trunc:.3e} at n_max={n_max}"
+            f"norm deficit {deficit:.3e} > {_TAU_TRUNC:.3e} at n_max={n_max}"
         )
-    return FockState(amp=amp, n_max=n_max)
+    return amp
 
 
 @functools.cache
@@ -223,8 +155,8 @@ def _propagate(
     if bad.any():
         raise ValueError(f"t must be >= 0, got {ts[bad][0]}")
     n_max = cfg.n_max
-    seed = coherent_state(p.alpha1, p.alpha2, n_max, cfg.tau_trunc)
-    norm0 = math.sqrt(seed.norm_sq())
+    seed = coherent_state(p.alpha1, p.alpha2, n_max)
+    norm0 = math.sqrt(np.sum(np.abs(seed) ** 2))
     evals, evecs = _spectrum(n_max, p.k)
     nu = np.arange(-n_max, n_max + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -238,56 +170,53 @@ def _propagate(
         raise NumericOverflow(f"phase lambda t overflows at t={t_end} (|lambda| <= {reach:.3e})")
     slots = _sector_slots(n_max)
     seed_s = np.zeros(evals.size, dtype=complex)
-    seed_s[slots] = seed.vector()
+    seed_s[slots] = seed.reshape(-1)
     # evecs^H psi0 per sector, without a conjugated copy of evecs
     c = np.einsum("smj,sm->sj", evecs, seed_s.reshape(evals.shape).conj()).conj()
     for lo in range(0, max(ts.size, 1), _BLOCK):
         tb = ts[lo : lo + _BLOCK]
         out = evecs @ (np.exp(-1j * (energy[..., None] * tb)) * c[..., None])
         amp = out.reshape(evals.size, tb.size)[slots].T.reshape(tb.size, n_max + 1, n_max + 1)
-        norm_sq = _norm_sq(amp)
+        w = np.abs(amp) ** 2
+        norm_sq = w.sum(axis=(1, 2))
         drift = np.abs(np.sqrt(norm_sq) - norm0)
-        bad = drift > cfg.tau_norm
+        bad = drift > _TAU_NORM
         if bad.any():
-            raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {cfg.tau_norm:.3e}")
-        tail = _tail_population(amp)
-        bad = tail > cfg.tau_tail
+            raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {_TAU_NORM:.3e}")
+        # weight in the top two shells of either mode, relative to the norm
+        tail = (w[:, -2:, :].sum(axis=(1, 2)) + w[:, :-2, -2:].sum(axis=(1, 2))) / norm_sq
+        bad = tail > _TAU_TAIL
         if bad.any():
             raise TailOverflow(
-                f"top-shell population {tail[bad][0]:.3e} > {cfg.tau_tail:.3e}; "
+                f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
                 f"raise n_max for this time span"
             )
         yield tb, amp, norm_sq
 
 
-def evolve_seed(
-    p: SystemParams, ts: Iterable[float], cfg: OracleConfig | None = None
-) -> Iterator[FockState]:
-    """Yield the coherent seed of `p` evolved by exp(-i H t) to each t of `ts`, in order.
-
-    The seed is projected onto the sector eigenbases once and propagated a
-    block of times at a time.  Before the first state the whole of `ts` is
-    checked (ValueError for a negative or nan t, NumericOverflow when
-    lambda t overflows); each block is checked for NormDrift past
-    cfg.tau_norm and TailOverflow when the cutoff is too small for its times.
-    Memory does not grow with the number of times.
-    """
-    cfg = cfg if cfg is not None else OracleConfig()
-    for _, amps, _ in _propagate(p, ts, cfg):
-        for amp in amps:
-            yield FockState(amp=amp, n_max=cfg.n_max)
-
-
 @functools.cache
-def _sqrt_fact(n_max: int) -> np.ndarray:
-    return np.sqrt(np.array([math.factorial(n) for n in range(n_max + 1)], dtype=float))
+def _weights(n_max: int, q: int, p: int) -> tuple[int, int, np.ndarray]:
+    """Rows lo..hi of a^q then a+^p on one mode of the cutoff, and their ladder factors.
+
+    Only rows n where both a^q and the a+^p image stay on the grid.  The
+    factor sqrt(n!/(n-q)!) sqrt((n-q+p)!/(n-q)!) is a product of sqrt(n - j)
+    terms: no n! is ever formed, so every cutoff stays in float range.
+    """
+    lo, hi = q, min(n_max, n_max + q - p)
+    n = np.arange(lo, hi + 1, dtype=float)
+    w = np.ones_like(n)
+    for j in range(q):
+        w *= np.sqrt(n - j)
+    for j in range(1, p + 1):
+        w *= np.sqrt(n - q + j)
+    return lo, hi, w
 
 
 def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
     """Unnormalized <a1+^p a1^q a2+^r a2^s> over the trailing (n1, n2) axes of amp.
 
-    Exact contraction with the ladder factors sqrt(n!/(n-q)!) etc.; leading
-    axes (a block of times) are kept.
+    Exact contraction with the ladder factors of `_weights`; leading axes (a
+    block of times) are kept.
     """
     pw_p, pw_q, pw_r, pw_s = powers
     n_max = amp.shape[-1] - 1
@@ -295,17 +224,8 @@ def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
         raise ValueError(f"powers must be >= 0, got {powers}")
     if pw_p + pw_q > n_max or pw_r + pw_s > n_max:
         raise ValueError(f"powers {powers} exceed the cutoff {n_max}")
-    sf = _sqrt_fact(n_max)
-
-    def weights(q, p_):
-        # rows n where both a^q and the a+^p image stay on the grid
-        lo, hi = q, min(n_max, n_max + q - p_)
-        n = np.arange(lo, hi + 1)
-        w = (sf[n] / sf[n - q]) * (sf[n - q + p_] / sf[n - q])
-        return lo, hi, w
-
-    lo1, hi1, w1 = weights(pw_q, pw_p)
-    lo2, hi2, w2 = weights(pw_s, pw_r)
+    lo1, hi1, w1 = _weights(n_max, pw_q, pw_p)
+    lo2, hi2, w2 = _weights(n_max, pw_s, pw_r)
     ket = amp[..., lo1 : hi1 + 1, lo2 : hi2 + 1]
     bra = amp[
         ...,
@@ -313,11 +233,6 @@ def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
         lo2 - pw_s + pw_r : hi2 - pw_s + pw_r + 1,
     ]
     return np.einsum("...ij,...ij,i,j->...", bra.conj(), ket, w1, w2)
-
-
-def expect(state: FockState, powers: tuple[int, int, int, int]) -> complex:
-    """Normally ordered moment <a1+^p a1^q a2+^r a2^s>, norm-squared normalized."""
-    return complex(_contract(state.amp, powers)) / state.norm_sq()
 
 
 def _real(z: np.ndarray, what: str) -> np.ndarray:
@@ -395,3 +310,27 @@ def moment_set_numeric(
 ) -> QuadratureMoments:
     """Oracle moment set at one time, drop-in replacement for the `moments_engine` output."""
     return moment_sets(p, t, [(kind, d_convention)], cfg)[0]
+
+
+def motion_constants(
+    p: SystemParams, t, cfg: OracleConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """<N>, <N^2>, frame energy <H> and norm of the evolved seed along the 1-D time axis t.
+
+    N = n1 - n2 and H itself commute with the generator H, and the evolution
+    is unitary, so all four are flat.  They are read from the same propagated
+    blocks as `moment_sets`:
+        <N^2> = <a1+^2 a1^2> + <n1> - 2<n1 n2> + <a2+^2 a2^2> + <n2>,
+        <H>   = chi (<N^2> - <N>) + 2k Im<a1 a2>.
+    """
+    cfg = cfg if cfg is not None else OracleConfig()
+    parts = []
+    for _, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
+        n1, n2, aa1, aa2, n1n2 = (  # aa: <a+^2 a^2> of one mode
+            _contract(amp, powers).real / norm_sq
+            for powers in ((1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 0, 0), (0, 0, 2, 2), (1, 1, 1, 1))
+        )
+        n, n_sq = n1 - n2, aa1 + n1 - 2.0 * n1n2 + aa2 + n2
+        pair = _contract(amp, (0, 1, 0, 1)).imag / norm_sq
+        parts.append((n, n_sq, p.chi_bar * (n_sq - n) + 2.0 * p.k * pair, np.sqrt(norm_sq)))
+    return tuple(np.concatenate(column) for column in zip(*parts))

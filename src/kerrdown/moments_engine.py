@@ -18,7 +18,7 @@ with N a constant of motion.  The Heisenberg solution is then
 
 The mode-2 carrier includes a 2*chi dressed-frequency shift; this is the unique
 carrier choice under which mode 2 is the exact alpha1 <-> alpha2 mirror of
-mode 1 (and it is what `fock_oracle.moment_set_numeric` applies when reading
+mode 1 (and it is what `fock_oracle.moment_sets` applies when reading
 moments out of the evolved state).
 
 Moment recipe

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 # numerical property tests: examples are cheap but the first oracle call per
-# parameter set pays for a dense diagonalization
+# (cutoff, k) pays for a stacked sector diagonalization
 settings.register_profile(
     "kerrdown",
     max_examples=40,

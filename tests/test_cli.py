@@ -150,6 +150,20 @@ class TestExitCodes:
             main(["figure", "7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--cutoff", "3"],
+        ["sweep", "--kind", "single1", "--chi", "0.5", "--k", "0", "--alpha1", "0.4",
+         "--alpha2", "0", "--tmax", "1", "--steps", "3", "--engine", "oracle",
+         "--cutoff", "100000"],
+    ])
+    def test_cutoff_out_of_range_is_usage_error(self, capsys, argv):
+        # refused before anything is allocated
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"kerrdown {argv[0]}: n_max must be in [4, 256]")
+        assert "Traceback" not in err
+
 
 # ordinary, huge and non-finite values, each passed as --flag=value so that
 # negative ones reach the program
@@ -166,7 +180,8 @@ _ANY_FLOAT = st.one_of(
     conv=st.sampled_from(["paper", "commutator"]),
     values=st.tuples(*[_ANY_FLOAT] * 5),
     steps=st.integers(2, 5),
-    cutoff=st.integers(4, 8),
+    # only 4-8 reach allocation; the others are refused before it
+    cutoff=st.one_of(st.integers(4, 8), st.integers(-5, 3), st.integers(257, 10**9)),
 )
 def test_sweep_argv_ends_in_result_or_typed_error(kind, engine, conv, values, steps, cutoff):
     chi, k, alpha1, alpha2, tmax = values

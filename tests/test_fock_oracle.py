@@ -19,10 +19,7 @@ from kerrdown import (
 from kerrdown import fock_oracle
 from kerrdown.fock_oracle import (
     OracleConfig,
-    build_hamiltonian,
     coherent_state,
-    evolve_seed,
-    expect,
     moment_set_numeric,
     moment_sets,
 )
@@ -31,6 +28,37 @@ from kerrdown.verify import GRID_KS, KIND_CELLS, conservation_checks, run_verifi
 
 def _idx(n1, n2, n_max):
     return n1 * (n_max + 1) + n2
+
+
+def build_hamiltonian(p, n_max):
+    """Dense Hermitian generator on the truncated basis, the reference for the sector split.
+
+    Diagonal: chi * nu (nu - 1) with nu = n1 - n2.  Off-diagonal: the pair
+    term couples |n1, n2> to |n1-1, n2-1> with element -i k sqrt(n1 n2) and
+    its conjugate.
+    """
+    dim = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    eye = np.eye(dim)
+    a1 = np.kron(a, eye)
+    a2 = np.kron(eye, a)
+    n1 = np.arange(dim).repeat(dim)
+    n2 = np.tile(np.arange(dim), dim)
+    nu = (n1 - n2).astype(float)
+    h = np.diag(p.chi_bar * nu * (nu - 1.0)).astype(complex)
+    pair = a1 @ a2
+    h += -1j * p.k * (pair - pair.conj().T)
+    return h
+
+
+def _expect(amp, powers):
+    """Normally ordered moment <a1+^p a1^q a2+^r a2^s> of one state, norm-squared normalized."""
+    return complex(fock_oracle._contract(amp, powers) / np.sum(np.abs(amp) ** 2))
+
+
+def _evolve(p, ts, cfg):
+    """Amplitudes (times, n1, n2) of the seed of p evolved to every time of ts."""
+    return np.concatenate([amp for _, amp, _ in fock_oracle._propagate(p, ts, cfg)])
 
 
 class TestHamiltonian:
@@ -74,79 +102,89 @@ class TestHamiltonian:
 class TestCoherentState:
     def test_vacuum(self):
         st = coherent_state(0.0, 0.0, 8)
-        assert st.amp[0, 0] == 1.0
-        assert np.sum(np.abs(st.amp)) == 1.0
+        assert st[0, 0] == 1.0
+        assert np.sum(np.abs(st)) == 1.0
 
     def test_amplitudes(self):
         st = coherent_state(0.4, 0.0, 10)
-        assert st.amp[0, 0] == pytest.approx(math.exp(-0.08), abs=1e-12)
-        assert st.amp[1, 0] == pytest.approx(0.4 * math.exp(-0.08), abs=1e-12)
+        assert st[0, 0] == pytest.approx(math.exp(-0.08), abs=1e-12)
+        assert st[1, 0] == pytest.approx(0.4 * math.exp(-0.08), abs=1e-12)
 
     def test_norm_deficit_tiny_at_default_cutoff(self):
         st = coherent_state(0.4, 0.4, 24)
-        assert 1.0 - st.norm_sq() < 1e-12
+        assert 1.0 - np.sum(np.abs(st) ** 2) < 1e-12
 
     def test_truncation_guard(self):
+        # the default seed budget, 1e-12
         with pytest.raises(TruncationTooSevere):
-            coherent_state(2.0, 0.0, 4, tau_trunc=1e-12)
+            coherent_state(2.0, 0.0, 4)
 
 
 class TestExpect:
     def test_vacuum_moments_vanish(self):
         st = coherent_state(0.0, 0.0, 8)
         for powers in ((0, 1, 0, 0), (1, 1, 0, 0), (0, 2, 0, 2), (1, 0, 0, 1)):
-            assert expect(st, powers) == 0.0
+            assert _expect(st, powers) == 0.0
 
     def test_coherent_mode_number(self):
         st = coherent_state(0.4, 0.0, 20)
-        assert expect(st, (1, 1, 0, 0)) == pytest.approx(0.16, abs=1e-12)
+        assert _expect(st, (1, 1, 0, 0)) == pytest.approx(0.16, abs=1e-12)
 
     def test_coherent_factorization(self):
         st = coherent_state(0.4, 0.4, 24)
-        assert expect(st, (1, 1, 1, 1)) == pytest.approx(0.0256, abs=1e-12)
+        assert _expect(st, (1, 1, 1, 1)) == pytest.approx(0.0256, abs=1e-12)
 
     def test_general_moment(self):
         st = coherent_state(0.3, 0.2, 20)
         want = 0.3**3 * 0.2  # <a1+ a1^2 a2> on the coherent state
-        assert expect(st, (1, 2, 0, 1)) == pytest.approx(want, abs=1e-12)
+        assert _expect(st, (1, 2, 0, 1)) == pytest.approx(want, abs=1e-12)
 
     def test_power_bound(self):
         st = coherent_state(0.0, 0.0, 4)
         with pytest.raises(ValueError):
-            expect(st, (3, 2, 0, 0))
+            _expect(st, (3, 2, 0, 0))
+
+    def test_deep_cutoff_moments(self):
+        # past n = 170, n! is beyond float range; the ladder factors must not
+        # go through it.  <a1+^p a1^q a2+^r a2^s> = a1^(p+q) a2^(r+s) here
+        a1, a2 = 0.4, 0.3
+        st = coherent_state(a1, a2, 200)
+        for powers in ((1, 1, 0, 0), (1, 2, 0, 1), (2, 2, 2, 2), (0, 3, 2, 1)):
+            want = a1 ** (powers[0] + powers[1]) * a2 ** (powers[2] + powers[3])
+            assert _expect(st, powers) == pytest.approx(want, abs=1e-12)
 
 
 class TestEvolve:
     def test_time_zero_is_identity(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
         st = coherent_state(0.4, 0.2, 16)
-        (out,) = evolve_seed(p, [0.0], OracleConfig(n_max=16))
-        assert np.allclose(out.amp, st.amp, atol=1e-12)
+        (out,) = _evolve(p, [0.0], OracleConfig(n_max=16))
+        assert np.allclose(out, st, atol=1e-12)
 
     def test_two_mode_squeezed_vacuum_photon_number(self):
         p = SystemParams(0.0, 0.1, 0.0, 0.0)
-        (out,) = evolve_seed(p, [1.0], OracleConfig(n_max=16))
-        assert expect(out, (1, 1, 0, 0)).real == pytest.approx(
+        (out,) = _evolve(p, [1.0], OracleConfig(n_max=16))
+        assert _expect(out, (1, 1, 0, 0)).real == pytest.approx(
             math.sinh(0.1) ** 2, abs=1e-10
         )
 
     def test_kerr_conserves_mode_numbers(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.4)
-        for out in evolve_seed(p, (0.7, 2.5), OracleConfig(n_max=20)):
-            assert expect(out, (1, 1, 0, 0)).real == pytest.approx(0.16, abs=1e-10)
+        for out in _evolve(p, (0.7, 2.5), OracleConfig(n_max=20)):
+            assert _expect(out, (1, 1, 0, 0)).real == pytest.approx(0.16, abs=1e-10)
 
     def test_tail_overflow_guards_cutoff(self):
         # kt = 4 wants hundreds of photons; must refuse, not degrade
         p = SystemParams(0.0, 1.0, 0.0, 0.0)
         with pytest.raises(TailOverflow):
-            list(evolve_seed(p, [4.0], OracleConfig(n_max=12)))
+            _evolve(p, [4.0], OracleConfig(n_max=12))
 
     def test_norm_drift_budget_enforced(self, monkeypatch):
         # a non-unitary leak in the spectrum (eigenvectors 1e-8 too long)
         # must trip the default budget; the exact spectrum must not
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
         cfg = OracleConfig(n_max=12)
-        list(evolve_seed(p, [1.0], cfg))
+        _evolve(p, [1.0], cfg)
         spectrum = fock_oracle._spectrum
 
         def leaky(n_max, k):
@@ -155,12 +193,12 @@ class TestEvolve:
 
         monkeypatch.setattr(fock_oracle, "_spectrum", leaky)
         with pytest.raises(NormDrift):
-            list(evolve_seed(p, [1.0], cfg))
+            _evolve(p, [1.0], cfg)
 
     def test_negative_time_rejected(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
         with pytest.raises(ValueError):
-            list(evolve_seed(p, [-1.0], OracleConfig(n_max=8)))
+            _evolve(p, [-1.0], OracleConfig(n_max=8))
 
     @pytest.mark.parametrize("bad_t, error", [
         (-1.0, ValueError),
@@ -169,27 +207,31 @@ class TestEvolve:
         (1e308, NumericOverflow),
     ])
     def test_whole_time_axis_checked_before_any_state(self, bad_t, error):
+        # the bad time sits in the second block: the first block must not be
+        # propagated either
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        states = evolve_seed(p, [0.5, 1.0, bad_t], OracleConfig(n_max=8))
+        ts = [*np.linspace(0.5, 1.0, fock_oracle._BLOCK), bad_t]
+        blocks = fock_oracle._propagate(p, ts, OracleConfig(n_max=8))
         with pytest.raises(error):
-            next(states)
+            next(blocks)
         with pytest.raises(error):
             moment_sets(p, np.array([0.5, bad_t]), KIND_CELLS, OracleConfig(n_max=8))
 
     @pytest.mark.parametrize("n_max", [8, 12])
     @pytest.mark.parametrize("chi, k", [(0.0, 0.1), (0.5, 0.0), (0.25, 0.05), (0.5, 0.1)])
-    def test_sector_evolution_matches_dense_propagator(self, n_max, chi, k):
+    def test_sector_evolution_matches_dense_propagator(self, monkeypatch, n_max, chi, k):
         # independent of the sector split: exp(-iHt) of the dense generator,
         # diagonalized here; both sides evolve the same truncated generator,
         # so the tail guard is off
-        cfg = OracleConfig(n_max=n_max, tau_tail=1.0)
+        monkeypatch.setattr(fock_oracle, "_TAU_TAIL", 1.0)
+        cfg = OracleConfig(n_max=n_max)
         ts = [0.0, 0.4, 1.3, 3.0, 7.5]
         for p in (SystemParams(chi, k, 0.4, 0.3), SystemParams(chi, k, 0.25, 0.4)):
             evals, evecs = np.linalg.eigh(build_hamiltonian(p, n_max))
-            psi0 = coherent_state(p.alpha1, p.alpha2, n_max).vector()
-            for t, state in zip(ts, evolve_seed(p, ts, cfg)):
+            psi0 = coherent_state(p.alpha1, p.alpha2, n_max).reshape(-1)
+            for t, state in zip(ts, _evolve(p, ts, cfg)):
                 dense = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi0))
-                assert np.max(np.abs(state.vector() - dense)) <= 1e-12
+                assert np.max(np.abs(state.reshape(-1) - dense)) <= 1e-12
 
 
 class TestMomentSets:
@@ -250,7 +292,6 @@ class TestStream:
             ref = moments_for(p, np.array([]), kind, conv)
             for name in ("mean_b", "mean_b_sq", "mean_bdag_b", "mean_d"):
                 assert getattr(m, name).shape == getattr(ref, name).shape == (0,)
-        assert list(evolve_seed(p, [])) == []
 
     def test_verification_diagonalizes_each_generator_once(self, monkeypatch):
         shapes = []
@@ -276,11 +317,36 @@ class TestConservation:
         for c in checks:
             assert c.passed, c.render()
 
+    def test_frame_energy_check_fails_on_the_wrong_pair_term(self, monkeypatch):
+        # without the i^m gauge the chain evolves k(a1 a2 + a1+ a2+) in place
+        # of -ik(a1 a2 - a1+ a2+): still unitary and N-conserving, so only
+        # the frame energy moves.  A wrong k or chi alone cannot be caught
+        # this way: the Kerr and pair terms commute, so <H> stays conserved
+        # (and for the same reason neither can a wrong weight between the two
+        # terms of the <H> read-out)
+        spectrum = fock_oracle._spectrum
+
+        def ungauged(n_max, k):
+            evals, evecs = spectrum(n_max, k)
+            gauge = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_max + 1) % 4]
+            return evals, gauge.conj()[:, None] * evecs
+
+        monkeypatch.setattr(fock_oracle, "_spectrum", ungauged)
+        failed = [c.name for c in conservation_checks(OracleConfig()) if not c.passed]
+        assert failed == ["frame energy drift"]
+
 
 class TestConfig:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
             OracleConfig(n_max=3)
+
+    def test_cutoff_ceiling(self):
+        # rejected before anything is allocated
+        assert OracleConfig(n_max=256).n_max == 256
+        for n_max in (257, 100_000):
+            with pytest.raises(ValueError):
+                OracleConfig(n_max=n_max)
 
 
 def test_uncertainty_product_on_oracle_sets():
@@ -295,7 +361,6 @@ def test_uncertainty_product_on_oracle_sets():
                 assert (factor_x(m) + 1.0) * (factor_y(m) + 1.0) >= 1.0 - 1e-10
 
 
-@pytest.mark.slow
 def test_cutoff_convergence(grid_times):
     # doubling the cutoff 24 -> 32 must not move any reported moment by > 1e-8
     kinds = list(SqueezeKind)
