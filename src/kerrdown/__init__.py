@@ -32,7 +32,6 @@ from .moments_engine import (
 )
 from .quad_core import (
     QuadratureMoments,
-    SqueezingFactors,
     factor_phase,
     factor_x,
     factor_y,
@@ -51,7 +50,6 @@ __all__ = [
     "NumericOverflow",
     "QuadratureMoments",
     "SqueezeKind",
-    "SqueezingFactors",
     "SystemParams",
     "TailOverflow",
     "TruncationTooSevere",

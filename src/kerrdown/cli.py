@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +26,11 @@ from . import __version__, fock_oracle, moments_engine, quad_core, squeezing_ana
 from .errors import KerrdownError
 from .fock_oracle import OracleConfig
 from .moments_engine import DConvention, SqueezeKind, SystemParams
-from .quad_core import SqueezingFactors
 from .verify import run_verification
 
-_KINDS = {k.value: k for k in SqueezeKind}
-_CONVENTIONS = {c.value: c for c in DConvention}
 _ENGINES = ("analytic", "moments", "oracle")
+# Largest sweep; every column is allocated whole, about 0.5 GB at this size
+MAX_STEPS = 10**6
 
 # figure id -> kind, quantities, default time range, curve title, and the
 # params of each curve set.  Time ranges default to two Kerr periods of
@@ -65,37 +64,44 @@ class SweepRequest:
     t_max: float
     steps: int
     d_convention: DConvention = DConvention.NUMBER_SUM
-    cfg: OracleConfig = field(default_factory=OracleConfig)
+    cfg: OracleConfig = OracleConfig()
 
     def __post_init__(self):
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {self.steps}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"tmax must be finite and > 0, got {self.t_max}")
 
 
 @dataclass
 class SweepResult:
-    factors: SqueezingFactors  # (f, g, v, t) columns
-    metadata: dict
+    """The (F, G, V) columns of a sweep over its times t."""
+
+    request: SweepRequest
+    t: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    v: np.ndarray
 
     def to_csv(self) -> str:
-        meta1 = ", ".join(
-            f"{k}={self.metadata[k]}"
-            for k in ("engine", "kind", "chi", "k", "alpha1", "alpha2", "d_convention")
-        )
-        meta2 = ", ".join(
-            f"{k}={self.metadata[k]}" for k in ("package", "numpy", "variant", "cutoff")
-        )
-        sf = self.factors
-        lines = [f"# {meta1}", f"# {meta2}", "t,f,g,v", *_csv_rows(sf.t, sf.f, sf.g, sf.v)]
+        req, p = self.request, self.request.params
+        lines = [
+            f"# engine={req.engine}, kind={req.kind.value}, chi={p.chi_bar!r}, k={p.k!r}, "
+            f"alpha1={p.alpha1!r}, alpha2={p.alpha2!r}, d_convention={req.d_convention.value}",
+            f"# package=kerrdown {__version__}, numpy={np.__version__}, "
+            f"variant=arbitrated, cutoff={req.cfg.n_max}",
+            "t,f,g,v",
+            *_csv_rows(self.t, self.f, self.g, self.v),
+        ]
         return "\n".join(lines) + "\n"
 
 
-def _factors(req: SweepRequest, ts: np.ndarray) -> SqueezingFactors:
+def run_sweep(req: SweepRequest) -> SweepResult:
     p, kind, conv = req.params, req.kind, req.d_convention
+    with np.errstate(over="ignore"):  # the engines report an infinite time
+        ts = np.arange(req.steps) * req.t_max / (req.steps - 1)
     if req.engine == "oracle":
         (m,) = fock_oracle.moment_sets(p, ts, [(kind, conv)], req.cfg)
     else:
@@ -106,35 +112,15 @@ def _factors(req: SweepRequest, ts: np.ndarray) -> SqueezingFactors:
         f, g = squeezing_analytic.factors(p, ts, kind, conv)
     else:
         f, g = quad_core.factor_x(m), quad_core.factor_y(m)
-    return SqueezingFactors(f=f, g=g, v=quad_core.principal(m), t=ts)
-
-
-def run_sweep(req: SweepRequest) -> SweepResult:
-    with np.errstate(over="ignore"):  # the engines report an infinite time
-        ts = np.arange(req.steps) * req.t_max / (req.steps - 1)
-    sf = _factors(req, ts)
-    low = np.minimum(sf.f, sf.g)
-    violated = sf.v > low + 1e-10
+    v = quad_core.principal(m)
+    low = np.minimum(f, g)
+    violated = v > low + 1e-10
     if violated.any():
         i = int(np.argmax(violated))
         raise KerrdownError(
-            f"envelope violation at t={ts[i]}: v={sf.v[i]} > min(f,g)={low[i]}"
+            f"envelope violation at t={ts[i]}: v={v[i]} > min(f,g)={low[i]}"
         )
-    p = req.params
-    metadata = {
-        "engine": req.engine,
-        "kind": req.kind.value,
-        "chi": repr(p.chi_bar),
-        "k": repr(p.k),
-        "alpha1": repr(p.alpha1),
-        "alpha2": repr(p.alpha2),
-        "d_convention": req.d_convention.value,
-        "package": f"kerrdown {__version__}",
-        "numpy": np.__version__,
-        "variant": "arbitrated",
-        "cutoff": req.cfg.n_max,
-    }
-    return SweepResult(factors=sf, metadata=metadata)
+    return SweepResult(req, ts, f, g, v)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +150,7 @@ def _write_curve_sets(
     plot_terms = []
     for req, quantities, title in curve_sets:
         p = req.params
-        sf = run_sweep(req).factors
+        result = run_sweep(req)
         for q in quantities:
             name = (
                 f"fig{fig_id}_{q}_chi{p.chi_bar:g}_k{p.k:g}"
@@ -177,7 +163,7 @@ def _write_curve_sets(
                 f"d_convention={req.d_convention.value}",
                 "t,value",
             ]
-            lines += _csv_rows(sf.t, getattr(sf, q))
+            lines += _csv_rows(result.t, getattr(result, q))
             path = out_dir / name
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
@@ -218,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="evaluate factors on a uniform time grid")
-    sweep.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    sweep.add_argument("--kind", choices=sorted(k.value for k in SqueezeKind), required=True)
     sweep.add_argument("--engine", choices=_ENGINES, default="analytic")
     sweep.add_argument("--chi", type=float, required=True)
     sweep.add_argument("--k", type=float, required=True)
@@ -226,8 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alpha2", type=float, required=True)
     sweep.add_argument("--tmax", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
-    sweep.add_argument("--d-convention", choices=sorted(_CONVENTIONS), default="paper")
-    sweep.add_argument("--cutoff", type=int, default=24)
+    sweep.add_argument("--d-convention", choices=sorted(c.value for c in DConvention),
+                       default="paper")
+    sweep.add_argument("--cutoff", type=int, default=OracleConfig.n_max)
     sweep.add_argument("--out", type=Path, default=None)
 
     figure = sub.add_parser("figure", help="emit the standard figure datasets")
@@ -237,56 +224,48 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--steps", type=int, default=_FIGURE_STEPS)
 
     verify = sub.add_parser("verify", help="cross-engine verification grid")
-    verify.add_argument("--tol", type=float, default=1e-6)
-    verify.add_argument("--cutoff", type=int, default=24)
+    verify.add_argument("--cutoff", type=int, default=OracleConfig.n_max)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:  # every input is checked before any work starts
+        if args.command == "sweep":
+            req = SweepRequest(
+                kind=SqueezeKind(args.kind),
+                engine=args.engine,
+                params=SystemParams(args.chi, args.k, args.alpha1, args.alpha2),
+                t_max=args.tmax,
+                steps=args.steps,
+                d_convention=DConvention(args.d_convention),
+                cfg=OracleConfig(n_max=args.cutoff),
+            )
+        elif args.command == "figure":
+            curve_sets = _figure_sets(args.id, args.tmax, args.steps)
+        else:
+            cfg = OracleConfig(n_max=args.cutoff)
+    except (ValueError, TypeError) as exc:
+        print(f"kerrdown {args.command}: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "sweep":
-            try:
-                req = SweepRequest(
-                    kind=_KINDS[args.kind],
-                    engine=args.engine,
-                    params=SystemParams(args.chi, args.k, args.alpha1, args.alpha2),
-                    t_max=args.tmax,
-                    steps=args.steps,
-                    d_convention=_CONVENTIONS[args.d_convention],
-                    cfg=OracleConfig(n_max=args.cutoff),
-                )
-            except (ValueError, TypeError) as exc:
-                print(f"kerrdown sweep: {exc}", file=sys.stderr)
-                return 2
-            result = run_sweep(req)
+            csv = run_sweep(req).to_csv()
             if args.out is None:
-                sys.stdout.write(result.to_csv())
+                sys.stdout.write(csv)
             else:
-                args.out.write_text(result.to_csv())
+                args.out.write_text(csv)
             return 0
         if args.command == "figure":
-            try:
-                curve_sets = _figure_sets(args.id, args.tmax, args.steps)
-            except ValueError as exc:
-                print(f"kerrdown figure: {exc}", file=sys.stderr)
-                return 2
             for path in _write_curve_sets(args.id, curve_sets, args.out_dir):
                 print(path)
             return 0
-        if args.command == "verify":
-            try:
-                cfg = OracleConfig(n_max=args.cutoff)
-            except ValueError as exc:
-                print(f"kerrdown verify: {exc}", file=sys.stderr)
-                return 2
-            report = run_verification(cfg, args.tol)
-            print(report.render())
-            return 0 if report.passed else 1
+        report = run_verification(cfg)
+        print(report.render())
+        return 0 if report.passed else 1
     except KerrdownError as exc:
         print(f"kerrdown: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

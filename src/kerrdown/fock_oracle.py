@@ -77,7 +77,7 @@ _TAU_TAIL = 1e-10
 _TAU_TRUNC = 1e-12  # allowed norm deficit of the truncated coherent seed
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleConfig:
     """Fock cutoff n_max per mode of the numerical oracle (4 <= n_max <= 256)."""
 
@@ -246,7 +246,7 @@ def moment_sets(
     p: SystemParams,
     t,
     cells: Sequence[tuple[SqueezeKind, DConvention]],
-    cfg: OracleConfig | None = None,
+    cfg: OracleConfig = OracleConfig(),
 ) -> list[QuadratureMoments]:
     """Moment sets of each (kind, d_convention) cell, shaped like t (a float or a 1-D array).
 
@@ -256,7 +256,6 @@ def moment_sets(
     moments directly for mode 1; mode-2 moments carry the carrier phase
     e^{2i chi t} once per net power of the mode-2 amplitude.
     """
-    cfg = cfg if cfg is not None else OracleConfig()
     parts = [[] for _ in cells]  # per cell, (<B>, <B^2>, <B+ B>, d) of each block
     for tb, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
         ex = functools.cache(lambda powers: _contract(amp, powers) / norm_sq)
@@ -305,7 +304,7 @@ def moment_set_numeric(
     p: SystemParams,
     t: float,
     kind: SqueezeKind,
-    cfg: OracleConfig | None = None,
+    cfg: OracleConfig = OracleConfig(),
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ) -> QuadratureMoments:
     """Oracle moment set at one time, drop-in replacement for the `moments_engine` output."""
@@ -313,7 +312,7 @@ def moment_set_numeric(
 
 
 def motion_constants(
-    p: SystemParams, t, cfg: OracleConfig | None = None
+    p: SystemParams, t, cfg: OracleConfig = OracleConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """<N>, <N^2>, frame energy <H> and norm of the evolved seed along the 1-D time axis t.
 
@@ -323,7 +322,6 @@ def motion_constants(
         <N^2> = <a1+^2 a1^2> + <n1> - 2<n1 n2> + <a2+^2 a2^2> + <n2>,
         <H>   = chi (<N^2> - <N>) + 2k Im<a1 a2>.
     """
-    cfg = cfg if cfg is not None else OracleConfig()
     parts = []
     for _, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
         n1, n2, aa1, aa2, n1n2 = (  # aa: <a+^2 a^2> of one mode

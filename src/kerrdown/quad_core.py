@@ -103,16 +103,6 @@ class QuadratureMoments:
         raise ValueError(problem)
 
 
-@dataclass(frozen=True)
-class SqueezingFactors:
-    """The (F, G, V) columns over the interaction times t (scalars at one time)."""
-
-    f: float | np.ndarray
-    g: float | np.ndarray
-    v: float | np.ndarray
-    t: float | np.ndarray
-
-
 def _check_denominator(m: QuadratureMoments):
     d_abs = abs(m.mean_d)
     if np.any(d_abs <= EPS_DEN):

@@ -10,7 +10,8 @@ call the same functions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,16 +48,17 @@ class Check:
             return self.value <= self.bound
         return self.value >= self.bound
 
-    def render(self) -> str:
+    def render(self, width: int = 0) -> str:
+        """One report row, the name padded to width characters."""
         tag = "PASS" if self.passed else "FAIL"
         rel = "<=" if self.mode == "le" else ">="
-        return f"[{tag}] {self.name:<44s} {self.value:12.5e} {rel} {self.bound:.1e}"
+        return f"[{tag}] {self.name:<{width}s} {self.value:12.5e} {rel} {self.bound:.1e}"
 
 
 @dataclass
 class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+    checks: list[Check]
+    skipped: Sequence[str] = ()
 
     @property
     def passed(self) -> bool:
@@ -67,7 +69,8 @@ class VerificationReport:
             f"verification grid: chi in {GRID_CHIS}, k in {GRID_KS}, "
             f"alpha in {GRID_ALPHAS}, {GRID_STEPS} times in [0, {GRID_T_MAX}]"
         ]
-        lines += [c.render() for c in self.checks]
+        width = max((len(c.name) for c in self.checks), default=0)
+        lines += [c.render(width) for c in self.checks]
         if self.skipped:
             lines.append("skipped cells:")
             lines += [f"  {s}" for s in self.skipped]
@@ -122,13 +125,10 @@ def _deviations(p, ts, kind, conv, mm, mo) -> dict:
     return {name: float(np.max(d)) for name, d in dev.items()}
 
 
-def run_verification(
-    cfg: OracleConfig | None = None, tol: float = TOL_ORACLE
-) -> VerificationReport:
+def run_verification(cfg: OracleConfig = OracleConfig()) -> VerificationReport:
     """Run the full cross-engine grid, the variant arbitration, and conservation."""
-    cfg = cfg if cfg is not None else OracleConfig()
     ts = grid_times()
-    report = VerificationReport()
+    skipped = []
     worst = defaultdict(float)  # largest deviation of each check over the grid
 
     params = grid_params() + [SystemParams(0.5, 0.1, 0.0, 0.0)]  # degenerate probe
@@ -141,7 +141,7 @@ def run_verification(
             d_abs = np.minimum(abs(mm.mean_d), abs(mo.mean_d))
             keep = d_abs > quad_core.EPS_DEN
             if not keep.all():
-                report.skipped.append(
+                skipped.append(
                     f"kind={kind.value} d={conv.value} chi={p.chi_bar} k={p.k} "
                     f"alpha=({p.alpha1},{p.alpha2}): DegenerateDenominator: "
                     f"|<D>| = {d_abs[~keep][0]} <= {quad_core.EPS_DEN}; squeezing factor undefined"
@@ -153,25 +153,25 @@ def run_verification(
             for name, value in _deviations(p, ts[keep], kind, conv, mm, mo).items():
                 worst[name] = max(worst[name], value)
 
-    report.checks += [
+    checks = [
         Check("analytic vs moments route", worst["analytic-moments"], TOL_ANALYTIC_MOMENTS),
-        Check("analytic vs oracle", worst["analytic-oracle"], tol),
-        Check("moments route vs oracle", worst["moments-oracle"], tol),
+        Check("analytic vs oracle", worst["analytic-oracle"], TOL_ORACLE),
+        Check("moments route vs oracle", worst["moments-oracle"], TOL_ORACLE),
         Check("principal envelope v - min(f,g)", worst["envelope"], 1e-10),
-        Check("single-mode arbitrated variant vs oracle", worst[Variant.ARBITRATED], tol),
+        Check("single-mode arbitrated variant vs oracle", worst[Variant.ARBITRATED], TOL_ORACLE),
     ]
     # the rejected variants must stay measurably off the oracle
-    report.checks += [
+    checks += [
         Check(f"single-mode {v.value} variant vs oracle", worst[v], ARBITRATION_FLOOR, mode="ge")
         for v in Variant
         if v is not Variant.ARBITRATED
     ]
 
-    report.checks.extend(conservation_checks(cfg))
-    return report
+    checks += conservation_checks(cfg)
+    return VerificationReport(checks, skipped)
 
 
-def conservation_checks(cfg: OracleConfig | None = None) -> list[Check]:
+def conservation_checks(cfg: OracleConfig = OracleConfig()) -> list[Check]:
     """Drift of the motion constants along the (chi, k) = (0.5, 0.1) evolution.
 
     n1 - n2 commutes with the generator, so <n1 - n2> and its square are flat;

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrdown import cli
+import kerrdown
+from kerrdown import cli, verify
 from kerrdown.cli import main
+from kerrdown.fock_oracle import OracleConfig
 
 
 def _parse_csv(text):
@@ -51,11 +54,17 @@ class TestSweep:
         assert near_pi[1] == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-10)
 
     def test_metadata_header(self, capsys):
-        _, out, _ = _run(capsys, SWEEP_ARGS)
-        head = out.splitlines()[0]
-        for piece in ("engine=analytic", "kind=single1", "chi=0.5", "k=0",
-                      "alpha1=0.4", "alpha2=0", "d_convention=paper"):
-            assert piece in head
+        # both header lines, exactly; the sweep without --cutoff states the default
+        base = SWEEP_ARGS[:-1]  # strip engine value
+        for engine, extra, cutoff in (("analytic", [], 24), ("oracle", ["--cutoff", "16"], 16)):
+            _, out, _ = _run(capsys, base + [engine] + extra)
+            assert out.splitlines()[:3] == [
+                f"# engine={engine}, kind=single1, chi=0.5, k=0.0, alpha1=0.4, "
+                "alpha2=0.0, d_convention=paper",
+                f"# package=kerrdown {kerrdown.__version__}, numpy={np.__version__}, "
+                f"variant=arbitrated, cutoff={cutoff}",
+                "t,f,g,v",
+            ]
 
     def test_deterministic_output(self, capsys, tmp_path):
         _, first, _ = _run(capsys, SWEEP_ARGS)
@@ -120,13 +129,18 @@ class TestExitCodes:
             main(["sweep", "--kind", "single1"])
         assert exc.value.code == 2
 
-    def test_bad_steps_is_usage_error(self, capsys):
-        code, _, err = _run(capsys, [
-            "sweep", "--kind", "single1", "--chi", "0.5", "--k", "0",
-            "--alpha1", "0.4", "--alpha2", "0", "--tmax", "1", "--steps", "1",
-        ])
-        assert code == 2
-        assert "steps" in err
+    def test_bad_steps_is_usage_error(self, capsys, tmp_path):
+        # refused before the time axis is allocated or anything is written
+        out_file = tmp_path / "sweep.csv"
+        for steps in (1, cli.MAX_STEPS + 1):
+            code, out, err = _run(capsys, [
+                "sweep", "--kind", "single1", "--chi", "0.5", "--k", "0",
+                "--alpha1", "0.4", "--alpha2", "0", "--tmax", "1", "--steps", str(steps),
+                "--out", str(out_file),
+            ])
+            assert code == 2
+            assert err.startswith("kerrdown sweep: steps must be in [2, 1000000]")
+            assert out == "" and not out_file.exists()
 
     def test_cutoff_overflow_is_physics_error(self, capsys):
         code, _, err = _run(capsys, [
@@ -179,7 +193,8 @@ _ANY_FLOAT = st.one_of(
     engine=st.sampled_from(["analytic", "moments", "oracle"]),
     conv=st.sampled_from(["paper", "commutator"]),
     values=st.tuples(*[_ANY_FLOAT] * 5),
-    steps=st.integers(2, 5),
+    # only 2-5 reach allocation; the others are refused before it
+    steps=st.one_of(st.integers(2, 5), st.integers(10**6 + 1, 10**12)),
     # only 4-8 reach allocation; the others are refused before it
     cutoff=st.one_of(st.integers(4, 8), st.integers(-5, 3), st.integers(257, 10**9)),
 )
@@ -230,6 +245,7 @@ def test_overflow_is_typed_physics_error(capsys, engine, overrides):
     ["--tmax", "inf"],
     ["--tmax=-1"],
     ["--steps", "1"],
+    ["--steps", "1000001"],
 ])
 def test_bad_figure_input_is_usage_error(capsys, tmp_path, argv):
     out_dir = tmp_path / "figs"
@@ -251,7 +267,7 @@ def test_zero_figure_tmax_means_the_default_range(capsys, tmp_path):
 @given(
     fig=st.sampled_from(["1", "2a", "2b", "3"]),
     tmax=st.one_of(st.none(), _ANY_FLOAT),
-    steps=st.integers(-1, 4),
+    steps=st.one_of(st.integers(-1, 4), st.integers(10**6 + 1, 10**12)),
 )
 def test_figure_argv_ends_in_result_or_typed_error(fig, tmax, steps):
     with tempfile.TemporaryDirectory() as out_dir:
@@ -338,3 +354,20 @@ def test_verify_command_passes(capsys):
     assert code == 0
     assert "overall: PASS" in out
     assert "sin-theta" in out
+    # the value column starts at the same place on every check row, whatever
+    # the length of the check's name; a lone check renders unpadded
+    rows = [line for line in out.splitlines() if line.startswith("[")]
+    assert len(rows) == 12
+    assert len({re.search(r" [<>]= ", row).start() for row in rows}) == 1
+    assert verify.Check("x", 0.5, 1.0).render() == "[PASS] x  5.00000e-01 <= 1.0e+00"
+
+
+def test_default_cutoff_is_the_oracle_default(capsys, monkeypatch):
+    seen = []
+    run_sweep = cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", lambda req: seen.append(req.cfg) or run_sweep(req))
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda cfg: seen.append(cfg) or verify.VerificationReport([]))
+    assert _run(capsys, SWEEP_ARGS)[0] == 0
+    assert _run(capsys, ["verify"])[0] == 0
+    assert [cfg.n_max for cfg in seen] == [OracleConfig.n_max] * 2

@@ -1,5 +1,6 @@
 """Tests of the truncated Fock-space oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -347,6 +348,11 @@ class TestConfig:
         for n_max in (257, 100_000):
             with pytest.raises(ValueError):
                 OracleConfig(n_max=n_max)
+
+    def test_shared_default_is_frozen(self):
+        # one default instance is shared by every signature that takes a config
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            OracleConfig().n_max = 8
 
 
 def test_uncertainty_product_on_oracle_sets():
