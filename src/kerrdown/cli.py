@@ -9,7 +9,8 @@ figure  -- emit the curve datasets of the four standard figures as one CSV per
 verify  -- run the full cross-engine grid, variant arbitration and
            conservation checks; exit 0 only if everything passes
 
-Exit codes: 0 success, 1 verification/physics failure, 2 usage error.
+Exit codes: 0 success, 1 verification/physics failure or unwritable output,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
         report = run_verification(cfg)
         print(report.render())
         return 0 if report.passed else 1
-    except KerrdownError as exc:
+    except (KerrdownError, OSError) as exc:  # OSError: the output could not be written
         print(f"kerrdown: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

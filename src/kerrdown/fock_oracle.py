@@ -29,14 +29,18 @@ N commutes with H, so H splits into 2 n_max + 1 sectors, one per N, each the
 chain |m + N+, m + N-> (m = 0 .. n_max - |N|, N+ = max(N, 0), N- = max(-N, 0)).
 Within a sector the Kerr term is the scalar chi N(N - 1) and the pair term is
 tridiagonal with -i k sqrt((n1 + 1)(n2 + 1)) above the diagonal; the gauge
-diag(i^m) turns it into the real symmetric chain k sqrt((n1 + 1)(n2 + 1)),
-which does not depend on chi.  All sectors, zero-padded to n_max + 1, are
-diagonalized in one stacked `eigh` per (n_max, k), and chi enters only as the
-phase exp(-i chi N(N - 1) t).  Padded slots are never scattered back onto the
-grid.  Times are propagated in blocks of `_BLOCK`: one batched product per
-block, checked and read out as a whole.  Every read-out, the squeezing moment
-sets and the motion constants of the conservation checks alike, contracts
-those blocks through `_contract`.
+diag(i^m) turns it into the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)),
+which depends on neither chi nor the sign of N.  The n_max + 1 chains
+nu = |N|, zero-padded to n_max + 1, are diagonalized in one stacked `eigh`
+per (n_max, k); the sectors +nu and -nu read the same eigenvectors.  Times
+are propagated in blocks of `_BLOCK`.  A block's coefficients, laid out
+(nu, j, sign, t), take the pair phase exp(-i lambda t) of chain nu, computed
+once for both signs, and the Kerr carrier exp(-i chi N(N - 1) t) of each
+sector in place; one batched product with the eigenvectors then gives every
+amplitude of the block, and padded slots are never scattered back onto the
+grid.  Each block is checked and read out as a whole.  Every read-out, the
+squeezing moment sets and the motion constants of the conservation checks
+alike, contracts those blocks through `_contract`.
 """
 
 from __future__ import annotations
@@ -62,13 +66,14 @@ __all__ = [
 
 # Spectra kept warm.  Callers walk one (n_max, k) at a time, or alternate two
 # cutoffs of one parameter set (the cutoff-doubling check); an entry at cutoff
-# 32 holds 65 complex 33^2 sector eigenvector matrices (1.1 MB).
+# 32 holds 33 complex 33^2 chain eigenvector matrices (33^3 x 16 B = 0.57 MB).
 _SPECTRA = 2
 # Times propagated and read out together; bounds the memory of one call at
 # about _BLOCK amplitude tensors whatever the length of the time axis.
 _BLOCK = 64
-# Largest cutoff: the stacked spectrum of 2 n_max + 1 complex (n_max + 1)^2
-# eigenvector matrices stays near 1 GB at 256.
+# Largest cutoff: the stacked spectrum of n_max + 1 complex (n_max + 1)^2
+# eigenvector matrices is 257^3 x 16 B = 272 MB at 256, built from real
+# chain and eigenvector stacks of 136 MB each.
 _N_MAX_LIMIT = 256
 _TAU_NORM = 1e-10  # allowed drift of the state norm under evolution
 # Allowed population of the top two number shells (relative to the norm);
@@ -116,29 +121,49 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
 
 
 @functools.cache
-def _sector_slots(n_max: int) -> np.ndarray:
-    """Flat sector slot (N + n_max) * (n_max + 1) + min(n1, n2) of each grid point, row-major."""
+def _slots(n_max: int) -> np.ndarray:
+    """Flat slot (|N| (n_max + 1) + min(n1, n2)) * 2 + (N < 0) of each grid point, row-major.
+
+    The slots index the (nu, m, sign) layout of the chain stack: chain nu =
+    |N|, chain state m, and sign 0 for the sector +nu, 1 for -nu.  The N = 0
+    sector sits at sign 0; its sign-1 column stays empty.
+    """
     n1, n2 = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
-    return (n1 - n2 + n_max) * (n_max + 1) + np.minimum(n1, n2)
+    return (np.abs(n1 - n2) * (n_max + 1) + np.minimum(n1, n2)) * 2 + (n1 < n2)
 
 
 @functools.lru_cache(maxsize=_SPECTRA)
 def _spectrum(n_max: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair-term eigenvalues (sector, j) and gauged eigenvectors (sector, m, j) of every N sector."""
+    """Pair-term eigenvalues (nu, j) and gauged eigenvectors (nu, m, j) of the chains nu = 0 .. n_max.
+
+    Chain nu serves both sectors N = +nu and N = -nu.
+    """
     dim = n_max + 1
-    nu = np.abs(np.arange(-n_max, n_max + 1))[:, None]
+    nu = np.arange(dim)[:, None]
     m = np.arange(n_max)
     with np.errstate(over="ignore"):  # an overflowing entry is reported below
         off = k * np.sqrt((m + 1.0) * (m + 1.0 + nu))
-    off[m >= n_max - nu] = 0.0  # beyond the sector's last state: padding
+    off[m >= n_max - nu] = 0.0  # beyond the chain's last state: padding
     if not np.isfinite(off).all():
         raise NumericOverflow(f"generator entries overflow at k={k}, n_max={n_max}")
-    chain = np.zeros((2 * n_max + 1, dim, dim))
+    chain = np.zeros((dim, dim, dim))
     chain[:, m, m + 1] = off
     chain[:, m + 1, m] = off
     evals, evecs = np.linalg.eigh(chain)
     gauge = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]  # i^m, exact
     return evals, gauge[:, None] * evecs
+
+
+def _phases(energy: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write exp(-i energy t) into out, with t along its last axis; returns out.
+
+    Built from cos and sin of the real phase, about twice as fast as a
+    complex exp of the same arguments.
+    """
+    arg = np.multiply.outer(energy, -t)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
 
 def _propagate(
@@ -155,28 +180,34 @@ def _propagate(
     if bad.any():
         raise ValueError(f"t must be >= 0, got {ts[bad][0]}")
     n_max = cfg.n_max
+    dim = n_max + 1
     seed = coherent_state(p.alpha1, p.alpha2, n_max)
     norm0 = math.sqrt(np.sum(np.abs(seed) ** 2))
     evals, evecs = _spectrum(n_max, p.k)
-    nu = np.arange(-n_max, n_max + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        energy = evals + (p.chi_bar * nu * (nu - 1.0))[:, None]
-    if not np.isfinite(energy).all():
-        raise NumericOverflow(
-            f"generator entries overflow at chi={p.chi_bar}, k={p.k}, n_max={n_max}"
-        )
-    reach, t_end = float(np.abs(energy).max()), float(ts.max(initial=0.0))
-    if not reach * t_end < math.inf:
-        raise NumericOverflow(f"phase lambda t overflows at t={t_end} (|lambda| <= {reach:.3e})")
-    slots = _sector_slots(n_max)
-    seed_s = np.zeros(evals.size, dtype=complex)
-    seed_s[slots] = seed.reshape(-1)
-    # evecs^H psi0 per sector, without a conjugated copy of evecs
-    c = np.einsum("smj,sm->sj", evecs, seed_s.reshape(evals.shape).conj()).conj()
+    n = np.arange(dim, dtype=float)[:, None] * np.array([1.0, -1.0])  # N of (nu, sign)
+    with np.errstate(over="ignore"):  # reported below
+        kerr = p.chi_bar * n * (n - 1.0)
+    t_end = float(ts.max(initial=0.0))
+    for what, energy in (("pair phase lambda t", evals), ("Kerr phase chi N(N-1) t", kerr)):
+        reach = float(np.abs(energy).max())
+        if not reach * t_end < math.inf:
+            raise NumericOverflow(f"{what} overflows at t={t_end} (|energy| <= {reach:.3e})")
+    slots = _slots(n_max)
+    seed_x = np.zeros(2 * dim * dim, dtype=complex)
+    seed_x[slots] = seed.reshape(-1)
+    c = evecs.conj().transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)  # evecs^H psi0, (nu, j, sign)
     for lo in range(0, max(ts.size, 1), _BLOCK):
         tb = ts[lo : lo + _BLOCK]
-        out = evecs @ (np.exp(-1j * (energy[..., None] * tb)) * c[..., None])
-        amp = out.reshape(evals.size, tb.size)[slots].T.reshape(tb.size, n_max + 1, n_max + 1)
+        # the coefficient block (nu, j, sign, t): the pair phase of chain nu,
+        # shared by both signs, then the seed and the Kerr carrier, in place
+        x = np.empty((dim, dim, 2, tb.size), dtype=complex)
+        _phases(evals, tb, x[:, :, 0])
+        x[:, :, 1] = x[:, :, 0]
+        x *= c[..., None]
+        x *= _phases(kerr, tb, np.empty((dim, 2, tb.size), dtype=complex))[:, None]
+        x = evecs @ x.reshape(dim, dim, 2 * tb.size)  # (nu, m, sign, t)
+        amp = x.reshape(2 * dim * dim, tb.size).T[:, slots].reshape(tb.size, dim, dim)
+        del x  # only amp is held while the block is checked and read out
         w = np.abs(amp) ** 2
         norm_sq = w.sum(axis=(1, 2))
         drift = np.abs(np.sqrt(norm_sq) - norm0)
@@ -191,7 +222,9 @@ def _propagate(
                 f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
                 f"raise n_max for this time span"
             )
+        del w
         yield tb, amp, norm_sq
+        del amp  # released before the next block is built
 
 
 @functools.cache
@@ -232,7 +265,7 @@ def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
         lo1 - pw_q + pw_p : hi1 - pw_q + pw_p + 1,
         lo2 - pw_s + pw_r : hi2 - pw_s + pw_r + 1,
     ]
-    return np.einsum("...ij,...ij,i,j->...", bra.conj(), ket, w1, w2)
+    return (bra.conj() * ket) @ w2 @ w1
 
 
 def _real(z: np.ndarray, what: str) -> np.ndarray:
@@ -294,6 +327,7 @@ def moment_sets(
             else:
                 raise ValueError(f"unknown kind {kind!r}")
             part.append((mean_b, mean_b_sq, mean_n, d))
+        del amp  # released before the next block is built
     return [
         QuadratureMoments(*(np.concatenate(column).reshape(np.shape(t)) for column in zip(*part)))
         for part in parts
@@ -331,4 +365,5 @@ def motion_constants(
         n, n_sq = n1 - n2, aa1 + n1 - 2.0 * n1n2 + aa2 + n2
         pair = _contract(amp, (0, 1, 0, 1)).imag / norm_sq
         parts.append((n, n_sq, p.chi_bar * (n_sq - n) + 2.0 * p.k * pair, np.sqrt(norm_sq)))
+        del amp  # released before the next block is built
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -159,6 +159,21 @@ class TestExitCodes:
         assert code == 1
         assert "DegenerateDenominator" in err
 
+    def test_sweep_to_a_missing_directory_fails_cleanly(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "sweep.csv"
+        code, out, err = _run(capsys, SWEEP_ARGS + ["--out", str(out_file)])
+        assert code == 1
+        assert err.startswith("kerrdown: FileNotFoundError: ") and err.count("\n") == 1
+        assert out == "" and not out_file.exists()
+
+    def test_figure_into_a_file_fails_cleanly(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "taken"
+        not_a_dir.write_text("keep")
+        code, out, err = _run(capsys, ["figure", "1", "--out-dir", str(not_a_dir)])
+        assert code == 1
+        assert err.startswith("kerrdown: FileExistsError: ") and err.count("\n") == 1
+        assert out == "" and not_a_dir.read_text() == "keep"
+
     def test_unknown_figure_id(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "7"])

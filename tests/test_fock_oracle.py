@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,25 @@ class TestEvolve:
         with pytest.raises(error):
             moment_sets(p, np.array([0.5, bad_t]), KIND_CELLS, OracleConfig(n_max=8))
 
+    @pytest.mark.parametrize("chi, k", [(1e100, 0.0), (0.0, 1e100)])
+    def test_each_phase_factor_checked_before_any_state(self, chi, k):
+        # a Kerr-only (k = 0) and a pair-only (chi = 0) phase overflow at a
+        # time in the second block, each raised before the first block
+        p = SystemParams(chi, k, 0.4, 0.2)
+        ts = [*np.linspace(0.5, 1.0, fock_oracle._BLOCK), 1e300]
+        blocks = fock_oracle._propagate(p, ts, OracleConfig(n_max=8))
+        with pytest.raises(NumericOverflow, match="Kerr" if k == 0.0 else "pair"):
+            next(blocks)
+
+    def test_mirrored_seed_evolves_to_the_transpose(self):
+        # at chi = 0 the generator is symmetric under the mode swap, which
+        # maps the sector N onto -N; both read the one chain |N|
+        cfg = OracleConfig(n_max=16)
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 5)
+        amp = _evolve(SystemParams(0.0, 0.1, 0.4, 0.2), ts, cfg)
+        mirrored = _evolve(SystemParams(0.0, 0.1, 0.2, 0.4), ts, cfg)
+        assert np.max(np.abs(mirrored - amp.transpose(0, 2, 1))) <= 1e-14
+
     @pytest.mark.parametrize("n_max", [8, 12])
     @pytest.mark.parametrize("chi, k", [(0.0, 0.1), (0.5, 0.0), (0.25, 0.05), (0.5, 0.1)])
     def test_sector_evolution_matches_dense_propagator(self, monkeypatch, n_max, chi, k):
@@ -294,6 +314,22 @@ class TestStream:
             for name in ("mean_b", "mean_b_sq", "mean_bdag_b", "mean_d"):
                 assert getattr(m, name).shape == getattr(ref, name).shape == (0,)
 
+    def test_memory_does_not_grow_with_the_time_axis(self):
+        # blocks are propagated and read out one at a time: ten blocks of
+        # times peak at about the memory of one
+        p = SystemParams(0.5, 0.1, 0.4, 0.3)
+        axes = [np.linspace(0.0, 3.0, n * fock_oracle._BLOCK) for n in (1, 10)]
+        moment_sets(p, axes[0], KIND_CELLS)  # the spectrum and weights are cached
+        peaks = []
+        for ts in axes:
+            tracemalloc.start()
+            try:
+                moment_sets(p, ts, KIND_CELLS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_verification_diagonalizes_each_generator_once(self, monkeypatch):
         shapes = []
         eigh = np.linalg.eigh
@@ -306,10 +342,10 @@ class TestStream:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         run_verification()
         # one stacked call per (n_max, k) of the grid; the probe and the
-        # conservation run reuse the last; every block is one N sector
+        # conservation run reuse the last; every block is one chain |N|,
+        # shared by the sectors +N and -N
         dim = OracleConfig().n_max + 1
-        assert len(shapes) == len(GRID_KS)
-        assert all(shape[-2:] == (dim, dim) for shape in shapes)
+        assert shapes == [(dim, dim, dim)] * len(GRID_KS)
 
 
 class TestConservation:
