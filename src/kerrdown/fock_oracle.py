@@ -17,7 +17,8 @@ i.e. the self-phase couplings locked to the cross coupling with the resulting
 single-mode frequency shifts absorbed into the frame (see `moments_engine` for
 the dressing).  In this frame the Schrodinger expectations of a1 are exactly
 the dressed-mode moments <A1(t)...>; mode-2 moments additionally carry the
-2*chi carrier, applied per power when `moment_sets` reads them out.
+2*chi carrier once per net power of a2.  `moment_sets` applies it itself and
+never uses `SystemParams.mirrored`, so it checks the closed forms' mirror.
 
 The seed state is kept truncated-unnormalized: its norm deficit is the
 truncation diagnostic, and every moment divides by the norm squared so the
@@ -275,6 +276,16 @@ def _real(z: np.ndarray, what: str) -> np.ndarray:
     return z.real
 
 
+# B of each kind as a sum of monomials a1^q a2^s, given as (q, s); <B>, <B^2>
+# and <B+ B> are then sums of normally ordered moments over terms and pairs
+_TERMS = {
+    SqueezeKind.SINGLE1: ((1, 0),),
+    SqueezeKind.SINGLE2: ((0, 1),),
+    SqueezeKind.TWO_MODE: ((1, 0), (0, 1)),
+    SqueezeKind.SUM: ((1, 1),),
+}
+
+
 def moment_sets(
     p: SystemParams,
     t,
@@ -291,43 +302,26 @@ def moment_sets(
     """
     parts = [[] for _ in cells]  # per cell, (<B>, <B^2>, <B+ B>, d) of each block
     for tb, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
-        ex = functools.cache(lambda powers: _contract(amp, powers) / norm_sq)
         ph = np.exp(2j * p.chi_bar * tb)
-        one = np.ones(tb.size)
+
+        @functools.cache
+        def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s>, carrier ph^(s - r)
+            if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
+                return ex(pw_q, pw_p, pw_s, pw_r).conj()
+            return ph ** (pw_s - pw_r) * (_contract(amp, (pw_p, pw_q, pw_r, pw_s)) / norm_sq)
+
         for part, (kind, d_convention) in zip(parts, cells):
-            if kind is SqueezeKind.SINGLE1:
-                mean_b = ex((0, 1, 0, 0))
-                mean_b_sq = ex((0, 2, 0, 0))
-                mean_n = _real(ex((1, 1, 0, 0)), "<n1>")
-                d = one
-            elif kind is SqueezeKind.SINGLE2:
-                mean_b = ph * ex((0, 0, 0, 1))
-                mean_b_sq = ph * ph * ex((0, 0, 0, 2))
-                mean_n = _real(ex((0, 0, 1, 1)), "<n2>")
-                d = one
-            elif kind is SqueezeKind.TWO_MODE:
-                mean_b = ex((0, 1, 0, 0)) + ph * ex((0, 0, 0, 1))
-                mean_b_sq = (
-                    ex((0, 2, 0, 0))
-                    + ph * ph * ex((0, 0, 0, 2))
-                    + 2.0 * ph * ex((0, 1, 0, 1))
-                )
-                mean_n = (
-                    _real(ex((1, 1, 0, 0)), "<n1>")
-                    + _real(ex((0, 0, 1, 1)), "<n2>")
-                    + 2.0 * (ph * ex((1, 0, 0, 1))).real
-                )
-                d = 2.0 * one
-            elif kind is SqueezeKind.SUM:
-                mean_b = ph * ex((0, 1, 0, 1))
-                mean_b_sq = ph * ph * ex((0, 2, 0, 2))
-                mean_n = _real(ex((1, 1, 1, 1)), "<n1 n2>")
-                n_total = _real(ex((1, 1, 0, 0)), "<n1>") + _real(ex((0, 0, 1, 1)), "<n2>")
+            terms = _TERMS[kind]
+            pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
+            mean_b = sum(ex(0, q, 0, s) for q, s in terms)
+            mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
+            mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
+            d = np.full(tb.size, float(len(terms)))  # <[B, B+]> of a1, a2 and a1 + a2
+            if kind is SqueezeKind.SUM:
+                n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
                 d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
             part.append((mean_b, mean_b_sq, mean_n, d))
-        del amp  # released before the next block is built
+        del amp, ex  # released before the next block is built
     return [
         QuadratureMoments(*(np.concatenate(column).reshape(np.shape(t)) for column in zip(*part)))
         for part in parts

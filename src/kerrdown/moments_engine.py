@@ -42,7 +42,7 @@ mode 1 (B = A1, d = 1):
     <B>    = (alpha1 C + alpha2 S e) K(-1)
     <B^2>  = e^{-i phi} K(-2) (C^2 a1^2 + S^2 a2^2 e^4 + 2CS a1 a2 e^2)
     <B+ B> = C^2 a1^2 + S^2 (a2^2 + 1) + 2CS a1 a2
-mode 2: swap alpha1 <-> alpha2 (which also conjugates K and flips eps2).
+mode 2: mode 1 of `SystemParams.mirrored` (K conjugates and eps2 flips).
 two-mode (B = A1 + A2, d = 2): single-mode pieces plus the cross moments
     <A1 A2>  = e (beta1 beta2 + CS)                      [no Kerr dephasing]
     <A1+ A2> = K(2) (a1 a2 (C^2+S^2) + CS a1^2 e^2 + CS a2^2 e^-2)
@@ -131,9 +131,9 @@ class SystemParams:
             raise ValueError("alpha1^2 + alpha2^2 must stay within the float range")
 
     @property
-    def chi_self(self) -> float:
-        """Self-phase coupling locked by the solvability constraint (= -chi_bar/2)."""
-        return -0.5 * self.chi_bar
+    def mirrored(self) -> SystemParams:
+        """The params with alpha1 and alpha2 swapped: mode 2 is mode 1 of these."""
+        return SystemParams(self.chi_bar, self.k, self.alpha2, self.alpha1)
 
 
 class SqueezeKind(enum.Enum):
@@ -223,20 +223,16 @@ def kerr_kernel(p: SystemParams, m: int, t):
     return kernel(p.alpha1, m * phi) * kernel(p.alpha2, -m * phi)
 
 
-def mode_moments(p: SystemParams, t, which: int) -> QuadratureMoments:
-    """Moments of a single dressed mode amplitude, B = A1(t) or A2(t); d = 1."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    a1, a2 = (p.alpha1, p.alpha2) if which == 1 else (p.alpha2, p.alpha1)
-    # mode 2 is the exact amplitude swap, which conjugates the kernel
-    sign = -1 if which == 1 else 1
+def mode_moments(p: SystemParams, t) -> QuadratureMoments:
+    """Moments of the dressed mode amplitude B = A1(t); d = 1 (mode 2: of `p.mirrored`)."""
+    a1, a2 = p.alpha1, p.alpha2
     c, s = _hyperbolic(p, t)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(2j * p.chi_bar * t)
-        mean_b = (a1 * c + a2 * s * e) * kerr_kernel(p, sign, t)
+        mean_b = (a1 * c + a2 * s * e) * kerr_kernel(p, -1, t)
         mean_b_sq = (
             (1.0 / e)
-            * kerr_kernel(p, 2 * sign, t)
+            * kerr_kernel(p, -2, t)
             * (c * c * a1 * a1 + s * s * a2 * a2 * e**4 + 2.0 * c * s * a1 * a2 * e**2)
         )
         mean_n = c * c * a1 * a1 + s * s * (a2 * a2 + 1.0) + 2.0 * c * s * a1 * a2
@@ -247,8 +243,8 @@ def mode_moments(p: SystemParams, t, which: int) -> QuadratureMoments:
 
 def pair_moments(p: SystemParams, t) -> QuadratureMoments:
     """Moments of the mode sum B = A1(t) + A2(t); d = 2."""
-    m1 = mode_moments(p, t, 1)
-    m2 = mode_moments(p, t, 2)
+    m1 = mode_moments(p, t)
+    m2 = mode_moments(p.mirrored, t)
     c, s = _hyperbolic(p, t)
     a1, a2 = p.alpha1, p.alpha2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -304,10 +300,8 @@ def moments_for(
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ) -> QuadratureMoments:
     """Dispatch to the moment set of the requested squeezing kind at the time(s) t."""
-    if kind is SqueezeKind.SINGLE1:
-        return mode_moments(p, t, 1)
-    if kind is SqueezeKind.SINGLE2:
-        return mode_moments(p, t, 2)
+    if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
+        return mode_moments(p if kind is SqueezeKind.SINGLE1 else p.mirrored, t)
     if kind is SqueezeKind.TWO_MODE:
         return pair_moments(p, t)
     if kind is SqueezeKind.SUM:

@@ -74,18 +74,11 @@ def _finite(f, g):
     return f, g
 
 
-def single_mode_fg(
-    p: SystemParams, t, which: int = 1, variant: Variant | str = Variant.ARBITRATED
-):
-    """Single-mode squeezing factors (F, G) for mode 1 or 2; d = 1.
-
-    Mode 2 is the exact alpha1 <-> alpha2 swap of mode 1 (eps2 flips with it).
-    """
+def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRATED):
+    """Single-mode factors (F, G) of mode 1, d = 1; mode 2: of `p.mirrored` (eps2 flips)."""
     variant = Variant(variant)
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    a1, a2 = (p.alpha1, p.alpha2) if which == 1 else (p.alpha2, p.alpha1)
-    aux = aux_quantities(SystemParams(p.chi_bar, p.k, a1, a2), t)
+    a1, a2 = p.alpha1, p.alpha2
+    aux = aux_quantities(p, t)
     c, s = aux.c, aux.s
     with np.errstate(over="ignore", invalid="ignore"):
         x = p.chi_bar * t
@@ -150,8 +143,8 @@ def two_mode_fg(p: SystemParams, t):
     term ~ cos(2 chi t), the exp(eps1 sin^2 2 chi t) exchange block, and the
     exp(2 eps1 sin^2 chi t) mean-field product block.
     """
-    f1, g1 = single_mode_fg(p, t, 1)
-    f2, g2 = single_mode_fg(p, t, 2)
+    f1, g1 = single_mode_fg(p, t)
+    f2, g2 = single_mode_fg(p.mirrored, t)
     aux = aux_quantities(p, t)
     c, s = aux.c, aux.s
     a1, a2 = p.alpha1, p.alpha2
@@ -216,10 +209,8 @@ def factors(
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ):
     """(F, G) of the requested kind along this module's closed-form route."""
-    if kind is SqueezeKind.SINGLE1:
-        return single_mode_fg(p, t, 1)
-    if kind is SqueezeKind.SINGLE2:
-        return single_mode_fg(p, t, 2)
+    if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
+        return single_mode_fg(p if kind is SqueezeKind.SINGLE1 else p.mirrored, t)
     if kind is SqueezeKind.TWO_MODE:
         return two_mode_fg(p, t)
     if kind is SqueezeKind.SUM:

@@ -100,7 +100,6 @@ KIND_CELLS = (
     (SqueezeKind.SUM, DConvention.NUMBER_SUM),
     (SqueezeKind.SUM, DConvention.COMMUTATOR),
 )
-_SINGLE_MODE = {SqueezeKind.SINGLE1: 1, SqueezeKind.SINGLE2: 2}
 
 
 def _deviations(p, ts, kind, conv, mm, mo) -> dict:
@@ -118,9 +117,10 @@ def _deviations(p, ts, kind, conv, mm, mo) -> dict:
         # v - min(f, g), should stay <= 0 up to roundoff
         "envelope": np.maximum(vm - np.minimum(fm, gm), vo - np.minimum(fo, go)),
     }
-    if kind in _SINGLE_MODE:
+    if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
+        mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored
         for variant in Variant:
-            fv, gv = squeezing_analytic.single_mode_fg(p, ts, _SINGLE_MODE[kind], variant)
+            fv, gv = squeezing_analytic.single_mode_fg(mode1, ts, variant)
             dev[variant] = np.maximum(abs(fv - fo), abs(gv - go))
     return {name: float(np.max(d)) for name, d in dev.items()}
 

@@ -1,6 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from kerrdown import verify
 
 # numerical property tests: examples are cheap but the first oracle call per
 # (cutoff, k) pays for a stacked sector diagonalization
@@ -15,4 +16,4 @@ settings.load_profile("kerrdown")
 
 @pytest.fixture(scope="session")
 def grid_times():
-    return np.linspace(0.0, 3.0, 50)
+    return verify.grid_times()

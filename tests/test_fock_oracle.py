@@ -281,6 +281,19 @@ class TestMomentSets:
                 b = moment_set_numeric(p, t, SqueezeKind.SINGLE1, cfg)
                 assert b.mean_b == pytest.approx(a.mean_b, abs=1e-6)
 
+    def test_mode2_is_the_mirror_of_mode1(self, grid_times):
+        # the closed forms take mode 2 as mode 1 of the mirrored params; the
+        # oracle reads mode 2 out of the evolved state on its own, carrier
+        # included, and must agree
+        cells = [(kind, DConvention.NUMBER_SUM) for kind in SqueezeKind]
+        for p in (SystemParams(0.5, 0.1, 0.4, 0.2), SystemParams(0.25, 0.05, 0.0, 0.4)):
+            single1, single2, two, pair = moment_sets(p, grid_times, cells)
+            m_single1, m_single2, m_two, m_pair = moment_sets(p.mirrored, grid_times, cells)
+            for a, b in ((single2, m_single1), (single1, m_single2), (two, m_two), (pair, m_pair)):
+                for field in dataclasses.fields(a):
+                    diff = np.abs(getattr(a, field.name) - getattr(b, field.name))
+                    assert np.max(diff) <= 1e-14, field.name
+
 
 def _assert_sets_match_per_point_sets(ts):
     # one propagation read for every kind cell, gathered over the time axis,
@@ -313,6 +326,21 @@ class TestStream:
             ref = moments_for(p, np.array([]), kind, conv)
             for name in ("mean_b", "mean_b_sq", "mean_bdag_b", "mean_d"):
                 assert getattr(m, name).shape == getattr(ref, name).shape == (0,)
+
+    def test_each_distinct_moment_contracted_once_per_block(self, monkeypatch):
+        # the five kind cells share ten normally ordered moments; a moment and
+        # its adjoint (<a1 a2+> of the two-mode <B+ B>) are one contraction
+        calls = []
+        contract = fock_oracle._contract
+
+        def counting_contract(amp, powers):
+            calls.append(powers)
+            return contract(amp, powers)
+
+        monkeypatch.setattr(fock_oracle, "_contract", counting_contract)
+        p = SystemParams(0.5, 0.1, 0.4, 0.3)
+        moment_sets(p, np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13), KIND_CELLS)
+        assert len(calls) == 2 * len(set(calls)) == 20
 
     def test_memory_does_not_grow_with_the_time_axis(self):
         # blocks are propagated and read out one at a time: ten blocks of

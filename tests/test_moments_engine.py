@@ -35,9 +35,10 @@ class TestSystemParams:
         with pytest.raises(TypeError):
             SystemParams(0.5, 0.1, 0.4 + 0.1j, 0.0)
 
-    def test_self_coupling_is_derived(self):
-        p = SystemParams(0.5, 0.0, 0.4, 0.0)
-        assert p.chi_self == -0.25
+    def test_mirrored_swaps_the_amplitudes(self):
+        p = SystemParams(0.5, 0.1, 0.4, 0.2)
+        assert p.mirrored == SystemParams(0.5, 0.1, 0.2, 0.4)
+        assert p.mirrored.mirrored == p
 
 
 class TestAuxQuantities:
@@ -95,8 +96,8 @@ class TestCoherentStart:
 
     def test_single_mode(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        for which, a in ((1, 0.4), (2, 0.2)):
-            m = mode_moments(p, 0.0, which)
+        for mode1, a in ((p, 0.4), (p.mirrored, 0.2)):
+            m = mode_moments(mode1, 0.0)
             assert m.mean_b == pytest.approx(a, abs=1e-15)
             assert m.mean_b_sq == pytest.approx(a**2, abs=1e-15)
             assert m.mean_bdag_b == pytest.approx(a**2, abs=1e-15)
@@ -128,16 +129,18 @@ class TestPureDownConversion:
         p = SystemParams(0.0, 0.1, 0.4, 0.2)
         for t in (0.5, 2.0):
             c, s = math.cosh(0.1 * t), math.sinh(0.1 * t)
-            m = mode_moments(p, t, 1)
-            assert m.mean_b == pytest.approx(0.4 * c + 0.2 * s, abs=1e-14)
+            assert mode_moments(p, t).mean_b == pytest.approx(0.4 * c + 0.2 * s, abs=1e-14)
+            assert mode_moments(p.mirrored, t).mean_b == pytest.approx(
+                0.2 * c + 0.4 * s, abs=1e-14
+            )
 
     def test_single_mode_factors_flat(self):
         p = SystemParams(0.0, 0.1, 0.4, 0.2)
         for t in (0.5, 2.0):
-            m = mode_moments(p, t, 1)
             want = 2.0 * math.sinh(0.1 * t) ** 2
-            assert factor_x(m) == pytest.approx(want, abs=1e-12)
-            assert factor_y(m) == pytest.approx(want, abs=1e-12)
+            for m in (mode_moments(p, t), mode_moments(p.mirrored, t)):
+                assert factor_x(m) == pytest.approx(want, abs=1e-12)
+                assert factor_y(m) == pytest.approx(want, abs=1e-12)
 
     def test_two_mode_textbook_factors(self):
         # the standard two-mode squeezer: F = e^{2kt} - 1, G = e^{-2kt} - 1,
@@ -166,19 +169,9 @@ class TestStructure:
             p = SystemParams(chi, 0.1, 0.4, 0.2)
             for t in (0.9, 2.4):
                 c, s = math.cosh(0.1 * t), math.sinh(0.1 * t)
-                m = mode_moments(p, t, 1)
+                m = mode_moments(p, t)
                 want = 0.16 * c * c + 2 * 0.4 * 0.2 * c * s + s * s * (0.04 + 1)
                 assert m.mean_bdag_b == pytest.approx(want, abs=1e-14)
-
-    def test_mode2_is_amplitude_swap(self):
-        p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        swapped = SystemParams(0.5, 0.1, 0.2, 0.4)
-        for t in (0.7, 2.1):
-            m2 = mode_moments(p, t, 2)
-            m1s = mode_moments(swapped, t, 1)
-            assert m2.mean_b == pytest.approx(m1s.mean_b, abs=1e-15)
-            assert m2.mean_b_sq == pytest.approx(m1s.mean_b_sq, abs=1e-15)
-            assert m2.mean_bdag_b == pytest.approx(m1s.mean_bdag_b, abs=1e-15)
 
     def test_sum_conventions_differ_by_one(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)

@@ -170,8 +170,8 @@ class TestTwoMode:
         for m in (1, 2, 3):
             t = m * math.pi / 0.5
             f2, g2 = two_mode_fg(p, t)
-            f1a, g1a = single_mode_fg(p, t, 1)
-            f1b, g1b = single_mode_fg(p, t, 2)
+            f1a, g1a = single_mode_fg(p, t)
+            f1b, g1b = single_mode_fg(p.mirrored, t)
             assert f2 == pytest.approx(0.5 * (f1a + f1b), abs=1e-12)
             assert g2 == pytest.approx(0.5 * (g1a + g1b), abs=1e-12)
             assert abs(f2) < 1e-12 and abs(g2) < 1e-12

@@ -74,11 +74,11 @@ def test_analytic_factors_match_per_point(kind, conv):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("which", [1, 2])
-def test_single_mode_variants_match_per_point(variant, which):
-    for p in PARAMS:
-        f, g = single_mode_fg(p, TS, which, variant)
-        ref = [single_mode_fg(p, t, which, variant) for t in TS.tolist()]
+@pytest.mark.parametrize("mode1", [lambda p: p, lambda p: p.mirrored], ids=["1", "2"])
+def test_single_mode_variants_match_per_point(variant, mode1):
+    for p in map(mode1, PARAMS):
+        f, g = single_mode_fg(p, TS, variant)
+        ref = [single_mode_fg(p, t, variant) for t in TS.tolist()]
         _assert_matches(f, [r[0] for r in ref])
         _assert_matches(g, [r[1] for r in ref])
 
@@ -96,9 +96,9 @@ def test_float_time_gives_scalars():
 
 
 def test_variant_strings_and_members_agree():
-    p = PARAMS[0]
+    p = PARAMS[0].mirrored
     for variant in Variant:
-        assert single_mode_fg(p, 1.3, 2, variant.value) == single_mode_fg(p, 1.3, 2, variant)
+        assert single_mode_fg(p, 1.3, variant.value) == single_mode_fg(p, 1.3, variant)
     with pytest.raises(ValueError):
         single_mode_extremum(SystemParams(0.5, 0.0, 0.4, 0.4), math.pi, variant="sin-theta")
 
