@@ -176,6 +176,7 @@ def _propagate(
     checked for norm drift and tail population before it is yielded.  An
     empty axis gives one empty block.
     """
+    p.require_one("the Fock oracle")
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
     if bad.any():

@@ -59,7 +59,9 @@ All of these are proven against `fock_oracle` by the test suite (each moment to
 1e-6 on the verification grid, limited only by the evolution arithmetic).
 
 Every function takes t as a float (scalar moments) or a 1-D numpy array (one
-moment set per time).  Overflow becomes inf or nan, which `_hyperbolic` and
+moment set per time), and `SystemParams` of one parameter set or of a batch,
+whose fields broadcast against t (a batch of shape (P, 1) and T times give
+(P, T) moment sets).  Overflow becomes inf or nan, which `_hyperbolic` and
 `QuadratureMoments` report as NumericOverflow, so numpy's floating-point
 warnings are silenced.  Everything here is a pure function of immutable inputs.
 """
@@ -108,27 +110,56 @@ class SystemParams:
     k       -- parametric gain (rad per unit time), k >= 0
     alpha1, alpha2 -- initial coherent amplitudes, real and >= 0 (complex
                seeds are out of scope and rejected)
+
+    A field is a float, or a real numpy array for a batch of parameter sets;
+    the array fields share one shape, float fields apply to the whole batch,
+    and every entry is held to the rules of a float.  The closed forms
+    broadcast a batch against t; the oracle takes one parameter set.
     """
 
-    chi_bar: float
-    k: float
-    alpha1: float
-    alpha2: float
+    chi_bar: float | np.ndarray
+    k: float | np.ndarray
+    alpha1: float | np.ndarray
+    alpha2: float | np.ndarray
 
     def __post_init__(self):
+        shapes, low = set(), {}
         for name in ("chi_bar", "k", "alpha1", "alpha2"):
             val = getattr(self, name)
-            if not isinstance(val, numbers.Real):
+            if isinstance(val, np.ndarray) and val.ndim and val.dtype.kind in "biuf":
+                val = val.astype(float)  # an own, read-only copy
+                val.flags.writeable = False
+                shapes.add(val.shape)
+                lo, hi = val.min(), val.max()  # a nan reaches both
+            elif isinstance(val, numbers.Real):
+                val = lo = hi = float(val)
+            else:
                 raise TypeError(f"{name} must be real, got {val!r}")
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val}")
-            object.__setattr__(self, name, float(val))
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.alpha1 < 0 or self.alpha2 < 0:
+            for x in (lo, hi):
+                if not math.isfinite(x):
+                    raise ValueError(f"{name} must be finite, got {x}")
+            object.__setattr__(self, name, val)
+            low[name] = lo
+        if len(shapes) > 1:
+            raise ValueError(f"batched fields must share one shape, got {sorted(shapes)}")
+        if low["k"] < 0:
+            raise ValueError(f"k must be >= 0, got {low['k']}")
+        if low["alpha1"] < 0 or low["alpha2"] < 0:
             raise ValueError("coherent amplitudes must be >= 0")
-        if not self.alpha1 * self.alpha1 + self.alpha2 * self.alpha2 < _MAX_ARG:
+        with np.errstate(over="ignore"):
+            r2 = np.max(self.alpha1 * self.alpha1 + self.alpha2 * self.alpha2)
+        if not r2 < _MAX_ARG:
             raise ValueError("alpha1^2 + alpha2^2 must stay within the float range")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the batch; () for one parameter set."""
+        return np.broadcast_shapes(*map(np.shape, (self.chi_bar, self.k, self.alpha1, self.alpha2)))
+
+    def require_one(self, caller: str) -> None:
+        """Raise TypeError if these params are a batch: caller takes one parameter set."""
+        if self.shape:
+            raise TypeError(f"{caller} takes one parameter set, got a batch of shape {self.shape}")
 
     @property
     def mirrored(self) -> SystemParams:
@@ -170,8 +201,8 @@ class AuxQuantities:
 
     c: float | np.ndarray
     s: float | np.ndarray
-    eps1: float
-    eps2: float
+    eps1: float | np.ndarray
+    eps2: float | np.ndarray
     theta_plus: float | np.ndarray
     theta_minus: float | np.ndarray
     theta: float | np.ndarray

@@ -58,8 +58,9 @@ class QuadratureMoments:
     mean_d      -- commutator expectation <[B, B+]>; real for every B used
                    here (identity, a number, or a number-operator sum)
 
-    Stored as numpy arrays: 0-d for one instant, 1-D for one set per time
-    (scalars given with 1-D fields are broadcast).
+    Stored as numpy arrays of the fields' broadcast shape: 0-d for one
+    instant, 1-D for one set per time, (P, T) for a batch of P parameter sets
+    at T times.
     """
 
     mean_b: complex | np.ndarray

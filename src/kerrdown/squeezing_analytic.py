@@ -29,8 +29,9 @@ have the arbitrated form only.
 The principal squeezing has no expanded per-kind closed form (it needs the
 complex moments), so sweep assembly takes V from the moment route.
 
-As in `moments_engine`, t is a float or a 1-D numpy array (the extremum
-reduction takes a float only), and F or G out of range raises NumericOverflow.
+As in `moments_engine`, t is a float or a 1-D numpy array and the params may
+be a batch broadcast against t (the extremum reduction takes a float t and
+one parameter set only), and F or G out of range raises NumericOverflow.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ def single_mode_extremum(
     must be used instead.  Only the "arbitrated" form and the "unarbitrated"
     one, which keeps the circulated exp(eps1 - 2kt) weight, are reduced.
     """
+    p.require_one("single_mode_extremum")
     variant = Variant(variant)
     if variant not in (Variant.ARBITRATED, Variant.UNARBITRATED):
         raise ValueError(f"the extremum reduction has no {variant.value!r} form")
