@@ -293,38 +293,44 @@ def moment_sets(
     cells: Sequence[tuple[SqueezeKind, DConvention]],
     cfg: OracleConfig = OracleConfig(),
 ) -> list[QuadratureMoments]:
-    """Moment sets of each (kind, d_convention) cell, shaped like t (a float or a 1-D array).
+    """Moment sets of each (kind, d_convention) cell at the times t (a float or a 1-D array).
 
-    Every cell is read from the same propagated blocks, each distinct
-    normally ordered moment contracted once per block over all its times.
-    Schrodinger expectations in the co-rotating frame equal the dressed-mode
-    moments directly for mode 1; mode-2 moments carry the carrier phase
-    e^{2i chi t} once per net power of the mode-2 amplitude.
+    p is one parameter set (sets shaped like t) or a column batch (P, 1), whose
+    entries are evolved one after another ((P, T) sets).  Every cell is read
+    from the same propagated blocks, each distinct normally ordered moment
+    contracted once per block over all its times.  Mode-1 moments are the
+    Schrodinger expectations in the co-rotating frame; mode-2 moments carry
+    the carrier phase e^{2i chi t} once per net power of the mode-2 amplitude.
     """
+    if p.shape and p.shape[1:] != (1,):
+        raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {p.shape}")
     parts = [[] for _ in cells]  # per cell, (<B>, <B^2>, <B+ B>, d) of each block
-    for tb, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
-        ph = np.exp(2j * p.chi_bar * tb)
+    columns = (c.ravel().tolist() for c in np.broadcast_arrays(p.chi_bar, p.k, p.alpha1, p.alpha2))
+    for entry in map(SystemParams, *columns):  # one parameter set at a time, in batch order
+        for tb, amp, norm_sq in _propagate(entry, np.ravel(t), cfg):
+            ph = np.exp(2j * entry.chi_bar * tb)
 
-        @functools.cache
-        def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s>, carrier ph^(s - r)
-            if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
-                return ex(pw_q, pw_p, pw_s, pw_r).conj()
-            return ph ** (pw_s - pw_r) * (_contract(amp, (pw_p, pw_q, pw_r, pw_s)) / norm_sq)
+            @functools.cache
+            def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s>, carrier ph^(s - r)
+                if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
+                    return ex(pw_q, pw_p, pw_s, pw_r).conj()
+                return ph ** (pw_s - pw_r) * (_contract(amp, (pw_p, pw_q, pw_r, pw_s)) / norm_sq)
 
-        for part, (kind, d_convention) in zip(parts, cells):
-            terms = _TERMS[kind]
-            pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
-            mean_b = sum(ex(0, q, 0, s) for q, s in terms)
-            mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
-            mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
-            d = np.full(tb.size, float(len(terms)))  # <[B, B+]> of a1, a2 and a1 + a2
-            if kind is SqueezeKind.SUM:
-                n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
-                d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-            part.append((mean_b, mean_b_sq, mean_n, d))
-        del amp, ex  # released before the next block is built
+            for part, (kind, d_convention) in zip(parts, cells):
+                terms = _TERMS[kind]
+                pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
+                mean_b = sum(ex(0, q, 0, s) for q, s in terms)
+                mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
+                mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
+                d = np.full(tb.size, float(len(terms)))  # <[B, B+]> of a1, a2 and a1 + a2
+                if kind is SqueezeKind.SUM:
+                    n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
+                    d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+                part.append((mean_b, mean_b_sq, mean_n, d))
+            del amp, ex  # released before the next block is built
+    shape = np.broadcast_shapes(p.shape, np.shape(t))  # (P, T) for a batch
     return [
-        QuadratureMoments(*(np.concatenate(column).reshape(np.shape(t)) for column in zip(*part)))
+        QuadratureMoments(*(np.concatenate(column).reshape(shape) for column in zip(*part)))
         for part in parts
     ]
 

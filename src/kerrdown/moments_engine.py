@@ -114,7 +114,7 @@ class SystemParams:
     A field is a float, or a real numpy array for a batch of parameter sets;
     the array fields share one shape, float fields apply to the whole batch,
     and every entry is held to the rules of a float.  The closed forms
-    broadcast a batch against t; the oracle takes one parameter set.
+    broadcast a batch against t; the oracle's moment sets take a (P, 1) one.
     """
 
     chi_bar: float | np.ndarray

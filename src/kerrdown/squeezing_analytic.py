@@ -52,7 +52,6 @@ from .moments_engine import (
     SqueezeKind,
     SystemParams,
     aux_quantities,
-    sum_moments,
 )
 from .quad_core import EPS_DEN
 
@@ -75,8 +74,8 @@ def _finite(f, g):
     return f, g
 
 
-def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRATED):
-    """Single-mode factors (F, G) of mode 1, d = 1; mode 2: of `p.mirrored` (eps2 flips)."""
+def _single_mode(p: SystemParams, t, variant: Variant | str):
+    """(F, G) of mode 1 before the range check, with Re<B>, Im<B>, their weight in F, G and aux."""
     variant = Variant(variant)
     a1, a2 = p.alpha1, p.alpha2
     aux = aux_quantities(p, t)
@@ -101,7 +100,12 @@ def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRAT
         im_b = a1 * c * np.sin(aux.eps2 * s2) - a2 * s * np.sin(2.0 * x - aux.eps2 * s2)
         f = head + mid - 4.0 * re_b * re_b * dephase_mean
         g = head - mid - 4.0 * im_b * im_b * dephase_mean
-    return _finite(f, g)
+    return f, g, re_b, im_b, dephase_mean, aux
+
+
+def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRATED):
+    """Single-mode factors (F, G) of mode 1, d = 1; mode 2: of `p.mirrored` (eps2 flips)."""
+    return _finite(*_single_mode(p, t, variant)[:2])
 
 
 def single_mode_extremum(
@@ -141,13 +145,12 @@ def single_mode_extremum(
 def two_mode_fg(p: SystemParams, t):
     """Two-mode squeezing factors (F, G) for B = A1 + A2; d = 2.
 
-    Head terms delegate to `single_mode_fg`; on top come the pair-coherence
-    term ~ cos(2 chi t), the exp(eps1 sin^2 2 chi t) exchange block, and the
-    exp(2 eps1 sin^2 chi t) mean-field product block.
+    Head terms and both mean-field blocks come from the single-mode forms; on
+    top come the pair-coherence term ~ cos(2 chi t), the exp(eps1 sin^2 2 chi t)
+    exchange block, and the product of the mean-field blocks.
     """
-    f1, g1 = single_mode_fg(p, t)
-    f2, g2 = single_mode_fg(p.mirrored, t)
-    aux = aux_quantities(p, t)
+    f1, g1, re1, im1, mean_weight, aux = _single_mode(p, t, Variant.ARBITRATED)
+    f2, g2, re2, im2, _, _ = _single_mode(p.mirrored, t, Variant.ARBITRATED)
     c, s = aux.c, aux.s
     a1, a2 = p.alpha1, p.alpha2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,11 +170,6 @@ def two_mode_fg(p: SystemParams, t):
                 + c * s * a2 * a2 * np.cos(4.0 * x - aux.eps2 * s4)
             )
         )
-        mean_weight = np.exp(2.0 * aux.eps1 * np.sin(x) ** 2)
-        re1 = a1 * c * np.cos(aux.eps2 * s2) + a2 * s * np.cos(2.0 * x - aux.eps2 * s2)
-        im1 = -a1 * c * np.sin(aux.eps2 * s2) + a2 * s * np.sin(2.0 * x - aux.eps2 * s2)
-        re2 = a2 * c * np.cos(aux.eps2 * s2) + a1 * s * np.cos(2.0 * x + aux.eps2 * s2)
-        im2 = a2 * c * np.sin(aux.eps2 * s2) + a1 * s * np.sin(2.0 * x + aux.eps2 * s2)
         f = 0.5 * (f1 + f2) + pair + exchange - 4.0 * re1 * re2 * mean_weight
         g = 0.5 * (g1 + g2) - pair + exchange - 4.0 * im1 * im2 * mean_weight
     return _finite(f, g)
@@ -182,26 +180,27 @@ def sum_fg(
     t,
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ):
-    """Sum-squeezing factors (F, G) for B = A1 A2.
+    """Sum-squeezing factors (F, G) for B = A1 A2, in variance form.
 
-    The Kerr coupling enters only through the explicit cos(4 chi t),
-    cos^2/sin^2(2 chi t) projection factors; the sub-moments are those of the
-    pure down-converter, obtained from `moments_engine` with chi forced to 0.
-    Reduces exactly to the y-only form at chi = 0 and to (0, 0) at k = 0.
+    The mean field cancels: var_n = <B+ B> - |<B>|^2 = S^2 (beta1^2 + beta2^2) + S^4
+    and var_w = |<B^2> - <B>^2| = 2 beta1 beta2 C S + C^2 S^2 give F, G =
+    (2 var_n +- 2 var_w cos(4 chi t)) / d, with beta1, beta2 and d as in `moments_engine`.
     """
-    p0 = SystemParams(0.0, p.k, p.alpha1, p.alpha2)
-    m0 = sum_moments(p0, t, d_convention)
-    d = m0.mean_d
-    if np.any(np.abs(d) <= EPS_DEN):
-        raise DegenerateDenominator(f"<n1> + <n2> = {np.min(d)} <= {EPS_DEN}")
-    x = p.chi_bar * t
-    c4, c2, s2 = np.cos(4.0 * x), np.cos(2.0 * x), np.sin(2.0 * x)
-    m_nn = m0.mean_bdag_b
-    m_b2 = m0.mean_b_sq.real
-    m_b = m0.mean_b.real
-    f = (2.0 * m_nn + 2.0 * m_b2 * c4 - 4.0 * m_b * m_b * c2 * c2) / d
-    g = (2.0 * m_nn - 2.0 * m_b2 * c4 - 4.0 * m_b * m_b * s2 * s2) / d
-    return f, g
+    aux = aux_quantities(p, t)
+    c, s = aux.c, aux.s
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1 = p.alpha1 * c + p.alpha2 * s
+        b2 = p.alpha2 * c + p.alpha1 * s
+        n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
+        d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+        if np.any(d <= EPS_DEN):
+            raise DegenerateDenominator(f"<n1> + <n2> = {np.min(d)} <= {EPS_DEN}")
+        var_n = s * s * (b1 * b1 + b2 * b2) + s * s * s * s
+        var_w = 2.0 * b1 * b2 * c * s + c * c * s * s
+        osc = 2.0 * var_w * np.cos(4.0 * p.chi_bar * t)
+        f = (2.0 * var_n + osc) / d
+        g = (2.0 * var_n - osc) / d
+    return _finite(f, g)
 
 
 def factors(

@@ -2,10 +2,10 @@
 
 Drives three independent routes to the squeezing factors over a parameter grid
 (couplings x seeds x 50 times), checks them against each other, runs the
-formula-variant arbitration, and checks the oracle's conservation laws.  The
-oracle evolves one parameter set per call over the whole time axis; the two
-closed-form routes take every (params, time) point of the grid as one batch
-of `SystemParams`, one call per kind cell.  The CLI `verify` subcommand
+formula-variant arbitration, and checks the oracle's conservation laws.  All
+three routes take the grid as one column batch of `SystemParams` (P, 1)
+against the 1-D time axis, and give (P, T) values: one oracle call for all
+kind cells, one closed-form call per kind cell.  The CLI `verify` subcommand
 renders the resulting report; the acceptance tests call the same functions.
 """
 
@@ -135,21 +135,16 @@ def run_verification(cfg: OracleConfig = OracleConfig()) -> VerificationReport:
     """Run the full cross-engine grid, the variant arbitration, and conservation."""
     ts = grid_times()
     params = grid_params() + [SystemParams(0.5, 0.1, 0.0, 0.0)]  # degenerate probe
+    columns = [np.array([getattr(p, f.name) for p in params])[:, None] for f in fields(SystemParams)]
+    grid = SystemParams(*columns)  # one column batch (P, 1), broadcast against ts to (P, T)
     # one evolution per (p, t); every kind cell reads its moments from it
-    oracle = [fock_oracle.moment_sets(p, ts, KIND_CELLS, cfg) for p in params]
-    grid = SystemParams(
-        *(np.repeat([getattr(p, f.name) for p in params], ts.size) for f in fields(SystemParams))
-    )
-    grid_ts = np.tile(ts, len(params))
+    oracle = fock_oracle.moment_sets(grid, ts, KIND_CELLS, cfg)
     skipped = []
     worst = defaultdict(float)  # largest deviation of each check over the grid
-    for (kind, conv), cell in zip(KIND_CELLS, zip(*oracle)):
-        mm = moments_engine.moments_for(grid, grid_ts, kind, conv)
-        mo = quad_core.QuadratureMoments(
-            *(np.concatenate([getattr(m, f.name) for m in cell]) for f in fields(mm))
-        )
+    for (kind, conv), mo in zip(KIND_CELLS, oracle):
+        mm = moments_engine.moments_for(grid, ts, kind, conv)
         # compare the cell on the points where every route is defined
-        d_abs = np.minimum(abs(mm.mean_d), abs(mo.mean_d)).reshape(len(params), ts.size)
+        d_abs = np.minimum(abs(mm.mean_d), abs(mo.mean_d))
         keep = d_abs > quad_core.EPS_DEN
         # one line per degenerate (params, kind cell); only the sum's number-sum
         # cell has a d that can vanish, so they come out in params order
@@ -160,13 +155,12 @@ def run_verification(cfg: OracleConfig = OracleConfig()) -> VerificationReport:
             for p, d, ok in zip(params, d_abs, keep)
             if not ok.all()
         ]
-        keep = keep.ravel()
-        kept = SystemParams(*(getattr(grid, f.name)[keep] for f in fields(grid)))
+        *kept, kept_ts = (x[keep] for x in np.broadcast_arrays(*columns, ts))
         mm, mo = (
             quad_core.QuadratureMoments(*(getattr(m, f.name)[keep] for f in fields(m)))
             for m in (mm, mo)
         )
-        for name, value in _deviations(kept, grid_ts[keep], kind, conv, mm, mo).items():
+        for name, value in _deviations(SystemParams(*kept), kept_ts, kind, conv, mm, mo).items():
             worst[name] = max(worst[name], value)
 
     checks = [

@@ -1,10 +1,12 @@
 """Batched parameter sets: a batch of SystemParams against one parameter set at a time.
 
 The closed forms broadcast a batch's fields against t through the same code
-as one parameter set, so every batched result must equal the per-parameter
-ones bit for bit.  `_per_parameter_verification` is the grid walked one
-parameter set at a time, as `verify` did before it batched the closed forms;
-the batched report must reproduce its check values and skipped cells exactly.
+as one parameter set, and the oracle evolves the entries of a column batch
+(P, 1) one after another, so every batched result must equal the
+per-parameter ones bit for bit.  `_per_parameter_verification` is the grid
+walked one parameter set at a time, as `verify` did before it batched the
+routes; the batched report must reproduce its check values and skipped cells
+exactly.
 """
 
 import math
@@ -29,9 +31,8 @@ BATCH = SystemParams(
     *(np.array([getattr(p, f.name) for p in PARAMS])[:, None] for f in fields(SystemParams))
 )
 SHAPE = (len(PARAMS), TS.size)
-# every (params, time) point of the grid, params-major: verify's layout
-FLAT = SystemParams(*(np.repeat(getattr(BATCH, f.name), TS.size) for f in fields(SystemParams)))
-FLAT_TS = np.tile(TS, len(PARAMS))
+# the same parameter sets as one pointwise batch (P,), which the oracle refuses
+POINTWISE = SystemParams(*(getattr(BATCH, f.name).ravel() for f in fields(SystemParams)))
 
 
 def _assert_rows_equal(batched, per_parameter):
@@ -49,14 +50,25 @@ def test_moments_for(kind, conv):
         _assert_rows_equal(getattr(m, f.name), [getattr(r, f.name) for r in ref])
 
 
+def test_moment_sets():
+    sets = fock_oracle.moment_sets(BATCH, TS, KIND_CELLS)
+    ref = [fock_oracle.moment_sets(p, TS, KIND_CELLS) for p in PARAMS]
+    for m, cell in zip(sets, zip(*ref)):
+        assert m.mean_b.shape == SHAPE
+        for f in fields(m):
+            _assert_rows_equal(getattr(m, f.name), [getattr(r, f.name) for r in cell])
+
+
 @pytest.mark.parametrize("kind, conv", KIND_CELLS)
 def test_factors_on_the_kept_points(kind, conv):
     keep = [np.abs(moments_for(p, TS, kind, conv).mean_d) > EPS_DEN for p in PARAMS]
-    flat = np.concatenate(keep)
+    mask = np.array(keep)  # (params, times), verify's layout
     # only the sum's number-sum cell has a degenerate point: the probe at t = 0
-    assert flat.all() == ((kind, conv) != (SqueezeKind.SUM, DConvention.NUMBER_SUM))
-    kept = SystemParams(*(getattr(FLAT, f.name)[flat] for f in fields(FLAT)))
-    f, g = factors(kept, FLAT_TS[flat], kind, conv)
+    assert mask.all() == ((kind, conv) != (SqueezeKind.SUM, DConvention.NUMBER_SUM))
+    kept = SystemParams(
+        *(np.broadcast_to(getattr(BATCH, f.name), SHAPE)[mask] for f in fields(BATCH))
+    )
+    f, g = factors(kept, np.broadcast_to(TS, SHAPE)[mask], kind, conv)
     ref = [factors(p, TS[ok], kind, conv) for p, ok in zip(PARAMS, keep)]
     assert np.array_equal(f, np.concatenate([r[0] for r in ref]))
     assert np.array_equal(g, np.concatenate([r[1] for r in ref]))
@@ -172,8 +184,8 @@ def test_verification_calls_the_closed_forms_once_per_kind_cell(monkeypatch):
     assert len(calls["moments_for"]) == len(calls["factors"]) == len(KIND_CELLS)
     for name in ("moments_for", "factors", "single_mode_fg"):
         assert all(shape for shape in calls[name]), name  # never one parameter set
-    # the oracle alone takes one parameter set per call
-    assert calls["moment_sets"] == [()] * len(PARAMS)
+    # the oracle evolves the whole grid in one call, as a column batch
+    assert calls["moment_sets"] == [(len(PARAMS), 1)]
 
 
 # -- validation --------------------------------------------------------------
@@ -242,16 +254,17 @@ def test_batch_holds_its_own_copy():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, batch",
     [
-        lambda p: fock_oracle.moment_sets(p, TS, KIND_CELLS),
-        lambda p: fock_oracle.motion_constants(p, TS),
-        lambda p: squeezing_analytic.single_mode_extremum(p, math.pi),
+        # moment_sets takes a column batch (P, 1), never a pointwise one
+        (lambda p: fock_oracle.moment_sets(p, TS, KIND_CELLS), POINTWISE),
+        (lambda p: fock_oracle.motion_constants(p, TS), BATCH),
+        (lambda p: squeezing_analytic.single_mode_extremum(p, math.pi), BATCH),
     ],
     ids=["moment_sets", "motion_constants", "single_mode_extremum"],
 )
-def test_one_parameter_set_entry_points_refuse_a_batch(call):
+def test_one_parameter_set_entry_points_refuse_a_batch(call, batch):
     with pytest.raises(TypeError, match="one parameter set"):
-        call(BATCH)
+        call(batch)
     with pytest.raises(TypeError, match="one parameter set"):
         call(SystemParams(0.5, 0.0, np.array([0.4]), np.array([0.4])))

@@ -135,6 +135,17 @@ def test_overflow_on_the_axis_is_typed(kind, conv, t_last, match):
         factors(p, ts, kind, conv)
 
 
+@pytest.mark.parametrize("kind, conv", KIND_CELLS)
+def test_kerr_phase_overflow_is_typed(kind, conv):
+    # chi t = 1e310 at the last point: every kind raises, none returns nan
+    p = SystemParams(1e300, 0.0, 0.4, 0.4)
+    ts = np.array([0.0, 1e10])
+    with pytest.raises(NumericOverflow, match="Kerr phase"):
+        moments_for(p, ts, kind, conv)
+    with pytest.raises(NumericOverflow, match="Kerr phase"):
+        factors(p, ts, kind, conv)
+
+
 # the benchmark's closed-form domain, with time axes up to two Kerr periods
 _domain = st.builds(
     SystemParams,
