@@ -19,11 +19,9 @@ from .errors import (
     TruncationTooSevere,
 )
 from .moments_engine import (
-    AuxQuantities,
     DConvention,
     SqueezeKind,
     SystemParams,
-    aux_quantities,
     kernel,
     mode_moments,
     moments_for,
@@ -41,7 +39,6 @@ from .quad_core import (
 __all__ = [
     "__version__",
     "AsymmetricAmplitudes",
-    "AuxQuantities",
     "DConvention",
     "DegenerateDenominator",
     "KerrdownError",
@@ -53,7 +50,6 @@ __all__ = [
     "SystemParams",
     "TailOverflow",
     "TruncationTooSevere",
-    "aux_quantities",
     "factor_phase",
     "factor_x",
     "factor_y",

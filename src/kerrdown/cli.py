@@ -27,7 +27,7 @@ from . import __version__, fock_oracle, moments_engine, quad_core, squeezing_ana
 from .errors import KerrdownError
 from .fock_oracle import OracleConfig
 from .moments_engine import DConvention, SqueezeKind, SystemParams
-from .verify import run_verification
+from .verify import TOL_ENVELOPE, run_verification
 
 _ENGINES = ("analytic", "moments", "oracle")
 # Largest sweep; every column is allocated whole, about 0.5 GB at this size
@@ -115,7 +115,7 @@ def run_sweep(req: SweepRequest) -> SweepResult:
         f, g = quad_core.factor_x(m), quad_core.factor_y(m)
     v = quad_core.principal(m)
     low = np.minimum(f, g)
-    violated = v > low + 1e-10
+    violated = v > low + TOL_ENVELOPE
     if violated.any():
         i = int(np.argmax(violated))
         raise KerrdownError(

@@ -81,12 +81,10 @@ from .quad_core import QuadratureMoments
 
 __all__ = [
     "SystemParams",
-    "AuxQuantities",
     "SqueezeKind",
     "DConvention",
     "kernel",
     "kerr_kernel",
-    "aux_quantities",
     "mode_moments",
     "pair_moments",
     "sum_moments",
@@ -187,29 +185,8 @@ class DConvention(enum.Enum):
     COMMUTATOR = "commutator"
 
 
-@dataclass(frozen=True)
-class AuxQuantities:
-    """Hyperbolic and dephasing abbreviations at the time(s) t.
-
-    c, s        -- cosh(kt), sinh(kt)
-    eps1        -- -2 (alpha1^2 + alpha2^2)  (total dephasing weight, <= 0)
-    eps2        -- alpha1^2 - alpha2^2       (dephasing asymmetry)
-    theta_plus  -- 2 chi t + eps2 sin(4 chi t)
-    theta_minus -- 2 chi t - eps2 sin(4 chi t)
-    theta       -- 6 chi t - eps2 sin(4 chi t)
-    """
-
-    c: float | np.ndarray
-    s: float | np.ndarray
-    eps1: float | np.ndarray
-    eps2: float | np.ndarray
-    theta_plus: float | np.ndarray
-    theta_minus: float | np.ndarray
-    theta: float | np.ndarray
-
-
 def _hyperbolic(p: SystemParams, t):
-    """(cosh kt, sinh kt), once the Kerr phases of (p, t) are checked to be finite."""
+    """(cosh kt, sinh kt) once (p, t) pass the domain gate of both closed-form routes."""
     with np.errstate(over="ignore", invalid="ignore"):
         x, kt = np.abs(p.chi_bar * t), p.k * t
         c, s = np.cosh(kt), np.sinh(kt)
@@ -218,23 +195,6 @@ def _hyperbolic(p: SystemParams, t):
     if not np.all(np.isfinite(c)):
         raise NumericOverflow(f"cosh(k t) overflows at k t = {np.max(kt)}")
     return c, s
-
-
-def aux_quantities(p: SystemParams, t) -> AuxQuantities:
-    """Evaluate the AuxQuantities bundle of `p` at the time(s) `t`."""
-    c, s = _hyperbolic(p, t)
-    x = p.chi_bar * t
-    eps2 = p.alpha1**2 - p.alpha2**2
-    s4 = np.sin(4.0 * x)
-    return AuxQuantities(
-        c=c,
-        s=s,
-        eps1=-2.0 * (p.alpha1**2 + p.alpha2**2),
-        eps2=eps2,
-        theta_plus=2.0 * x + eps2 * s4,
-        theta_minus=2.0 * x - eps2 * s4,
-        theta=6.0 * x - eps2 * s4,
-    )
 
 
 def kernel(alpha: float, lam):

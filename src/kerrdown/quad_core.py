@@ -110,6 +110,10 @@ def _check_denominator(m: QuadratureMoments):
         raise DegenerateDenominator(
             f"|<D>| = {np.min(d_abs)} <= {EPS_DEN}; squeezing factor undefined"
         )
+    # the numerators cancel moments of this size; their roundoff must stay below the slack
+    scale = abs(m.mean_b) ** 2 + abs(m.mean_b_sq) + abs(m.mean_bdag_b) + d_abs
+    if not np.all(scale * sys.float_info.epsilon <= _CHECK_TOL * d_abs):
+        raise NumericOverflow(f"factor lost its precision (moments of size {np.max(scale):.3e})")
     return d_abs
 
 
@@ -117,7 +121,8 @@ def factor_phase(m: QuadratureMoments, phi: float):
     """Squeezing factor of the phase-rotated quadrature X_phi = (B e^-iphi + B+ e^iphi)/2.
 
     Expanded form of (4 <(dX_phi)^2> - |d|) / |d|.  Raises DegenerateDenominator
-    when |mean_d| <= EPS_DEN at any point.
+    when |mean_d| <= EPS_DEN at any point, and NumericOverflow where the
+    roundoff of the moments exceeds the check slack times |mean_d|.
     """
     d_abs = _check_denominator(m)
     rot = cmath.exp(-1j * phi)

@@ -2,9 +2,12 @@
 
 This module is the second, independent arithmetic route to the factors: where
 `moments_engine` + `quad_core` assemble complex moments and project them, the
-functions here evaluate fully expanded real closed forms built from the
-AuxQuantities abbreviations (C, S, eps1, eps2, Theta+-, theta).  The test suite
-holds the two routes together to 1e-10 and both against the Fock oracle.
+functions here evaluate fully expanded real closed forms in C, S = cosh kt,
+sinh kt, eps1 = -2 (alpha1^2 + alpha2^2), eps2 = alpha1^2 - alpha2^2 and the
+angles 2 chi t +- eps2 sin 4 chi t, theta = 6 chi t - eps2 sin 4 chi t.  Its
+only function from `moments_engine` is the (p, t) domain gate `_hyperbolic`.
+The test suite holds the two routes together to 1e-10 and both against the
+Fock oracle.
 
 Variants
 --------
@@ -47,12 +50,7 @@ from .errors import (
     NotAnExtremumTime,
     NumericOverflow,
 )
-from .moments_engine import (
-    DConvention,
-    SqueezeKind,
-    SystemParams,
-    aux_quantities,
-)
+from .moments_engine import DConvention, SqueezeKind, SystemParams, _hyperbolic
 from .quad_core import EPS_DEN
 
 # extremum times chi*t = m*pi/2 are accepted within this window
@@ -75,32 +73,34 @@ def _finite(f, g):
 
 
 def _single_mode(p: SystemParams, t, variant: Variant | str):
-    """(F, G) of mode 1 before the range check, with Re<B>, Im<B>, their weight in F, G and aux."""
+    """(F, G) of mode 1 before the range check, with Re<B>, Im<B> and their weight in F, G."""
     variant = Variant(variant)
     a1, a2 = p.alpha1, p.alpha2
-    aux = aux_quantities(p, t)
-    c, s = aux.c, aux.s
+    c, s = _hyperbolic(p, t)
+    x = p.chi_bar * t
+    eps1, eps2 = -2.0 * (a1**2 + a2**2), a1**2 - a2**2
+    eps2_s4 = eps2 * np.sin(4.0 * x)
+    theta = 6.0 * x - eps2_s4
     with np.errstate(over="ignore", invalid="ignore"):
-        x = p.chi_bar * t
         s2 = np.sin(2.0 * x)
-        dephase_mid = np.exp(aux.eps1 * s2 * s2)
+        dephase_mid = np.exp(eps1 * s2 * s2)
         single_dephasing = variant in (Variant.SINGLE_DEPHASING, Variant.UNARBITRATED)
-        e1_weight = aux.eps1 if single_dephasing else 2.0 * aux.eps1
+        e1_weight = eps1 if single_dephasing else 2.0 * eps1
         dephase_mean = np.exp(e1_weight * np.sin(x) ** 2)
         sin_theta = variant in (Variant.SIN_THETA, Variant.UNARBITRATED)
-        theta_term = np.sin(aux.theta) if sin_theta else np.cos(aux.theta)
+        theta_term = np.sin(theta) if sin_theta else np.cos(theta)
 
         head = 2.0 * (a1 * a1 * c * c + 2.0 * a1 * a2 * s * c + s * s * (a2 * a2 + 1.0))
         mid = 2.0 * dephase_mid * (
-            a1 * a1 * c * c * np.cos(aux.theta_plus)
+            a1 * a1 * c * c * np.cos(2.0 * x + eps2_s4)
             + a2 * a2 * s * s * theta_term
-            + 2.0 * a1 * a2 * c * s * np.cos(aux.theta_minus)
+            + 2.0 * a1 * a2 * c * s * np.cos(2.0 * x - eps2_s4)
         )
-        re_b = a1 * c * np.cos(aux.eps2 * s2) + a2 * s * np.cos(2.0 * x - aux.eps2 * s2)
-        im_b = a1 * c * np.sin(aux.eps2 * s2) - a2 * s * np.sin(2.0 * x - aux.eps2 * s2)
+        re_b = a1 * c * np.cos(eps2 * s2) + a2 * s * np.cos(2.0 * x - eps2 * s2)
+        im_b = a1 * c * np.sin(eps2 * s2) - a2 * s * np.sin(2.0 * x - eps2 * s2)
         f = head + mid - 4.0 * re_b * re_b * dephase_mean
         g = head - mid - 4.0 * im_b * im_b * dephase_mean
-    return f, g, re_b, im_b, dephase_mean, aux
+    return f, g, re_b, im_b, dephase_mean
 
 
 def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRATED):
@@ -134,9 +134,9 @@ def single_mode_extremum(
         raise NotAnExtremumTime(
             f"chi*t = {x} is not an odd multiple of pi/2 within {_EXTREMUM_TOL}"
         )
-    aux = aux_quantities(p, t)
-    c, s = aux.c, aux.s
-    weight = 2.0 * aux.eps1 if variant is Variant.ARBITRATED else aux.eps1
+    c, s = _hyperbolic(p, t)
+    eps1 = -2.0 * (p.alpha1**2 + p.alpha2**2)
+    weight = 2.0 * eps1 if variant is Variant.ARBITRATED else eps1
     f = 2.0 * s * s - 4.0 * p.alpha1**2 * math.exp(weight - 2.0 * p.k * t)
     g = 4.0 * p.alpha1**2 * (c + s) ** 2 + 2.0 * s * s
     return f, g
@@ -149,10 +149,11 @@ def two_mode_fg(p: SystemParams, t):
     top come the pair-coherence term ~ cos(2 chi t), the exp(eps1 sin^2 2 chi t)
     exchange block, and the product of the mean-field blocks.
     """
-    f1, g1, re1, im1, mean_weight, aux = _single_mode(p, t, Variant.ARBITRATED)
-    f2, g2, re2, im2, _, _ = _single_mode(p.mirrored, t, Variant.ARBITRATED)
-    c, s = aux.c, aux.s
+    f1, g1, re1, im1, mean_weight = _single_mode(p, t, Variant.ARBITRATED)
+    f2, g2, re2, im2, _ = _single_mode(p.mirrored, t, Variant.ARBITRATED)
+    c, s = _hyperbolic(p, t)
     a1, a2 = p.alpha1, p.alpha2
+    eps1, eps2 = -2.0 * (a1**2 + a2**2), a1**2 - a2**2
     with np.errstate(over="ignore", invalid="ignore"):
         x = p.chi_bar * t
         s2, s4 = np.sin(2.0 * x), np.sin(4.0 * x)
@@ -163,11 +164,11 @@ def two_mode_fg(p: SystemParams, t):
         )
         exchange = (
             2.0
-            * np.exp(aux.eps1 * s2 * s2)
+            * np.exp(eps1 * s2 * s2)
             * (
-                a1 * a2 * (c * c + s * s) * np.cos(aux.eps2 * s4)
-                + c * s * a1 * a1 * np.cos(4.0 * x + aux.eps2 * s4)
-                + c * s * a2 * a2 * np.cos(4.0 * x - aux.eps2 * s4)
+                a1 * a2 * (c * c + s * s) * np.cos(eps2 * s4)
+                + c * s * a1 * a1 * np.cos(4.0 * x + eps2 * s4)
+                + c * s * a2 * a2 * np.cos(4.0 * x - eps2 * s4)
             )
         )
         f = 0.5 * (f1 + f2) + pair + exchange - 4.0 * re1 * re2 * mean_weight
@@ -186,8 +187,7 @@ def sum_fg(
     and var_w = |<B^2> - <B>^2| = 2 beta1 beta2 C S + C^2 S^2 give F, G =
     (2 var_n +- 2 var_w cos(4 chi t)) / d, with beta1, beta2 and d as in `moments_engine`.
     """
-    aux = aux_quantities(p, t)
-    c, s = aux.c, aux.s
+    c, s = _hyperbolic(p, t)
     with np.errstate(over="ignore", invalid="ignore"):
         b1 = p.alpha1 * c + p.alpha2 * s
         b2 = p.alpha2 * c + p.alpha1 * s

@@ -30,6 +30,7 @@ GRID_T_MAX = 3.0
 
 TOL_ANALYTIC_MOMENTS = 1e-10
 TOL_ORACLE = 1e-6
+TOL_ENVELOPE = 1e-10  # slack of the principal envelope v <= min(f, g)
 ARBITRATION_FLOOR = 1e-3  # the rejected trig variant must deviate at least this much
 TOL_CONSERVATION = 1e-9
 TOL_NORM = 1e-10
@@ -167,7 +168,7 @@ def run_verification(cfg: OracleConfig = OracleConfig()) -> VerificationReport:
         Check("analytic vs moments route", worst["analytic-moments"], TOL_ANALYTIC_MOMENTS),
         Check("analytic vs oracle", worst["analytic-oracle"], TOL_ORACLE),
         Check("moments route vs oracle", worst["moments-oracle"], TOL_ORACLE),
-        Check("principal envelope v - min(f,g)", worst["envelope"], 1e-10),
+        Check("principal envelope v - min(f,g)", worst["envelope"], TOL_ENVELOPE),
         Check("single-mode arbitrated variant vs oracle", worst[Variant.ARBITRATED], TOL_ORACLE),
     ]
     # the rejected variants must stay measurably off the oracle

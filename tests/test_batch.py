@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kerrdown import QuadratureMoments, SystemParams, aux_quantities, moments_for
+from kerrdown import QuadratureMoments, SystemParams, moments_for
 from kerrdown import fock_oracle, moments_engine, quad_core, squeezing_analytic, verify
 from kerrdown.fock_oracle import OracleConfig
 from kerrdown.moments_engine import DConvention, SqueezeKind
@@ -88,13 +88,6 @@ def test_two_mode_fg():
     ref = [two_mode_fg(p, TS) for p in PARAMS]
     _assert_rows_equal(f, [r[0] for r in ref])
     _assert_rows_equal(g, [r[1] for r in ref])
-
-
-def test_aux_quantities():
-    aux = aux_quantities(BATCH, TS)
-    ref = [aux_quantities(p, TS) for p in PARAMS]
-    for f in fields(aux):
-        _assert_rows_equal(getattr(aux, f.name), [getattr(r, f.name) for r in ref])
 
 
 def test_mirrored_batch():

@@ -240,6 +240,20 @@ def test_non_finite_tmax_is_usage_error(capsys, argv):
     assert "tmax" in err
 
 
+@pytest.mark.parametrize("engine", ["analytic", "moments"])
+@pytest.mark.parametrize("kind", ["single1", "two"])
+def test_coherent_seed_beyond_precision_is_typed_error(capsys, engine, kind):
+    # at t = 0 the seed is coherent, V = 0; at alpha = 1e8 the moments cancel
+    # from 1e16 and V would read -1 from roundoff alone
+    code, out, err = _run(capsys, [
+        "sweep", "--kind", kind, "--chi", "0.5", "--k", "0", "--alpha1", "1e8",
+        "--alpha2", "1e8", "--tmax", "3", "--steps", "2", "--engine", engine,
+    ])
+    assert code == 1
+    assert out == ""
+    assert "NumericOverflow" in err and "lost its precision" in err
+
+
 @pytest.mark.parametrize("engine", ["analytic", "moments", "oracle"])
 @pytest.mark.parametrize("overrides", [
     ["--k", "400", "--tmax", "1"],

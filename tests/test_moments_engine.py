@@ -11,7 +11,6 @@ from kerrdown import (
     DConvention,
     SqueezeKind,
     SystemParams,
-    aux_quantities,
     factor_x,
     factor_y,
     kernel,
@@ -39,28 +38,6 @@ class TestSystemParams:
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
         assert p.mirrored == SystemParams(0.5, 0.1, 0.2, 0.4)
         assert p.mirrored.mirrored == p
-
-
-class TestAuxQuantities:
-    def test_hyperbolic_identity(self):
-        for t in (0.0, 0.7, 3.0):
-            aux = aux_quantities(SystemParams(0.5, 0.1, 0.4, 0.2), t)
-            assert aux.c**2 - aux.s**2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_dephasing_weights(self):
-        aux = aux_quantities(SystemParams(0.5, 0.0, 0.4, 0.2), 1.0)
-        assert aux.eps1 == pytest.approx(-2 * (0.16 + 0.04), abs=1e-15)
-        assert aux.eps1 <= 0.0
-        assert aux.eps2 == pytest.approx(0.16 - 0.04, abs=1e-15)
-
-    def test_angles(self):
-        p = SystemParams(0.5, 0.0, 0.4, 0.2)
-        t = 0.9
-        aux = aux_quantities(p, t)
-        x = 0.5 * t
-        assert aux.theta_plus == pytest.approx(2 * x + aux.eps2 * math.sin(4 * x))
-        assert aux.theta_minus == pytest.approx(2 * x - aux.eps2 * math.sin(4 * x))
-        assert aux.theta == pytest.approx(6 * x - aux.eps2 * math.sin(4 * x))
 
 
 class TestKernel:

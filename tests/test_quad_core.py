@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kerrdown import (
     DegenerateDenominator,
+    NumericOverflow,
     QuadratureMoments,
     SqueezeKind,
     SystemParams,
@@ -98,6 +99,14 @@ class TestDefinitionalIdentities:
             factor_x(m)
         with pytest.raises(DegenerateDenominator):
             principal(m)
+
+    def test_coherent_beyond_precision_raises(self):
+        # the factors of a coherent state are 0, but the numerators cancel
+        # moments of 1e16, whose roundoff alone is of order 1
+        m = QuadratureMoments(1e8, 1e16, 1e16, 1.0)
+        for factor in (factor_x, factor_y, principal):
+            with pytest.raises(NumericOverflow, match="lost its precision"):
+                factor(m)
 
 
 class TestMomentValidation:

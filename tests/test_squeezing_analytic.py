@@ -1,6 +1,7 @@
 """Tests of the expanded closed-form factors and their variant arbitration."""
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from kerrdown import (
     SystemParams,
     factor_x,
     factor_y,
+    fock_oracle,
     moments_for,
+    squeezing_analytic,
 )
 from kerrdown.squeezing_analytic import (
     factors,
@@ -48,6 +51,32 @@ class TestCrossRoute:
                 f, g = factors(p, float(t), kind)
                 assert f == pytest.approx(factor_x(m), abs=1e-12)
                 assert g == pytest.approx(factor_y(m), abs=1e-12)
+
+    @staticmethod
+    def _taken(module):
+        """(home module, name, object) of each function and class `module` takes from kerrdown."""
+        assert not [m for m in vars(module).values()
+                    if inspect.ismodule(m) and m.__name__.startswith("kerrdown")]
+        return [
+            (obj.__module__, name, obj)
+            for name, obj in vars(module).items()
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__.startswith("kerrdown.")
+            and obj.__module__ != module.__name__
+        ]
+
+    def test_routes_stay_independent(self):
+        # the analytic route shares only the (p, t) domain gate with the moments route
+        taken = self._taken(squeezing_analytic)
+        assert {home for home, _, _ in taken} <= {
+            "kerrdown.errors", "kerrdown.moments_engine", "kerrdown.quad_core"
+        }
+        functions = {name for _, name, obj in taken if inspect.isfunction(obj)}
+        assert functions == {"_hyperbolic"}
+        # the oracle shares only value types and errors with the closed forms
+        types = {"SystemParams", "SqueezeKind", "DConvention", "QuadratureMoments"}
+        for home, name, _ in self._taken(fock_oracle):
+            assert home == "kerrdown.errors" or name in types, (home, name)
 
 
 class TestSingleModeSpots:
