@@ -1,7 +1,7 @@
 """Generic quadrature-squeezing framework.
 
 Everything here is agnostic of which physical operator B plays the role of the
-mode amplitude.  Given the five scalar moments
+mode amplitude.  Given the four scalar moments
 
     <B>, <B^2>, <B+ B>,  and d = <[B, B+]>,
 
@@ -10,15 +10,20 @@ excesses ("squeezing factors")
 
     F = (4 <(dX)^2> - |d|) / |d|,     G = (4 <(dY)^2> - |d|) / |d|,
 
-negative values signaling squeezing below the coherent-state level.  Rotating
-the quadrature pair by a homodyne phase phi and minimizing over phi gives the
-principal squeezing V, the envelope of all F_phi curves:
+negative values signaling squeezing below the coherent-state level.  Every
+factor is read from one variance pair,
 
-    V = [ d + 2<B+ B> - 2|<B>|^2 - |d| - 2|<B^2> - <B>^2| ] / |d|.
+    u = d + 2 (<B+ B> - |<B>|^2) - |d|,     w = <B^2> - <B>^2.
 
-`factor_phase` is the single source of truth: `factor_x` and `factor_y` are
-literally `factor_phase` at phi = 0 and phi = pi/2, so the definitional
-identities hold bit-exactly.
+The quadrature X_phi = (B e^-iphi + B+ e^iphi)/2, rotated by a homodyne phase
+phi, has the factor F_phi = (u + 2 Re(w e^{-2i phi})) / |d|; minimizing over
+phi gives the principal squeezing V, the envelope of all F_phi curves:
+
+    V = (u - 2|w|) / |d|.
+
+Since Re(w e^{-2i phi}) >= -|w|, V <= F_phi holds by construction, not only up
+to roundoff.  `factor_x` and `factor_y` are literally `factor_phase` at phi = 0
+and phi = pi/2, so the definitional identities hold bit-exactly.
 
 All functions are pure and the value types immutable, so they are safe to call
 from any number of concurrent workers.
@@ -40,7 +45,8 @@ from .errors import DegenerateDenominator, NumericOverflow
 EPS_DEN = 1e-12
 
 # Slack for the construction-time sanity checks.  Moment sets produced by the
-# numerical oracle carry O(1e-13) arithmetic noise.
+# numerical oracle carry O(1e-13) arithmetic noise; the checks add the roundoff
+# of the moments, eps (|<B>|^2 + |<B^2>| + <B+ B> + |d|), on top.
 _CHECK_TOL = 1e-9
 
 # Every factor numerator adds a few multiples of |<B>|^2, |<B^2>|, <B+ B> and
@@ -78,62 +84,48 @@ class QuadratureMoments:
         with np.errstate(over="ignore", invalid="ignore"):  # nan and inf fail the checks
             n, d_abs = self.mean_bdag_b, abs(self.mean_d)
             b_abs2, b_sq_abs = abs(self.mean_b) ** 2, abs(self.mean_b_sq)
-            cap = n + d_abs
-            scale = b_abs2 + b_sq_abs + abs(n) + d_abs
-            for passed, problem, value in (
-                (n >= -_CHECK_TOL, "mean_bdag_b must be >= 0, got", n),
+            cap, scale = n + d_abs, b_abs2 + b_sq_abs + abs(n) + d_abs
+            slack = _CHECK_TOL + sys.float_info.epsilon * scale
+            for passed, problem, value, error in (
+                (np.isfinite(scale) & (cap < _MOMENT_MAX),
+                 "moments out of float range, size", scale, NumericOverflow),
+                (n >= -slack, "mean_bdag_b must be >= 0, got", n, ValueError),
                 # Cauchy-Schwarz for any physical state
-                (n >= b_abs2 - _CHECK_TOL,
-                 "unphysical moment set: mean_bdag_b < |mean_b|^2 =", b_abs2),
+                (n >= b_abs2 - slack,
+                 "unphysical moment set: mean_bdag_b < |mean_b|^2 =", b_abs2, ValueError),
                 # finite-second-moment sanity bound (checked, not assumed)
-                (b_sq_abs <= cap + _CHECK_TOL,
-                 "|mean_b_sq| exceeds mean_bdag_b + |mean_d|:", b_sq_abs),
-                (cap < _MOMENT_MAX, "mean_bdag_b + |mean_d| is out of float range:", cap),
+                (b_sq_abs <= cap + slack,
+                 "|mean_b_sq| exceeds mean_bdag_b + |mean_d|:", b_sq_abs, ValueError),
             ):
                 if not passed.all():
                     i = np.argmin(np.ravel(passed))  # report the first failing set
-                    break
-            else:
-                return
-        problem, scale = f"{problem} {np.ravel(value)[i]}", np.ravel(scale)[i]
-        # A failed check shows an unphysical state only while the roundoff of
-        # the moments stays below the slack; past that, and for nan or
-        # infinite moments, the arithmetic ran out of range or precision.
-        if not scale * sys.float_info.epsilon <= _CHECK_TOL:
-            raise NumericOverflow(f"{problem} (moments of size {scale:.3e})")
-        raise ValueError(problem)
+                    raise error(f"{problem} {np.ravel(value)[i]}")
 
 
-def _check_denominator(m: QuadratureMoments):
+def _variances(m: QuadratureMoments):
+    """(u, w, |d|): the phase-independent and the phase-dependent part of 4 <(dX_phi)^2> - |d|."""
     d_abs = abs(m.mean_d)
     if np.any(d_abs <= EPS_DEN):
         raise DegenerateDenominator(
             f"|<D>| = {np.min(d_abs)} <= {EPS_DEN}; squeezing factor undefined"
         )
-    # the numerators cancel moments of this size; their roundoff must stay below the slack
+    # u and w cancel moments of this size; their roundoff must stay below the slack
     scale = abs(m.mean_b) ** 2 + abs(m.mean_b_sq) + abs(m.mean_bdag_b) + d_abs
     if not np.all(scale * sys.float_info.epsilon <= _CHECK_TOL * d_abs):
         raise NumericOverflow(f"factor lost its precision (moments of size {np.max(scale):.3e})")
-    return d_abs
+    u = m.mean_d + 2.0 * (m.mean_bdag_b - abs(m.mean_b) ** 2) - d_abs
+    return u, m.mean_b_sq - m.mean_b * m.mean_b, d_abs
 
 
 def factor_phase(m: QuadratureMoments, phi: float):
     """Squeezing factor of the phase-rotated quadrature X_phi = (B e^-iphi + B+ e^iphi)/2.
 
-    Expanded form of (4 <(dX_phi)^2> - |d|) / |d|.  Raises DegenerateDenominator
-    when |mean_d| <= EPS_DEN at any point, and NumericOverflow where the
-    roundoff of the moments exceeds the check slack times |mean_d|.
+    (u + 2 Re(w e^{-2i phi})) / |d|.  Raises DegenerateDenominator when
+    |mean_d| <= EPS_DEN at any point, and NumericOverflow where the roundoff
+    of the moments exceeds the check slack times |mean_d|.
     """
-    d_abs = _check_denominator(m)
-    rot = cmath.exp(-1j * phi)
-    num = (
-        2.0 * (m.mean_b_sq * rot * rot).real
-        + 2.0 * m.mean_bdag_b
-        + m.mean_d
-        - d_abs
-        - 4.0 * (m.mean_b * rot).real ** 2
-    )
-    return num / d_abs
+    u, w, d_abs = _variances(m)
+    return (u + 2.0 * (w * cmath.exp(-2j * phi)).real) / d_abs
 
 
 def factor_x(m: QuadratureMoments):
@@ -149,15 +141,7 @@ def factor_y(m: QuadratureMoments):
 def principal(m: QuadratureMoments):
     """Principal squeezing: the exact minimum of factor_phase over the homodyne phase.
 
-    Closed form of min_phi factor_phase(m, phi); V <= F and V <= G always.
+    (u - 2 |w|) / |d|, so V <= F and V <= G by construction.
     """
-    d_abs = _check_denominator(m)
-    w = m.mean_b_sq - m.mean_b * m.mean_b
-    num = (
-        m.mean_d
-        + 2.0 * m.mean_bdag_b
-        - 2.0 * abs(m.mean_b) ** 2
-        - d_abs
-        - 2.0 * abs(w)
-    )
-    return num / d_abs
+    u, w, d_abs = _variances(m)
+    return (u - 2.0 * abs(w)) / d_abs

@@ -254,6 +254,17 @@ def test_coherent_seed_beyond_precision_is_typed_error(capsys, engine, kind):
     assert "NumericOverflow" in err and "lost its precision" in err
 
 
+@pytest.mark.parametrize("engine", ["analytic", "moments"])
+def test_large_sum_seed_within_its_roundoff_evaluates(capsys, engine):
+    # <B+ B> and |<B>|^2 are 6.25e6 here and meet Cauchy-Schwarz only to 2 ulp
+    code, out, err = _run(capsys, [
+        "sweep", "--kind", "sum", "--chi", "0.25", "--k", "0", "--alpha1", "50",
+        "--alpha2", "50", "--tmax", "3", "--steps", "301", "--engine", engine,
+    ])
+    assert code == 0, err
+    assert _parse_csv(out).shape == (301, 4)
+
+
 @pytest.mark.parametrize("engine", ["analytic", "moments", "oracle"])
 @pytest.mark.parametrize("overrides", [
     ["--k", "400", "--tmax", "1"],

@@ -1,6 +1,7 @@
 """Tests of the generic moment -> squeezing-factor framework."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrdown import (
+    DConvention,
     DegenerateDenominator,
     NumericOverflow,
     QuadratureMoments,
@@ -18,7 +20,10 @@ from kerrdown import (
     factor_y,
     moments_for,
     principal,
+    verify,
 )
+from kerrdown.fock_oracle import moment_sets
+from kerrdown.squeezing_analytic import sum_fg
 
 VACUUM = QuadratureMoments(0.0, 0.0, 0.0, 1.0)
 COHERENT_04 = QuadratureMoments(0.4, 0.16, 0.16, 1.0)
@@ -121,6 +126,36 @@ class TestMomentValidation:
     def test_second_moment_bound_rejected(self):
         with pytest.raises(ValueError):
             QuadratureMoments(0.0, 5.0, 1.0, 1.0)
+
+    def test_unphysical_beyond_roundoff_rejected(self):
+        # large moments widen the slack only by their own roundoff, eps * 1.5e8
+        with pytest.raises(ValueError, match="unphysical"):
+            QuadratureMoments(1e4, 0.0, 0.5e8, 1.0)
+
+
+@pytest.mark.parametrize("conv", list(DConvention))
+def test_large_sum_set_within_its_roundoff_is_accepted(conv):
+    # at alpha = 50, <B+ B> = |<B>|^2 = 6.25e6 at t = 0 and the closed forms
+    # miss Cauchy-Schwarz by 2 ulp there
+    p, ts = SystemParams(0.25, 0.0, 50.0, 50.0), np.linspace(0.0, 3.0, 301)
+    m = moments_for(p, ts, SqueezeKind.SUM, conv)
+    f, g = sum_fg(p, ts, conv)
+    assert np.max(np.abs(factor_x(m) - f)) <= 1e-10
+    assert np.max(np.abs(factor_y(m) - g)) <= 1e-10
+
+
+def test_principal_is_exactly_the_envelope_on_the_verify_grid():
+    # V and F_phi share u and w, so V <= F, G holds without any slack
+    ts, params = verify.grid_times(), verify.grid_params()
+    grid = SystemParams(
+        *(np.array([getattr(p, f.name) for p in params])[:, None] for f in fields(SystemParams))
+    )
+    oracle = moment_sets(grid, ts, verify.KIND_CELLS)
+    for (kind, conv), mo in zip(verify.KIND_CELLS, oracle):
+        for m in (moments_for(grid, ts, kind, conv), mo):
+            v = principal(m)
+            assert np.all(v <= factor_x(m))
+            assert np.all(v <= factor_y(m))
 
 
 # strategy: physically valid moment sets, generated by the closed-form engine
