@@ -36,12 +36,12 @@ nu = |N|, zero-padded to n_max + 1, are diagonalized in one stacked `eigh`
 per (n_max, k); the sectors +nu and -nu read the same eigenvectors.  Times
 are propagated in blocks of `_BLOCK`.  A block's coefficients, laid out
 (nu, j, sign, t), take the pair phase exp(-i lambda t) of chain nu, computed
-once for both signs, and the Kerr carrier exp(-i chi N(N - 1) t) of each
-sector in place; one batched product with the eigenvectors then gives every
-amplitude of the block, and padded slots are never scattered back onto the
-grid.  Each block is checked and read out as a whole.  Every read-out, the
-squeezing moment sets and the motion constants of the conservation checks
-alike, contracts those blocks through `_contract`.
+once for both signs; one batched product with the eigenvectors gives every
+pair amplitude of the block, and padded slots are never scattered back onto
+the grid.  The scalar Kerr term commutes with the pair term, so a block is
+checked and read out through `_contract` for every chi at its (k, alpha1,
+alpha2): moments that keep N read the pair amplitudes, those that change N
+read them times each sector's Kerr phase exp(-i chi N(N - 1) t).
 """
 
 from __future__ import annotations
@@ -169,14 +169,14 @@ def _phases(energy: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _propagate(
     p: SystemParams, ts: Iterable[float], cfg: OracleConfig
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (times, amplitudes (times, n1, n2), norms squared) per block of ts.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (times, pair amplitudes (times, n1, n2), norms squared, Kerr phases) per block of ts.
 
-    The whole time axis is validated before the first block; every block is
-    checked for norm drift and tail population before it is yielded.  An
-    empty axis gives one empty block.
+    p is one parameter set, or several that differ in a 1-D chi_bar alone; the
+    Kerr phases are laid out (*chi_bar's shape, N + n_max, t).  The whole axis
+    is validated before the first block; every block is checked for norm drift
+    and tail population before it is yielded.  An empty axis gives one empty block.
     """
-    p.require_one("the Fock oracle")
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
     if bad.any():
@@ -186,9 +186,9 @@ def _propagate(
     seed = coherent_state(p.alpha1, p.alpha2, n_max)
     norm0 = math.sqrt(np.sum(np.abs(seed) ** 2))
     evals, evecs = _spectrum(n_max, p.k)
-    n = np.arange(dim, dtype=float)[:, None] * np.array([1.0, -1.0])  # N of (nu, sign)
+    n = np.arange(-n_max, dim, dtype=float)  # N of each sector
     with np.errstate(over="ignore"):  # reported below
-        kerr = p.chi_bar * n * (n - 1.0)
+        kerr = np.multiply.outer(p.chi_bar, n * (n - 1.0))
     t_end = float(ts.max(initial=0.0))
     for what, energy in (("pair phase lambda t", evals), ("Kerr phase chi N(N-1) t", kerr)):
         reach = float(np.abs(energy).max())
@@ -197,16 +197,17 @@ def _propagate(
     slots = _slots(n_max)
     seed_x = np.zeros(2 * dim * dim, dtype=complex)
     seed_x[slots] = seed.reshape(-1)
-    c = evecs.conj().transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)  # evecs^H psi0, (nu, j, sign)
+    # evecs^H psi0, (nu, j, sign); the seed is real, so (evecs^T psi0)* is the
+    # same projection without a conjugate copy of the eigenvector stack
+    c = (evecs.transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)).conj()
     for lo in range(0, max(ts.size, 1), _BLOCK):
         tb = ts[lo : lo + _BLOCK]
         # the coefficient block (nu, j, sign, t): the pair phase of chain nu,
-        # shared by both signs, then the seed and the Kerr carrier, in place
+        # shared by both signs, then the seed, in place
         x = np.empty((dim, dim, 2, tb.size), dtype=complex)
         _phases(evals, tb, x[:, :, 0])
         x[:, :, 1] = x[:, :, 0]
         x *= c[..., None]
-        x *= _phases(kerr, tb, np.empty((dim, 2, tb.size), dtype=complex))[:, None]
         x = evecs @ x.reshape(dim, dim, 2 * tb.size)  # (nu, m, sign, t)
         amp = x.reshape(2 * dim * dim, tb.size).T[:, slots].reshape(tb.size, dim, dim)
         del x  # only amp is held while the block is checked and read out
@@ -225,8 +226,15 @@ def _propagate(
                 f"raise n_max for this time span"
             )
         del w
-        yield tb, amp, norm_sq
+        yield tb, amp, norm_sq, _phases(kerr, tb, np.empty(kerr.shape + tb.shape, dtype=complex))
         del amp  # released before the next block is built
+
+
+def _with_kerr(pair: np.ndarray, phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = pair (times, n1, n2) times the Kerr phase (N + n_max, times) of N = n1 - n2."""
+    n = np.arange(pair.shape[-1])
+    np.take(phase.T, np.subtract.outer(n, n) + n[-1], axis=1, out=out, mode="clip")  # unbuffered
+    return np.multiply(out, pair, out=out)
 
 
 @functools.cache
@@ -267,7 +275,9 @@ def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
         lo1 - pw_q + pw_p : hi1 - pw_q + pw_p + 1,
         lo2 - pw_s + pw_r : hi2 - pw_s + pw_r + 1,
     ]
-    return (bra.conj() * ket) @ w2 @ w1
+    prod = bra.conj()
+    prod *= ket
+    return prod @ w2 @ w1
 
 
 def _real(z: np.ndarray, what: str) -> np.ndarray:
@@ -293,44 +303,57 @@ def moment_sets(
     cells: Sequence[tuple[SqueezeKind, DConvention]],
     cfg: OracleConfig = OracleConfig(),
 ) -> list[QuadratureMoments]:
-    """Moment sets of each (kind, d_convention) cell at the times t (a float or a 1-D array).
+    """Moment sets of each (kind, d_convention) cell at the times t.
 
-    p is one parameter set (sets shaped like t) or a column batch (P, 1), whose
-    entries are evolved one after another ((P, T) sets).  Every cell is read
-    from the same propagated blocks, each distinct normally ordered moment
-    contracted once per block over all its times.  Mode-1 moments are the
-    Schrodinger expectations in the co-rotating frame; mode-2 moments carry
-    the carrier phase e^{2i chi t} once per net power of the mode-2 amplitude.
+    p is one parameter set (sets shaped like t) or a column batch (P, 1) with
+    a float or 1-D t ((P, T) sets).  Entries sharing (k, alpha1, alpha2), k
+    first, share one propagation of the pair term; each distinct normally
+    ordered moment is contracted once per block over all its times, per group
+    if it keeps N = n1 - n2, else per entry on its Kerr-phased state.  Mode-1
+    moments are the Schrodinger expectations in the co-rotating frame; mode-2
+    moments carry the carrier e^{2i chi t} once per net power of a2.
     """
     if p.shape and p.shape[1:] != (1,):
         raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {p.shape}")
-    parts = [[] for _ in cells]  # per cell, (<B>, <B^2>, <B+ B>, d) of each block
-    columns = (c.ravel().tolist() for c in np.broadcast_arrays(p.chi_bar, p.k, p.alpha1, p.alpha2))
-    for entry in map(SystemParams, *columns):  # one parameter set at a time, in batch order
-        for tb, amp, norm_sq in _propagate(entry, np.ravel(t), cfg):
-            ph = np.exp(2j * entry.chi_bar * tb)
+    if p.shape and np.ndim(t) > 1:
+        raise TypeError(f"a (P, 1) batch takes a float or a 1-D t, not one of shape {np.shape(t)}")
+    chis, *keys = (c.ravel().tolist() for c in np.broadcast_arrays(p.chi_bar, p.k, p.alpha1, p.alpha2))
+    groups = {}  # batch positions of each (k, alpha1, alpha2)
+    for i, key in enumerate(zip(*keys)):
+        groups.setdefault(key, []).append(i)
+    parts = [[[] for _ in chis] for _ in cells]  # per cell and entry, (<B>, <B^2>, <B+ B>, d) per block
+    for key, entries in sorted(groups.items()):  # k first: one spectrum at a time
+        group = SystemParams(np.take(chis, entries), *key)
+        for tb, pair, norm_sq, kerr in _propagate(group, np.ravel(t), cfg):
+            kept = functools.cache(lambda *powers: _contract(pair, powers) / norm_sq)
+            amp = np.empty_like(pair)  # one entry's state at a time
+            for i, phase in zip(entries, kerr):
+                _with_kerr(pair, phase, amp)
+                ph = np.exp(2j * chis[i] * tb)
 
-            @functools.cache
-            def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s>, carrier ph^(s - r)
-                if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
-                    return ex(pw_q, pw_p, pw_s, pw_r).conj()
-                return ph ** (pw_s - pw_r) * (_contract(amp, (pw_p, pw_q, pw_r, pw_s)) / norm_sq)
+                @functools.cache
+                def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s>, carrier ph^(s - r)
+                    if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
+                        return ex(pw_q, pw_p, pw_s, pw_r).conj()
+                    if pw_q - pw_p == pw_s - pw_r:  # keeps N: blind to the Kerr phase
+                        return ph ** (pw_s - pw_r) * kept(pw_p, pw_q, pw_r, pw_s)
+                    return ph ** (pw_s - pw_r) * (_contract(amp, (pw_p, pw_q, pw_r, pw_s)) / norm_sq)
 
-            for part, (kind, d_convention) in zip(parts, cells):
-                terms = _TERMS[kind]
-                pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
-                mean_b = sum(ex(0, q, 0, s) for q, s in terms)
-                mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
-                mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
-                d = np.full(tb.size, float(len(terms)))  # <[B, B+]> of a1, a2 and a1 + a2
-                if kind is SqueezeKind.SUM:
-                    n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
-                    d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-                part.append((mean_b, mean_b_sq, mean_n, d))
-            del amp, ex  # released before the next block is built
+                for part, (kind, d_convention) in zip(parts, cells):
+                    terms = _TERMS[kind]
+                    pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
+                    mean_b = sum(ex(0, q, 0, s) for q, s in terms)
+                    mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
+                    mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
+                    d = np.full(tb.size, float(len(terms)))  # <[B, B+]> of a1, a2 and a1 + a2
+                    if kind is SqueezeKind.SUM:
+                        n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
+                        d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+                    part[i].append((mean_b, mean_b_sq, mean_n, d))
+            del pair, kerr, phase, kept, amp, ex  # released before the next block is built
     shape = np.broadcast_shapes(p.shape, np.shape(t))  # (P, T) for a batch
     return [
-        QuadratureMoments(*(np.concatenate(column).reshape(shape) for column in zip(*part)))
+        QuadratureMoments(*(np.concatenate(column).reshape(shape) for column in zip(*sum(part, []))))
         for part in parts
     ]
 
@@ -352,13 +375,14 @@ def motion_constants(
     """<N>, <N^2>, frame energy <H> and norm of the evolved seed along the 1-D time axis t.
 
     N = n1 - n2 and H itself commute with the generator H, and the evolution
-    is unitary, so all four are flat.  They are read from the same propagated
-    blocks as `moment_sets`:
+    is unitary, so all four are flat.  They keep N, so they are read from the
+    pair amplitudes of the same propagated blocks as `moment_sets`:
         <N^2> = <a1+^2 a1^2> + <n1> - 2<n1 n2> + <a2+^2 a2^2> + <n2>,
         <H>   = chi (<N^2> - <N>) + 2k Im<a1 a2>.
     """
+    p.require_one("the Fock oracle")
     parts = []
-    for _, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
+    for _, amp, norm_sq, _ in _propagate(p, np.ravel(t), cfg):
         n1, n2, aa1, aa2, n1n2 = (  # aa: <a+^2 a^2> of one mode
             _contract(amp, powers).real / norm_sq
             for powers in ((1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 0, 0), (0, 0, 2, 2), (1, 1, 1, 1))

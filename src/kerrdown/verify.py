@@ -138,7 +138,7 @@ def run_verification(cfg: OracleConfig = OracleConfig()) -> VerificationReport:
     params = grid_params() + [SystemParams(0.5, 0.1, 0.0, 0.0)]  # degenerate probe
     columns = [np.array([getattr(p, f.name) for p in params])[:, None] for f in fields(SystemParams)]
     grid = SystemParams(*columns)  # one column batch (P, 1), broadcast against ts to (P, T)
-    # one evolution per (p, t); every kind cell reads its moments from it
+    # one pair evolution per (k, alpha1, alpha2); every kind cell reads its moments from it
     oracle = fock_oracle.moment_sets(grid, ts, KIND_CELLS, cfg)
     skipped = []
     worst = defaultdict(float)  # largest deviation of each check over the grid

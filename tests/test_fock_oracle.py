@@ -59,8 +59,15 @@ def _expect(amp, powers):
 
 
 def _evolve(p, ts, cfg):
-    """Amplitudes (times, n1, n2) of the seed of p evolved to every time of ts."""
-    return np.concatenate([amp for _, amp, _ in fock_oracle._propagate(p, ts, cfg)])
+    """Amplitudes (times, n1, n2) of the seed of p evolved to every time of ts.
+
+    Formed as the oracle forms one entry's state: the pair amplitude times the
+    Kerr phase of each sector N = n1 - n2.
+    """
+    return np.concatenate([
+        fock_oracle._with_kerr(pair, kerr, np.empty_like(pair))
+        for _, pair, _, kerr in fock_oracle._propagate(p, ts, cfg)
+    ])
 
 
 class TestHamiltonian:
@@ -294,6 +301,39 @@ class TestMomentSets:
                     diff = np.abs(getattr(a, field.name) - getattr(b, field.name))
                     assert np.max(diff) <= 1e-14, field.name
 
+    def test_batch_takes_a_float_or_a_1d_time_axis(self, monkeypatch):
+        # one parameter set gives sets shaped like t, whatever its shape; a
+        # (P, 1) batch broadcasts against a float or a 1-D t only, and any
+        # other t is refused before anything is propagated
+        cells = KIND_CELLS[:1]
+        one = SystemParams(0.5, 0.1, 0.4, 0.3)
+        batch = SystemParams(np.array([[0.5], [0.25]]), 0.1, 0.4, 0.3)
+        for p, t, shape in (
+            (one, np.zeros((2, 2)), (2, 2)),
+            (batch, 0.5, (2, 1)),
+            (batch, np.zeros(3), (2, 3)),
+        ):
+            assert moment_sets(p, t, cells)[0].mean_b.shape == shape
+        seeds = []
+        monkeypatch.setattr(fock_oracle, "coherent_state", lambda *args: seeds.append(args))
+        for t in (np.zeros((2, 2)), np.zeros((1, 3))):
+            with pytest.raises(TypeError, match="1-D t"):
+                moment_sets(batch, t, cells)
+        assert seeds == []
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name from now on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
 
 def _assert_sets_match_per_point_sets(ts):
     # one propagation read for every kind cell, gathered over the time axis,
@@ -342,6 +382,41 @@ class TestStream:
         moment_sets(p, np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13), KIND_CELLS)
         assert len(calls) == 2 * len(set(calls)) == 20
 
+    def test_entries_differing_in_chi_share_one_pair_evolution(self, monkeypatch):
+        # the Kerr phases cancel in the five moments that keep N = n1 - n2:
+        # they are contracted once per block for the three chi, and the five
+        # that change N once per block and chi
+        calls = _count_calls(monkeypatch, fock_oracle, "_contract")
+        p = SystemParams(np.array([[0.0], [0.25], [0.5]]), 0.1, 0.4, 0.3)
+        moment_sets(p, np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13), KIND_CELLS)
+        keeps_n = [pw[1] - pw[0] == pw[3] - pw[2] for _, pw in calls]
+        assert len(calls) == 2 * (5 + 3 * 5)
+        assert sum(keeps_n) == 2 * 5
+
+    def test_interleaved_batch_equals_per_parameter_sets(self, monkeypatch):
+        # chi outermost and shuffled: the entries of one (k, alpha1, alpha2)
+        # are scattered over the batch, yet each k is diagonalized once and
+        # every entry's sets come back in batch order, bit for bit
+        params = [
+            SystemParams(chi, k, a1, a2)
+            for chi in (0.5, 0.0, 0.25)
+            for k in (0.1, 0.0, 0.05)
+            for a1, a2 in ((0.2, 0.3), (0.4, 0.0))
+        ]
+        params = [params[i] for i in np.random.default_rng(5).permutation(len(params))]
+        names = [f.name for f in dataclasses.fields(SystemParams)]
+        batch = SystemParams(*(np.array([[getattr(p, name)] for p in params]) for name in names))
+        ts = np.linspace(0.0, 3.0, 20)
+        ref = [moment_sets(p, ts, KIND_CELLS) for p in params]
+        fock_oracle._spectrum.cache_clear()
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+        sets = moment_sets(batch, ts, KIND_CELLS)
+        assert len(eighs) == 3
+        for m, cell in zip(sets, zip(*ref)):
+            for field in dataclasses.fields(m):
+                for row, r in zip(getattr(m, field.name), cell):
+                    assert np.array_equal(row, getattr(r, field.name)), field.name
+
     def test_memory_does_not_grow_with_the_time_axis(self):
         # blocks are propagated and read out one at a time: ten blocks of
         # times peak at about the memory of one
@@ -374,6 +449,13 @@ class TestStream:
         # shared by the sectors +N and -N
         dim = OracleConfig().n_max + 1
         assert shapes == [(dim, dim, dim)] * len(GRID_KS)
+
+    def test_verification_evolves_each_pair_term_once(self, monkeypatch):
+        # one seed projection per (k, alpha1, alpha2): the nine of the grid
+        # and the probe's, whatever their chi, and one for the conservation run
+        seeds = _count_calls(monkeypatch, fock_oracle, "coherent_state")
+        run_verification()
+        assert len(seeds) == 11
 
 
 class TestConservation:
