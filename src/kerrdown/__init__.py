@@ -31,9 +31,7 @@ from .moments_engine import (
 from .quad_core import (
     QuadratureMoments,
     factor_phase,
-    factor_x,
-    factor_y,
-    principal,
+    factors,
 )
 
 __all__ = [
@@ -51,12 +49,10 @@ __all__ = [
     "TailOverflow",
     "TruncationTooSevere",
     "factor_phase",
-    "factor_x",
-    "factor_y",
+    "factors",
     "kernel",
     "mode_moments",
     "moments_for",
     "pair_moments",
-    "principal",
     "sum_moments",
 ]

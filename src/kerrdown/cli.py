@@ -107,13 +107,11 @@ def run_sweep(req: SweepRequest) -> SweepResult:
         (m,) = fock_oracle.moment_sets(p, ts, [(kind, conv)], req.cfg)
     else:
         m = moments_engine.moments_for(p, ts, kind, conv)
+    f, g, v = quad_core.factors(m)
     if req.engine == "analytic":
         # closed-form f, g; the envelope has no expanded closed form and is
         # taken from the moment route
         f, g = squeezing_analytic.factors(p, ts, kind, conv)
-    else:
-        f, g = quad_core.factor_x(m), quad_core.factor_y(m)
-    v = quad_core.principal(m)
     low = np.minimum(f, g)
     violated = v > low + TOL_ENVELOPE
     if violated.any():

@@ -22,8 +22,9 @@ phi gives the principal squeezing V, the envelope of all F_phi curves:
     V = (u - 2|w|) / |d|.
 
 Since Re(w e^{-2i phi}) >= -|w|, V <= F_phi holds by construction, not only up
-to roundoff.  `factor_x` and `factor_y` are literally `factor_phase` at phi = 0
-and phi = pi/2, so the definitional identities hold bit-exactly.
+to roundoff.  `factors` reads (u, w) once and gives F and G by the same rotation
+as `factor_phase` at phi = 0 and phi = pi/2, so the definitional identities
+hold bit-exactly.
 
 All functions are pure and the value types immutable, so they are safe to call
 from any number of concurrent workers.
@@ -117,6 +118,10 @@ def _variances(m: QuadratureMoments):
     return u, m.mean_b_sq - m.mean_b * m.mean_b, d_abs
 
 
+def _rotated(u, w, d_abs, phi: float):
+    return (u + 2.0 * (w * cmath.exp(-2j * phi)).real) / d_abs
+
+
 def factor_phase(m: QuadratureMoments, phi: float):
     """Squeezing factor of the phase-rotated quadrature X_phi = (B e^-iphi + B+ e^iphi)/2.
 
@@ -124,24 +129,14 @@ def factor_phase(m: QuadratureMoments, phi: float):
     |mean_d| <= EPS_DEN at any point, and NumericOverflow where the roundoff
     of the moments exceeds the check slack times |mean_d|.
     """
-    u, w, d_abs = _variances(m)
-    return (u + 2.0 * (w * cmath.exp(-2j * phi)).real) / d_abs
+    return _rotated(*_variances(m), phi)
 
 
-def factor_x(m: QuadratureMoments):
-    """Squeezing factor of the X quadrature; F < 0 signals squeezing in X."""
-    return factor_phase(m, 0.0)
+def factors(m: QuadratureMoments):
+    """(F, G, V): the X and Y factors and the principal squeezing, from one (u, w).
 
-
-def factor_y(m: QuadratureMoments):
-    """Squeezing factor of the Y quadrature."""
-    return factor_phase(m, 0.5 * math.pi)
-
-
-def principal(m: QuadratureMoments):
-    """Principal squeezing: the exact minimum of factor_phase over the homodyne phase.
-
-    (u - 2 |w|) / |d|, so V <= F and V <= G by construction.
+    F and G are factor_phase at phi = 0 and pi/2, and V = (u - 2 |w|) / |d| is
+    its exact minimum over phi, so V <= F, G by construction.  Raises as factor_phase.
     """
     u, w, d_abs = _variances(m)
-    return (u - 2.0 * abs(w)) / d_abs
+    return _rotated(u, w, d_abs, 0.0), _rotated(u, w, d_abs, 0.5 * math.pi), (u - 2.0 * abs(w)) / d_abs

@@ -86,8 +86,8 @@ def grid_times() -> np.ndarray:
 
 
 def grid_params() -> list[SystemParams]:
-    # k outermost: the oracle's spectra are keyed by (n_max, k), so each is
-    # diagonalized once per grid
+    # the oracle groups its batch by (k, alpha1, alpha2) itself; this order
+    # fixes only the batch order and so the order of the skipped cells
     return [
         SystemParams(chi, k, a1, a2)
         for k in GRID_KS
@@ -111,9 +111,9 @@ def _deviations(p, ts, kind, conv, mm, mo) -> dict:
     p is one parameter set or a batch matching ts; mm and mo hold the moments
     route's and the oracle's moment sets at those points.
     """
-    fm, gm, vm = quad_core.factor_x(mm), quad_core.factor_y(mm), quad_core.principal(mm)
+    fm, gm, vm = quad_core.factors(mm)
     fa, ga = squeezing_analytic.factors(p, ts, kind, conv)
-    fo, go, vo = quad_core.factor_x(mo), quad_core.factor_y(mo), quad_core.principal(mo)
+    fo, go, vo = quad_core.factors(mo)
     dev = {
         "analytic-moments": np.maximum(abs(fa - fm), abs(ga - gm)),
         "analytic-oracle": np.maximum(abs(fa - fo), abs(ga - go)),

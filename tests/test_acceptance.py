@@ -25,10 +25,8 @@ from kerrdown import (
     DConvention,
     SqueezeKind,
     SystemParams,
-    factor_x,
-    factor_y,
     moments_for,
-    principal,
+    quad_core,
 )
 from kerrdown.cli import write_figure
 from kerrdown.fock_oracle import OracleConfig, moment_set_numeric
@@ -92,12 +90,8 @@ def test_criterion_2_sum_identity_at_zero_gain(grid_times):
                 f_a, g_a = factors(p, float(t), SqueezeKind.SUM)
                 m = moments_for(p, float(t), SqueezeKind.SUM)
                 mo = moment_set_numeric(p, float(t), SqueezeKind.SUM, cfg)
-                worst = max(
-                    worst,
-                    abs(f_a), abs(g_a),
-                    abs(factor_x(m)), abs(factor_y(m)),
-                    abs(factor_x(mo)), abs(factor_y(mo)),
-                )
+                (f_m, g_m, _), (f_o, g_o, _) = quad_core.factors(m), quad_core.factors(mo)
+                worst = max(worst, abs(f_a), abs(g_a), abs(f_m), abs(g_m), abs(f_o), abs(g_o))
     ok = worst <= 1e-12
     _line("criterion 2 minimum-uncertainty sum identity", ok, f"max |F|,|G| = {worst:.2e} (<=1e-12)")
     assert ok
@@ -128,7 +122,7 @@ def test_criterion_3_spot_value_matches_oracle_as_stated():
     chi, k, a1, a2, t = 0.5, 0.0, 0.4, 0.4, math.pi
     p = SystemParams(chi, k, a1, a2)
     m = moment_set_numeric(p, t, SqueezeKind.SINGLE1, OracleConfig())
-    f_oracle = factor_x(m)
+    f_oracle = quad_core.factors(m)[0]
     exact = -4.0 * a1**2 * math.exp(-4.0 * (a1**2 + a2**2) * math.sin(chi * t) ** 2)
     gap_exact = abs(f_oracle - exact)
     gap_quoted = abs(f_oracle - _SPOT)
@@ -148,7 +142,7 @@ def test_criterion_3_arbitrated_form_matches_oracle():
     p = SystemParams(0.5, 0.0, 0.4, 0.4)
     f_red, _ = single_mode_extremum(p, math.pi)
     m = moment_set_numeric(p, math.pi, SqueezeKind.SINGLE1, OracleConfig())
-    diff = abs(f_red - factor_x(m))
+    diff = abs(f_red - quad_core.factors(m)[0])
     ok = diff <= 1e-6 and abs(f_red - (-0.64 * math.exp(-1.28))) <= 1e-12
     _line("criterion 3c arbitrated reduced form vs oracle", ok, f"|diff| = {diff:.2e} (<=1e-6)")
     assert ok
@@ -162,16 +156,12 @@ def test_criterion_4_pure_gain_limits(grid_times):
             for t in grid_times:
                 want = 2.0 * math.sinh(k * t) ** 2
                 f_a, g_a = factors(p, float(t), kind)
-                m = moments_for(p, float(t), kind)
-                worst = max(
-                    worst,
-                    abs(f_a - want), abs(g_a - want),
-                    abs(factor_x(m) - want), abs(factor_y(m) - want),
-                )
+                f_m, g_m, _ = quad_core.factors(moments_for(p, float(t), kind))
+                worst = max(worst, abs(f_a - want), abs(g_a - want), abs(f_m - want), abs(g_m - want))
     two_ok = True
     p = SystemParams(0.0, 0.1, 0.4, 0.0)
     for t in grid_times[1:]:
-        if factor_y(moments_for(p, float(t), SqueezeKind.TWO_MODE)) >= 0.0:
+        if quad_core.factors(moments_for(p, float(t), SqueezeKind.TWO_MODE))[1] >= 0.0:
             two_ok = False
     ok = worst <= 1e-10 and two_ok
     _line(
@@ -233,9 +223,9 @@ def test_criterion_6_principal_is_phase_minimum(grid_times):
                 if conv is DConvention.COMMUTATOR and kind is not SqueezeKind.SUM:
                     continue
                 m = moments_for(p, grid_times, kind, conv)
-                v = principal(m)
+                f, g, v = quad_core.factors(m)
                 worst = max(worst, float(np.max(abs(v - _grid_min_refined(m)))))
-                worst_env = max(worst_env, float(np.max(v - np.minimum(factor_x(m), factor_y(m)))))
+                worst_env = max(worst_env, float(np.max(v - np.minimum(f, g))))
     ok = worst <= 1e-8 and worst_env <= 1e-10
     _line(
         "criterion 6 principal squeezing minimization",

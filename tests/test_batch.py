@@ -1,12 +1,13 @@
 """Batched parameter sets: a batch of SystemParams against one parameter set at a time.
 
 The closed forms broadcast a batch's fields against t through the same code
-as one parameter set, and the oracle evolves the entries of a column batch
-(P, 1) one after another, so every batched result must equal the
-per-parameter ones bit for bit.  `_per_parameter_verification` is the grid
-walked one parameter set at a time, as `verify` did before it batched the
-routes; the batched report must reproduce its check values and skipped cells
-exactly.
+as one parameter set, and the oracle groups the entries of a column batch
+(P, 1) by (k, alpha1, alpha2), evolves each group's pair term once and gives
+each entry its chi as a sector phase, in the same arithmetic as a lone entry,
+so every batched result must equal the per-parameter ones bit for bit.
+`_per_parameter_verification` is the grid walked one parameter set at a time,
+as `verify` did before it batched the routes; the batched report must
+reproduce its check values and skipped cells exactly.
 """
 
 import math
@@ -106,9 +107,9 @@ def test_mirrored_batch():
 
 
 def _reference_deviations(p, ts, kind, conv, mm, mo) -> dict:
-    fm, gm, vm = quad_core.factor_x(mm), quad_core.factor_y(mm), quad_core.principal(mm)
+    fm, gm, vm = quad_core.factors(mm)
     fa, ga = factors(p, ts, kind, conv)
-    fo, go, vo = quad_core.factor_x(mo), quad_core.factor_y(mo), quad_core.principal(mo)
+    fo, go, vo = quad_core.factors(mo)
     dev = {
         "analytic-moments": np.maximum(abs(fa - fm), abs(ga - gm)),
         "analytic-oracle": np.maximum(abs(fa - fo), abs(ga - go)),

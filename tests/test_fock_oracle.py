@@ -15,7 +15,7 @@ from kerrdown import (
     SystemParams,
     TailOverflow,
     TruncationTooSevere,
-    factor_x,
+    factors,
     moments_for,
 )
 from kerrdown import fock_oracle
@@ -278,7 +278,7 @@ class TestMomentSets:
         # form -4 a^2 exp(2 eps1) = -0.64 e^{-0.64}
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
         m = moment_set_numeric(p, math.pi, SqueezeKind.SINGLE1, OracleConfig())
-        assert factor_x(m) == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-6)
+        assert factors(m)[0] == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-6)
 
     def test_dressed_mode_mean_matches_closed_form(self):
         cfg = OracleConfig()
@@ -503,14 +503,13 @@ class TestConfig:
 
 def test_uncertainty_product_on_oracle_sets():
     # with the true commutator in mean_d, (F+1)(G+1) >= 1 for every kind
-    from kerrdown import factor_y
-
     cfg = OracleConfig()
     for p in (SystemParams(0.5, 0.1, 0.4, 0.4), SystemParams(0.25, 0.05, 0.2, 0.3)):
         for kind in SqueezeKind:
             for t in (0.0, 0.9, 2.7):
                 m = moment_set_numeric(p, t, kind, cfg, DConvention.COMMUTATOR)
-                assert (factor_x(m) + 1.0) * (factor_y(m) + 1.0) >= 1.0 - 1e-10
+                f, g, _ = factors(m)
+                assert (f + 1.0) * (g + 1.0) >= 1.0 - 1e-10
 
 
 def test_cutoff_convergence(grid_times):

@@ -11,8 +11,7 @@ from kerrdown import (
     DConvention,
     SqueezeKind,
     SystemParams,
-    factor_x,
-    factor_y,
+    factors,
     kernel,
     mode_moments,
     moments_for,
@@ -87,7 +86,7 @@ class TestCoherentStart:
         assert m.mean_b_sq == pytest.approx(0.36, abs=1e-15)
         assert m.mean_bdag_b == pytest.approx(0.36, abs=1e-15)
         assert m.mean_d == 2.0
-        assert factor_x(m) == pytest.approx(0.0, abs=1e-14)
+        assert factors(m)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_sum(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.4)
@@ -96,7 +95,7 @@ class TestCoherentStart:
         assert m.mean_b_sq == pytest.approx(0.0256, abs=1e-15)
         assert m.mean_bdag_b == pytest.approx(0.0256, abs=1e-15)
         assert m.mean_d == pytest.approx(0.32, abs=1e-15)
-        assert factor_x(m) == pytest.approx(0.0, abs=1e-14)
+        assert factors(m)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 class TestPureDownConversion:
@@ -116,8 +115,9 @@ class TestPureDownConversion:
         for t in (0.5, 2.0):
             want = 2.0 * math.sinh(0.1 * t) ** 2
             for m in (mode_moments(p, t), mode_moments(p.mirrored, t)):
-                assert factor_x(m) == pytest.approx(want, abs=1e-12)
-                assert factor_y(m) == pytest.approx(want, abs=1e-12)
+                f, g, _ = factors(m)
+                assert f == pytest.approx(want, abs=1e-12)
+                assert g == pytest.approx(want, abs=1e-12)
 
     def test_two_mode_textbook_factors(self):
         # the standard two-mode squeezer: F = e^{2kt} - 1, G = e^{-2kt} - 1,
@@ -125,9 +125,9 @@ class TestPureDownConversion:
         for a1, a2 in ((0.4, 0.0), (0.3, 0.2)):
             p = SystemParams(0.0, 0.1, a1, a2)
             for t in (0.7, 3.0):
-                m = pair_moments(p, t)
-                assert factor_x(m) == pytest.approx(math.exp(0.2 * t) - 1, abs=1e-12)
-                assert factor_y(m) == pytest.approx(math.exp(-0.2 * t) - 1, abs=1e-12)
+                f, g, _ = factors(pair_moments(p, t))
+                assert f == pytest.approx(math.exp(0.2 * t) - 1, abs=1e-12)
+                assert g == pytest.approx(math.exp(-0.2 * t) - 1, abs=1e-12)
 
     def test_sum_y_quadrature_form(self):
         # chi = 0: G * <n1+n2> = -2 S^2 (a1^2 + a2^2 + 1) - 4 a1 a2 S C
@@ -136,7 +136,7 @@ class TestPureDownConversion:
             c, s = math.cosh(0.1 * t), math.sinh(0.1 * t)
             m = sum_moments(p, t)
             want = -(2 * s * s * (0.16 + 1.0)) / m.mean_d
-            assert factor_y(m) == pytest.approx(want, abs=1e-12)
+            assert factors(m)[1] == pytest.approx(want, abs=1e-12)
 
 
 class TestStructure:

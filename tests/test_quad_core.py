@@ -15,11 +15,11 @@ from kerrdown import (
     QuadratureMoments,
     SqueezeKind,
     SystemParams,
+    cli,
     factor_phase,
-    factor_x,
-    factor_y,
+    factors,
     moments_for,
-    principal,
+    quad_core,
     verify,
 )
 from kerrdown.fock_oracle import moment_sets
@@ -54,26 +54,27 @@ def _squeezer_moments(kt, n_max=80):
 
 class TestFactorValues:
     def test_vacuum_is_flat(self):
-        assert factor_x(VACUUM) == 0.0
-        assert factor_y(VACUUM) == 0.0
-        assert principal(VACUUM) == 0.0
+        assert factors(VACUUM) == (0.0, 0.0, 0.0)
 
     def test_coherent_cancels(self):
-        assert factor_x(COHERENT_04) == pytest.approx(0.0, abs=1e-15)
-        assert factor_y(COHERENT_04) == pytest.approx(0.0, abs=1e-15)
+        f, g, _ = factors(COHERENT_04)
+        assert f == pytest.approx(0.0, abs=1e-15)
+        assert g == pytest.approx(0.0, abs=1e-15)
 
     def test_squeezed_vacuum_hand_values(self):
-        assert factor_x(SQUEEZED) == pytest.approx(-0.75, abs=1e-15)
-        assert factor_y(SQUEEZED) == pytest.approx(3.0, abs=1e-14)
+        f, g, v = factors(SQUEEZED)
+        assert f == pytest.approx(-0.75, abs=1e-15)
+        assert g == pytest.approx(3.0, abs=1e-14)
         # equals min(F, G) here since the moments are real
-        assert principal(SQUEEZED) == pytest.approx(-0.75, abs=1e-14)
+        assert v == pytest.approx(-0.75, abs=1e-14)
 
     def test_squeezed_vacuum_against_independent_squeezer(self):
         m = _squeezer_moments(math.log(2.0))
         assert m.mean_b_sq == pytest.approx(-0.9375, abs=1e-10)
         assert m.mean_bdag_b == pytest.approx(0.5625, abs=1e-10)
-        assert factor_x(m) == pytest.approx(-0.75, abs=1e-9)
-        assert factor_y(m) == pytest.approx(3.0, abs=1e-9)
+        f, g, _ = factors(m)
+        assert f == pytest.approx(-0.75, abs=1e-9)
+        assert g == pytest.approx(3.0, abs=1e-9)
 
     def test_phase_quarter_turn(self):
         # e^{-i pi/2} turns <B^2> imaginary: only the isotropic part remains
@@ -81,37 +82,39 @@ class TestFactorValues:
 
     def test_imaginary_mean_coherent(self):
         m = QuadratureMoments(0.3j, -0.09, 0.09, 1.0)
-        assert factor_y(m) == pytest.approx(0.0, abs=1e-15)
-        assert factor_x(m) == pytest.approx(0.0, abs=1e-15)
+        f, g, _ = factors(m)
+        assert g == pytest.approx(0.0, abs=1e-15)
+        assert f == pytest.approx(0.0, abs=1e-15)
 
     def test_principal_direct_evaluation(self):
         m = QuadratureMoments(0.0, 0.2j, 0.3, 1.0)
-        assert principal(m) == pytest.approx(0.2, abs=1e-15)
+        assert factors(m)[2] == pytest.approx(0.2, abs=1e-15)
 
 
 class TestDefinitionalIdentities:
     def test_phi_zero_is_factor_x(self):
         for m in (VACUUM, COHERENT_04, SQUEEZED):
-            assert factor_phase(m, 0.0) == factor_x(m)
+            assert factor_phase(m, 0.0) == factors(m)[0]
 
     def test_phi_half_pi_is_factor_y(self):
         for m in (VACUUM, COHERENT_04, SQUEEZED):
-            assert factor_phase(m, math.pi / 2) == factor_y(m)
+            assert factor_phase(m, math.pi / 2) == factors(m)[1]
 
     def test_degenerate_denominator(self):
         m = QuadratureMoments(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateDenominator):
-            factor_x(m)
+            factor_phase(m, 0.0)
         with pytest.raises(DegenerateDenominator):
-            principal(m)
+            factors(m)
 
     def test_coherent_beyond_precision_raises(self):
         # the factors of a coherent state are 0, but the numerators cancel
         # moments of 1e16, whose roundoff alone is of order 1
         m = QuadratureMoments(1e8, 1e16, 1e16, 1.0)
-        for factor in (factor_x, factor_y, principal):
-            with pytest.raises(NumericOverflow, match="lost its precision"):
-                factor(m)
+        with pytest.raises(NumericOverflow, match="lost its precision"):
+            factors(m)
+        with pytest.raises(NumericOverflow, match="lost its precision"):
+            factor_phase(m, 0.0)
 
 
 class TestMomentValidation:
@@ -140,8 +143,9 @@ def test_large_sum_set_within_its_roundoff_is_accepted(conv):
     p, ts = SystemParams(0.25, 0.0, 50.0, 50.0), np.linspace(0.0, 3.0, 301)
     m = moments_for(p, ts, SqueezeKind.SUM, conv)
     f, g = sum_fg(p, ts, conv)
-    assert np.max(np.abs(factor_x(m) - f)) <= 1e-10
-    assert np.max(np.abs(factor_y(m) - g)) <= 1e-10
+    fm, gm, _ = factors(m)
+    assert np.max(np.abs(fm - f)) <= 1e-10
+    assert np.max(np.abs(gm - g)) <= 1e-10
 
 
 def test_principal_is_exactly_the_envelope_on_the_verify_grid():
@@ -153,9 +157,31 @@ def test_principal_is_exactly_the_envelope_on_the_verify_grid():
     oracle = moment_sets(grid, ts, verify.KIND_CELLS)
     for (kind, conv), mo in zip(verify.KIND_CELLS, oracle):
         for m in (moments_for(grid, ts, kind, conv), mo):
-            v = principal(m)
-            assert np.all(v <= factor_x(m))
-            assert np.all(v <= factor_y(m))
+            f, g, v = factors(m)
+            assert np.all(v <= f)
+            assert np.all(v <= g)
+
+
+def _count_variances(monkeypatch):
+    calls = []
+    variances = quad_core._variances
+    monkeypatch.setattr(quad_core, "_variances", lambda m: calls.append(m) or variances(m))
+    return calls
+
+
+def test_verification_reads_each_variance_pair_once(monkeypatch):
+    # one factors call per route and kind cell: 2 x 5
+    calls = _count_variances(monkeypatch)
+    verify.run_verification()
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("engine", ["analytic", "moments", "oracle"])
+def test_sweep_reads_its_variance_pair_once(monkeypatch, engine):
+    calls = _count_variances(monkeypatch)
+    req = cli.SweepRequest(SqueezeKind.TWO_MODE, engine, SystemParams(0.5, 0.1, 0.4, 0.3), 3.0, 150)
+    cli.run_sweep(req)
+    assert len(calls) == 1
 
 
 # strategy: physically valid moment sets, generated by the closed-form engine
@@ -179,7 +205,7 @@ def _commutator_consistent(p, t, kind):
 @given(p=_params, t=_times, kind=_kinds)
 def test_principal_lower_bounds_phase_grid(p, t, kind):
     m = _commutator_consistent(p, t, kind)
-    v = principal(m)
+    v = factors(m)[2]
     phis = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
     rot = np.exp(-1j * phis)
     curve = (
@@ -209,7 +235,8 @@ def test_uncertainty_product(p, t, kind):
     # with the true commutator expectation in mean_d the quadrature pair obeys
     # (F+1)(G+1) >= 1
     m = _commutator_consistent(p, t, kind)
-    assert (factor_x(m) + 1.0) * (factor_y(m) + 1.0) >= 1.0 - 1e-10
+    f, g, _ = factors(m)
+    assert (f + 1.0) * (g + 1.0) >= 1.0 - 1e-10
 
 
 @given(p=_params, t=_times, kind=_kinds, psi=st.floats(0.0, 2.0 * math.pi))
@@ -221,12 +248,12 @@ def test_principal_phase_covariant(p, t, kind, psi):
         mean_bdag_b=m.mean_bdag_b,
         mean_d=m.mean_d,
     )
-    assert principal(rotated) == pytest.approx(principal(m), abs=1e-12)
+    assert factors(rotated)[2] == pytest.approx(factors(m)[2], abs=1e-12)
 
 
 @given(p=_params, t=_times, kind=_kinds)
 def test_principal_is_envelope(p, t, kind):
     m = _commutator_consistent(p, t, kind)
-    v = principal(m)
-    assert v <= factor_x(m) + 1e-12
-    assert v <= factor_y(m) + 1e-12
+    f, g, v = factors(m)
+    assert v <= f + 1e-12
+    assert v <= g + 1e-12

@@ -20,10 +20,8 @@ from kerrdown import (
     QuadratureMoments,
     SqueezeKind,
     SystemParams,
-    factor_x,
-    factor_y,
     moments_for,
-    principal,
+    quad_core,
 )
 from kerrdown.fock_oracle import moment_set_numeric
 from kerrdown.quad_core import EPS_DEN
@@ -59,8 +57,8 @@ def test_moments_and_projections_match_per_point(kind, conv):
         ref = [moments_for(p, t, kind, conv) for t in ts.tolist()]
         for name in FIELDS:
             _assert_matches(getattr(m, name), [getattr(r, name) for r in ref])
-        for project in (factor_x, factor_y, principal):
-            _assert_matches(project(m), [project(r) for r in ref])
+        for column, reference in zip(quad_core.factors(m), zip(*map(quad_core.factors, ref))):
+            _assert_matches(column, reference)
 
 
 @pytest.mark.parametrize("kind, conv", KIND_CELLS)
@@ -88,7 +86,7 @@ def test_float_time_gives_scalars():
     for kind, conv in KIND_CELLS:
         m = moments_for(p, 1.3, kind, conv)
         for value in [getattr(m, name) for name in FIELDS] + [
-            factor_x(m), factor_y(m), principal(m), *factors(p, 1.3, kind, conv)
+            *quad_core.factors(m), *factors(p, 1.3, kind, conv)
         ]:
             assert np.ndim(value) == 0
         mo = moment_set_numeric(p, 1.3, kind, d_convention=conv)
@@ -106,12 +104,12 @@ def test_variant_strings_and_members_agree():
 def test_one_degenerate_point_fails_the_whole_axis():
     vacuum = PARAMS[3]
     with pytest.raises(DegenerateDenominator):
-        factor_x(moments_for(vacuum, TS, SqueezeKind.SUM))
+        quad_core.factors(moments_for(vacuum, TS, SqueezeKind.SUM))
     with pytest.raises(DegenerateDenominator):
         factors(vacuum, TS, SqueezeKind.SUM)
     # the commutator convention is never degenerate
     m = moments_for(vacuum, TS, SqueezeKind.SUM, DConvention.COMMUTATOR)
-    assert np.all(np.isfinite(factor_x(m)))
+    assert np.all(np.isfinite(quad_core.factors(m)))
 
 
 def test_one_unphysical_point_fails_the_whole_axis():
@@ -162,9 +160,9 @@ def test_principal_is_below_both_quadratures_on_both_routes(p, ts, cell):
     kind, conv = cell
     m = moments_for(p, ts, kind, conv)
     assume(np.all(np.abs(m.mean_d) > EPS_DEN))  # the seedless sum at t = 0
-    v = principal(m)
+    f, g, v = quad_core.factors(m)
     fa, ga = factors(p, ts, kind, conv)
-    assert np.all(v <= np.minimum(factor_x(m), factor_y(m)) + 1e-10)
+    assert np.all(v <= np.minimum(f, g) + 1e-10)
     assert np.all(v <= np.minimum(fa, ga) + 1e-10)
 
 
@@ -183,5 +181,5 @@ _COMMUTATOR_CELLS = [
 def test_uncertainty_product_on_both_routes(p, ts, cell):
     kind, conv = cell
     m = moments_for(p, ts, kind, conv)
-    for f, g in ((factor_x(m), factor_y(m)), factors(p, ts, kind, conv)):
+    for f, g in (quad_core.factors(m)[:2], factors(p, ts, kind, conv)):
         assert np.all((f + 1.0) * (g + 1.0) >= 1.0 - 1e-9)

@@ -27,8 +27,12 @@ def _field(name):
     return _output(lambda m: replace(m, **{name: getattr(m, name) * SCALE}))
 
 
-# scale F of a returned (F, G, ...)
-_first = _output(lambda fg: (fg[0] * SCALE, *fg[1:]))
+def _item(i, change):
+    """Apply `change` to item i of a returned tuple, such as (F, G) or (F, G, V)."""
+    return _output(lambda out: (*out[:i], change(out[i]), *out[i + 1:]))
+
+
+_first = _item(0, lambda f: f * SCALE)
 
 
 def _contraction(powers):
@@ -61,13 +65,15 @@ MUTATIONS = [
     (squeezing_analytic, "_single_mode", _first, ("single-mode arbitrated variant vs oracle",)),
     (squeezing_analytic, "two_mode_fg", _first, (ORACLE,)),
     (squeezing_analytic, "sum_fg", _first, (ORACLE,)),
-    (quad_core, "factor_phase", _output(lambda f: f * SCALE), (MOMENTS,)),
-    (quad_core, "principal", _output(lambda v: v + 1e-3), ("principal envelope v - min(f,g)",)),
+    (quad_core, "factors", _first, (MOMENTS,)),
+    (quad_core, "factors", _item(2, lambda v: v + 1e-3), ("principal envelope v - min(f,g)",)),
     (fock_oracle, "_contract", _contraction((1, 1, 0, 0)),
      ("moments route vs oracle", "conservation <n1 - n2> drift")),
     (fock_oracle, "_contract", _contraction((2, 2, 0, 0)), ("frame energy drift",)),
     (squeezing_analytic, "_single_mode", _any_variant, VARIANT_FLOORS),
     (fock_oracle, "_contract", _contraction((0, 1, 0, 1)), ValueError),
+    # G alone, which no row above changes on its own (last, so their ids keep their index)
+    (quad_core, "factors", _item(1, lambda g: g * SCALE), (MOMENTS,)),
 ]
 
 
