@@ -30,7 +30,7 @@ from .moments_engine import DConvention, SqueezeKind, SystemParams
 from .verify import TOL_ENVELOPE, run_verification
 
 _ENGINES = ("analytic", "moments", "oracle")
-# Largest sweep; every column is allocated whole, about 0.5 GB at this size
+# Largest sweep; every column is allocated whole: a two-mode sweep peaks near 0.3 GB here
 MAX_STEPS = 10**6
 
 # figure id -> kind, quantities, default time range, curve title, and the
@@ -49,12 +49,18 @@ _FIGURES = {
           [(0.0, 0.1, 0.4, 0.0), (0.5, 0.1, 0.4, 0.0)]),
 }
 _FIGURE_STEPS = 241
+# Rows formatted per block: bounds the tuple of values one block builds
+_CSV_CHUNK = 4096
 
 
-def _csv_rows(*columns: np.ndarray) -> list[str]:
-    """One line per time: the columns' values to 17 significant digits, comma-separated."""
-    rows = zip(*(column.tolist() for column in columns))
-    return [",".join(format(x, ".17g") for x in row) for row in rows]
+def _csv(header: str, *columns: np.ndarray) -> str:
+    """The header, then one line per row: the columns' values as %.17g, comma-separated."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    blocks = [header]
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        values = np.column_stack([column[start:start + _CSV_CHUNK] for column in columns])
+        blocks.append(line * len(values) % tuple(values.ravel().tolist()))
+    return "".join(blocks)
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,7 @@ class SweepRequest:
     def __post_init__(self):
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}")
+        self.params.require_one("a sweep")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {self.steps}")
         if not 0 < self.t_max < math.inf:
@@ -88,15 +95,14 @@ class SweepResult:
 
     def to_csv(self) -> str:
         req, p = self.request, self.request.params
-        lines = [
+        header = (
             f"# engine={req.engine}, kind={req.kind.value}, chi={p.chi_bar!r}, k={p.k!r}, "
-            f"alpha1={p.alpha1!r}, alpha2={p.alpha2!r}, d_convention={req.d_convention.value}",
+            f"alpha1={p.alpha1!r}, alpha2={p.alpha2!r}, d_convention={req.d_convention.value}\n"
             f"# package=kerrdown {__version__}, numpy={np.__version__}, "
-            f"variant=arbitrated, cutoff={req.cfg.n_max}",
-            "t,f,g,v",
-            *_csv_rows(self.t, self.f, self.g, self.v),
-        ]
-        return "\n".join(lines) + "\n"
+            f"variant=arbitrated, cutoff={req.cfg.n_max}\n"
+            "t,f,g,v\n"
+        )
+        return _csv(header, self.t, self.f, self.g, self.v)
 
 
 def run_sweep(req: SweepRequest) -> SweepResult:
@@ -155,16 +161,15 @@ def _write_curve_sets(
                 f"fig{fig_id}_{q}_chi{p.chi_bar:g}_k{p.k:g}"
                 f"_a{p.alpha1:g}_{p.alpha2:g}.csv"
             )
-            lines = [
+            header = (
                 f"# figure={fig_id}, curve={q}, kind={req.kind.value}, "
                 f"engine=analytic, chi={p.chi_bar!r}, k={p.k!r}, "
                 f"alpha1={p.alpha1!r}, alpha2={p.alpha2!r}, "
-                f"d_convention={req.d_convention.value}",
-                "t,value",
-            ]
-            lines += _csv_rows(result.t, getattr(result, q))
+                f"d_convention={req.d_convention.value}\n"
+                "t,value\n"
+            )
             path = out_dir / name
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text(_csv(header, result.t, getattr(result, q)))
             written.append(path)
             plot_terms.append(f"    '{name}' using 1:2 with lines title '{q.upper()} {title}'")
     script = out_dir / f"fig{fig_id}.gp"

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kerrdown
-from kerrdown import cli, verify
+from kerrdown import SqueezeKind, SystemParams, cli, verify
 from kerrdown.cli import main
 from kerrdown.fock_oracle import OracleConfig
+
+
+def _reference_rows(*columns):
+    """CSV lines formatted one value at a time: the formatter the block formatter must match."""
+    cols = [column.tolist() for column in columns]
+    return "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in zip(*cols))
 
 
 def _parse_csv(text):
@@ -109,7 +119,6 @@ class TestSweep:
         # 17 significant digits survive the text round trip losslessly
         _, out, _ = _run(capsys, SWEEP_ARGS)
         rows = _parse_csv(out)
-        from kerrdown import SqueezeKind, SystemParams
         from kerrdown.squeezing_analytic import single_mode_fg
 
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
@@ -411,3 +420,93 @@ def test_default_cutoff_is_the_oracle_default(capsys, monkeypatch):
     assert _run(capsys, SWEEP_ARGS)[0] == 0
     assert _run(capsys, ["verify"])[0] == 0
     assert [cfg.n_max for cfg in seen] == [OracleConfig.n_max] * 2
+
+
+# ---------------------------------------------------------------------------
+# CSV formatting: values are %.17g, byte for byte the per-value formatter
+
+_CHUNK = cli._CSV_CHUNK
+_EDGE_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, -2.225073858507201e-308, sys.float_info.max, -sys.float_info.max,
+]
+
+
+@given(
+    n_columns=st.sampled_from([1, 2, 4]),
+    rows=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    picked=st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), max_size=24),
+)
+def test_csv_matches_per_value_format(n_columns, rows, seed, picked):
+    # arbitrary float64 bit patterns (nan payloads, subnormals, both signs),
+    # with drawn and edge values scattered over every block, seams included
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=(n_columns, rows), dtype=np.uint64)
+    columns = bits.view(np.float64)
+    flat = columns.reshape(-1)
+    flat[rng.integers(0, flat.size, size=len(picked))] = picked
+    seams = [i for i in (_CHUNK - 1, _CHUNK, 2 * _CHUNK) if i < rows]
+    flat[seams] = _EDGE_FLOATS[:len(seams)]
+    # compared line by line: a failure names the first wrong row, cheaply
+    got = cli._csv("# h\n", *columns).split("\n")
+    assert got == ("# h\n" + _reference_rows(*columns)).split("\n")
+
+
+def test_readme_sweep_is_header_plus_its_columns(capsys):
+    # the README's 5-step example, end to end
+    code, out, _ = _run(capsys, SWEEP_ARGS)
+    assert code == 0
+    result = cli.run_sweep(cli.SweepRequest(
+        kind=SqueezeKind.SINGLE1, engine="analytic",
+        params=SystemParams(0.5, 0.0, 0.4, 0.0), t_max=6.2832, steps=5,
+    ))
+    assert out == (
+        "# engine=analytic, kind=single1, chi=0.5, k=0.0, alpha1=0.4, "
+        "alpha2=0.0, d_convention=paper\n"
+        f"# package=kerrdown {kerrdown.__version__}, numpy={np.__version__}, "
+        "variant=arbitrated, cutoff=24\n"
+        "t,f,g,v\n"
+    ) + _reference_rows(result.t, result.f, result.g, result.v)
+
+
+def test_figure_curve_is_header_plus_its_columns(capsys, tmp_path):
+    assert _run(capsys, ["figure", "1", "--out-dir", str(tmp_path)])[0] == 0
+    (req, _, _), _ = cli._figure_sets("1", None, cli._FIGURE_STEPS)
+    result = cli.run_sweep(req)
+    assert (tmp_path / "fig1_f_chi0.5_k0_a0.4_0.csv").read_text() == (
+        "# figure=1, curve=f, kind=single1, engine=analytic, chi=0.5, k=0.0, "
+        "alpha1=0.4, alpha2=0.0, d_convention=paper\n"
+        "t,value\n"
+    ) + _reference_rows(result.t, result.f)
+
+
+def test_figure_curve_set_shares_its_t_column(capsys, tmp_path):
+    assert _run(capsys, ["figure", "2a", "--out-dir", str(tmp_path)])[0] == 0
+    for seeds in ("a0.4_0", "a0.4_0.4"):
+        t_columns = {
+            q: [line.split(",")[0] for line in
+                (tmp_path / f"fig2a_{q}_chi0.5_k0_{seeds}.csv").read_text().splitlines()[2:]]
+            for q in "fgv"
+        }
+        assert len(t_columns["f"]) == cli._FIGURE_STEPS
+        assert t_columns["f"] == t_columns["g"] == t_columns["v"]
+
+
+@pytest.mark.parametrize("engine", ["analytic", "moments", "oracle"])
+def test_batched_params_are_refused_before_any_work(engine):
+    batch = SystemParams(np.array([0.5, 0.25]), 0.0, 0.4, 0.0)
+    with pytest.raises(TypeError, match=r"a sweep takes one parameter set, got a batch of shape \(2,\)"):
+        cli.SweepRequest(kind=SqueezeKind.TWO_MODE, engine=engine, params=batch,
+                         t_max=1.0, steps=5)
+
+
+def test_python_dash_m_runs_the_cli():
+    # a usage error, so no grid runs; the package is found from this checkout
+    src = str(Path(kerrdown.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kerrdown", "verify", "--cutoff", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("kerrdown verify: n_max must be in [4, 256]")
