@@ -34,14 +34,15 @@ diag(i^m) turns it into the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)),
 which depends on neither chi nor the sign of N.  The n_max + 1 chains
 nu = |N|, zero-padded to n_max + 1, are diagonalized in one stacked `eigh`
 per (n_max, k); the sectors +nu and -nu read the same eigenvectors.  Times
-are propagated in blocks of `_BLOCK`.  A block's coefficients, laid out
-(nu, j, sign, t), take the pair phase exp(-i lambda t) of chain nu, computed
-once for both signs; one batched product with the eigenvectors gives every
-pair amplitude of the block, and padded slots are never scattered back onto
-the grid.  The scalar Kerr term commutes with the pair term, so a block is
-checked and read out through `_contract` for every chi at its (k, alpha1,
-alpha2): moments that keep N read the pair amplitudes, those that change N
-read them times each sector's Kerr phase exp(-i chi N(N - 1) t).
+are propagated in blocks of `_BLOCK`, each with one table of pair phases
+exp(-i lambda t) of chain nu for every seed (alpha1, alpha2) of its k; a
+seed's coefficients (nu, j, sign, t) are that table times its projection,
+one batched product with the eigenvectors gives its pair amplitudes, and
+padded slots are never scattered back onto the grid.  The scalar Kerr term
+commutes with the pair term, so one state serves every chi of its seed:
+`_contract` forms each moment of it once per block, and one that moves N by
+delta takes, per chi, the relative Kerr phase exp(i chi t (E(N + delta) -
+E(N))), E(N) = N(N - 1), of its ket sector as separable weights in n1, n2.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ __all__ = [
 # cutoffs of one parameter set (the cutoff-doubling check); an entry at cutoff
 # 32 holds 33 complex 33^2 chain eigenvector matrices (33^3 x 16 B = 0.57 MB).
 _SPECTRA = 2
-# Times propagated and read out together; bounds the memory of one call at
-# about _BLOCK amplitude tensors whatever the length of the time axis.
-_BLOCK = 64
+# Times propagated and read out together, bounding a call's memory whatever the
+# axis: a block's state takes (n_max + 1)^2 x 32 x 16 B = 0.3 MB at cutoff 24.
+_BLOCK = 32
 # Largest cutoff: the stacked spectrum of n_max + 1 complex (n_max + 1)^2
 # eigenvector matrices is 257^3 x 16 B = 272 MB at 256, built from real
 # chain and eigenvector stacks of 136 MB each.
@@ -155,13 +156,10 @@ def _spectrum(n_max: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     return evals, gauge[:, None] * evecs
 
 
-def _phases(energy: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write exp(-i energy t) into out, with t along its last axis; returns out.
-
-    Built from cos and sin of the real phase, about twice as fast as a
-    complex exp of the same arguments.
-    """
+def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i energy t), t along a new last axis; from cos and sin, twice as fast as a complex exp."""
     arg = np.multiply.outer(energy, -t)
+    out = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     return out
@@ -169,72 +167,65 @@ def _phases(energy: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _propagate(
     p: SystemParams, ts: Iterable[float], cfg: OracleConfig
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (times, pair amplitudes (times, n1, n2), norms squared, Kerr phases) per block of ts.
+) -> Iterator[tuple[slice, list[int], np.ndarray, np.ndarray]]:
+    """Yield (block, rows, pair amplitudes (times, n1, n2), norms squared) per block of ts and seed.
 
-    p is one parameter set, or several that differ in a 1-D chi_bar alone; the
-    Kerr phases are laid out (*chi_bar's shape, N + n_max, t).  The whole axis
-    is validated before the first block; every block is checked for norm drift
-    and tail population before it is yielded.  An empty axis gives one empty block.
+    p is one parameter set or a 1-D batch of one k; rows are the batch
+    positions of a seed (alpha1, alpha2).  The axis and both phase factors are
+    validated before the first block, and every state for norm drift and tail
+    population before it is yielded; an empty axis gives one empty block.
     """
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
     if bad.any():
         raise ValueError(f"t must be >= 0, got {ts[bad][0]}")
-    n_max = cfg.n_max
-    dim = n_max + 1
-    seed = coherent_state(p.alpha1, p.alpha2, n_max)
-    norm0 = math.sqrt(np.sum(np.abs(seed) ** 2))
+    n_max, dim = cfg.n_max, cfg.n_max + 1
+    groups = {}  # batch positions of each seed
+    _, *alphas = np.broadcast_arrays(p.chi_bar, p.alpha1, p.alpha2)
+    for i, seed in enumerate(zip(*(a.ravel().tolist() for a in alphas))):
+        groups.setdefault(seed, []).append(i)
+    seeds = [(rows, coherent_state(*seed, n_max)) for seed, rows in sorted(groups.items())]
     evals, evecs = _spectrum(n_max, p.k)
-    n = np.arange(-n_max, dim, dtype=float)  # N of each sector
-    with np.errstate(over="ignore"):  # reported below
-        kerr = np.multiply.outer(p.chi_bar, n * (n - 1.0))
     t_end = float(ts.max(initial=0.0))
-    for what, energy in (("pair phase lambda t", evals), ("Kerr phase chi N(N-1) t", kerr)):
-        reach = float(np.abs(energy).max())
+    # the Kerr reach also bounds the read-out's relative Kerr phases 2 chi t m, |m| <= 2 n_max + 2
+    reaches = (float(np.abs(evals).max()), float(np.abs(p.chi_bar).max()) * (n_max * (n_max + 1)))
+    for what, reach in zip(("pair phase lambda t", "Kerr phase chi N(N-1) t"), reaches):
         if not reach * t_end < math.inf:
             raise NumericOverflow(f"{what} overflows at t={t_end} (|energy| <= {reach:.3e})")
     slots = _slots(n_max)
-    seed_x = np.zeros(2 * dim * dim, dtype=complex)
-    seed_x[slots] = seed.reshape(-1)
-    # evecs^H psi0, (nu, j, sign); the seed is real, so (evecs^T psi0)* is the
-    # same projection without a conjugate copy of the eigenvector stack
-    c = (evecs.transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)).conj()
-    for lo in range(0, max(ts.size, 1), _BLOCK):
-        tb = ts[lo : lo + _BLOCK]
-        # the coefficient block (nu, j, sign, t): the pair phase of chain nu,
-        # shared by both signs, then the seed, in place
-        x = np.empty((dim, dim, 2, tb.size), dtype=complex)
-        _phases(evals, tb, x[:, :, 0])
-        x[:, :, 1] = x[:, :, 0]
-        x *= c[..., None]
-        x = evecs @ x.reshape(dim, dim, 2 * tb.size)  # (nu, m, sign, t)
-        amp = x.reshape(2 * dim * dim, tb.size).T[:, slots].reshape(tb.size, dim, dim)
-        del x  # only amp is held while the block is checked and read out
-        w = np.abs(amp) ** 2
-        norm_sq = w.sum(axis=(1, 2))
-        drift = np.abs(np.sqrt(norm_sq) - norm0)
-        bad = drift > _TAU_NORM
-        if bad.any():
-            raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {_TAU_NORM:.3e}")
-        # weight in the top two shells of either mode, relative to the norm
-        tail = (w[:, -2:, :].sum(axis=(1, 2)) + w[:, :-2, -2:].sum(axis=(1, 2))) / norm_sq
-        bad = tail > _TAU_TAIL
-        if bad.any():
-            raise TailOverflow(
-                f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
-                f"raise n_max for this time span"
-            )
-        del w
-        yield tb, amp, norm_sq, _phases(kerr, tb, np.empty(kerr.shape + tb.shape, dtype=complex))
-        del amp  # released before the next block is built
-
-
-def _with_kerr(pair: np.ndarray, phase: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = pair (times, n1, n2) times the Kerr phase (N + n_max, times) of N = n1 - n2."""
-    n = np.arange(pair.shape[-1])
-    np.take(phase.T, np.subtract.outer(n, n) + n[-1], axis=1, out=out, mode="clip")  # unbuffered
-    return np.multiply(out, pair, out=out)
+    projected = []  # (rows, evecs^H psi0 laid out (nu, j, sign), seed norm) per seed
+    for rows, seed in seeds:
+        seed_x = np.zeros(2 * dim * dim, dtype=complex)
+        seed_x[slots] = seed.reshape(-1)
+        # the seed is real: (evecs^T psi0)* needs no conjugate copy of the eigenvector stack
+        c = (evecs.transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)).conj()
+        projected.append((rows, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
+    for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
+        phase = _phases(evals, ts[block])  # (nu, j, t), for both signs and every seed
+        size = phase.shape[-1]
+        for rows, c, norm0 in projected:
+            x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time
+            for sign in (0, 1):
+                np.matmul(evecs, phase * c[:, :, sign, None], out=x[:, :, sign])
+            amp = x.reshape(2 * dim * dim, size).T[:, slots].reshape(size, dim, dim)
+            del x  # only amp is held while the state is checked and read out
+            w = np.abs(amp) ** 2
+            norm_sq = w.sum(axis=(1, 2))
+            drift = np.abs(np.sqrt(norm_sq) - norm0)
+            bad = drift > _TAU_NORM
+            if bad.any():
+                raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {_TAU_NORM:.3e}")
+            # weight in the top two shells of either mode, relative to the norm
+            tail = (w[:, -2:, :].sum(axis=(1, 2)) + w[:, :-2, -2:].sum(axis=(1, 2))) / norm_sq
+            bad = tail > _TAU_TAIL
+            if bad.any():
+                raise TailOverflow(
+                    f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
+                    f"raise n_max for this time span"
+                )
+            del w
+            yield block, rows, amp, norm_sq
+            del amp  # released before the next state is built
 
 
 @functools.cache
@@ -255,11 +246,17 @@ def _weights(n_max: int, q: int, p: int) -> tuple[int, int, np.ndarray]:
     return lo, hi, w
 
 
-def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
-    """Unnormalized <a1+^p a1^q a2+^r a2^s> over the trailing (n1, n2) axes of amp.
+def _contract(
+    amp: np.ndarray, bra: np.ndarray, powers: tuple[int, int, int, int], kerr: np.ndarray | None = None
+) -> np.ndarray:
+    """Unnormalized <a1+^p a1^q a2+^r a2^s> over the trailing (n1, n2) axes of amp; bra is amp.conj().
 
     Exact contraction with the ladder factors of `_weights`; leading axes (a
-    block of times) are kept.
+    block of times) are kept.  kerr, exp(2i chi t m) laid out (entries, times,
+    m + 2 n_max + 2), reads each entry's state, amp times exp(-i chi N(N - 1) t)
+    on N = n1 - n2, as (entries, times): a moment that moves N by delta = p -
+    q - r + s, |delta| <= 2, takes exp(i chi t delta (2N + delta - 1)) on its
+    ket as z^n1 z^-n2 exp(i chi t delta (delta - 1)), z = exp(2i chi t delta).
     """
     pw_p, pw_q, pw_r, pw_s = powers
     n_max = amp.shape[-1] - 1
@@ -269,15 +266,17 @@ def _contract(amp: np.ndarray, powers: tuple[int, int, int, int]) -> np.ndarray:
         raise ValueError(f"powers {powers} exceed the cutoff {n_max}")
     lo1, hi1, w1 = _weights(n_max, pw_q, pw_p)
     lo2, hi2, w2 = _weights(n_max, pw_s, pw_r)
+    d1, d2 = pw_p - pw_q, pw_r - pw_s  # the bra's shift in n1 and n2
     ket = amp[..., lo1 : hi1 + 1, lo2 : hi2 + 1]
-    bra = amp[
-        ...,
-        lo1 - pw_q + pw_p : hi1 - pw_q + pw_p + 1,
-        lo2 - pw_s + pw_r : hi2 - pw_s + pw_r + 1,
-    ]
-    prod = bra.conj()
-    prod *= ket
-    return prod @ w2 @ w1
+    prod = ket * bra[..., lo1 + d1 : hi1 + d1 + 1, lo2 + d2 : hi2 + d2 + 1]
+    delta = d1 - d2
+    if kerr is None or delta == 0:
+        return prod @ w2 @ w1
+    mid = kerr.shape[-1] // 2  # column m = 0; u = w1 z^n1 (entry, t, 1, n1), v = w2 z^-n2 (.., n2, 1)
+    u = w1 * kerr[..., None, mid + delta * lo1 : mid + delta * (hi1 + 1) : delta]
+    v = w2[:, None] * kerr[..., mid - delta * lo2 : mid - delta * (hi2 + 1) : -delta, None]
+    # one vector-matrix-vector product per entry and time: an entry's value is blind to the others
+    return kerr[..., mid + delta * (delta - 1) // 2] * (u @ prod @ v)[..., 0, 0]
 
 
 def _real(z: np.ndarray, what: str) -> np.ndarray:
@@ -306,56 +305,56 @@ def moment_sets(
     """Moment sets of each (kind, d_convention) cell at the times t.
 
     p is one parameter set (sets shaped like t) or a column batch (P, 1) with
-    a float or 1-D t ((P, T) sets).  Entries sharing (k, alpha1, alpha2), k
-    first, share one propagation of the pair term; each distinct normally
-    ordered moment is contracted once per block over all its times, per group
-    if it keeps N = n1 - n2, else per entry on its Kerr-phased state.  Mode-1
-    moments are the Schrodinger expectations in the co-rotating frame; mode-2
-    moments carry the carrier e^{2i chi t} once per net power of a2.
+    a float or 1-D t ((P, T) sets).  Entries are walked in order of k, one
+    spectrum and one table of pair phases per block for all of a k; entries
+    sharing (k, alpha1, alpha2) share one state, each of whose distinct
+    normally ordered moments is contracted once per block for all their chi.
+    Mode-1 moments are the Schrodinger expectations in the co-rotating frame;
+    mode-2 moments carry the carrier e^{2i chi t} once per net power of a2.
     """
-    if p.shape and p.shape[1:] != (1,):
-        raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {p.shape}")
-    if p.shape and np.ndim(t) > 1:
+    shape = p.shape
+    if shape and shape[1:] != (1,):
+        raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {shape}")
+    if shape and np.ndim(t) > 1:
         raise TypeError(f"a (P, 1) batch takes a float or a 1-D t, not one of shape {np.shape(t)}")
-    chis, *keys = (c.ravel().tolist() for c in np.broadcast_arrays(p.chi_bar, p.k, p.alpha1, p.alpha2))
-    groups = {}  # batch positions of each (k, alpha1, alpha2)
-    for i, key in enumerate(zip(*keys)):
-        groups.setdefault(key, []).append(i)
-    parts = [[[] for _ in chis] for _ in cells]  # per cell and entry, (<B>, <B^2>, <B+ B>, d) per block
-    for key, entries in sorted(groups.items()):  # k first: one spectrum at a time
-        group = SystemParams(np.take(chis, entries), *key)
-        for tb, pair, norm_sq, kerr in _propagate(group, np.ravel(t), cfg):
-            kept = functools.cache(lambda *powers: _contract(pair, powers) / norm_sq)
-            amp = np.empty_like(pair)  # one entry's state at a time
-            for i, phase in zip(entries, kerr):
-                _with_kerr(pair, phase, amp)
-                ph = np.exp(2j * chis[i] * tb)
+    ts = np.ravel(t)
+    chis, ks, alpha1, alpha2 = map(np.ravel, np.broadcast_arrays(p.chi_bar, p.k, p.alpha1, p.alpha2))
+    sets = [[np.empty((chis.size, ts.size), d) for d in (complex,) * 2 + (float,) * 2] for _ in cells]
+    mid = 2 * (cfg.n_max + 1)  # the Kerr table's column m = 0
+    m = np.arange(-mid, mid + 1)
+    for k in sorted(set(ks.tolist())):  # one spectrum at a time
+        (batch,) = np.nonzero(ks == k)
+        group = SystemParams(chis[batch], k, alpha1[batch], alpha2[batch]) if shape else p
+        last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
+        for block, rows, amp, norm_sq in _propagate(group, ts, cfg):
+            entries = batch[rows]
+            if (block.start, chis[entries].tolist()) != last:  # seeds of a k mostly share their chi
+                last = (block.start, chis[entries].tolist())
+                z = _phases(np.multiply.outer(chis[entries], -2.0 * m), ts[block]).transpose(0, 2, 1)
+            bra = amp.conj()
 
-                @functools.cache
-                def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s>, carrier ph^(s - r)
-                    if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
-                        return ex(pw_q, pw_p, pw_s, pw_r).conj()
-                    if pw_q - pw_p == pw_s - pw_r:  # keeps N: blind to the Kerr phase
-                        return ph ** (pw_s - pw_r) * kept(pw_p, pw_q, pw_r, pw_s)
-                    return ph ** (pw_s - pw_r) * (_contract(amp, (pw_p, pw_q, pw_r, pw_s)) / norm_sq)
+            @functools.cache
+            def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s> per entry, carrier z^(s - r)
+                if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
+                    return ex(pw_q, pw_p, pw_s, pw_r).conj()
+                carrier = z[..., mid + pw_s - pw_r] / norm_sq
+                return carrier * _contract(amp, bra, (pw_p, pw_q, pw_r, pw_s), z)
 
-                for part, (kind, d_convention) in zip(parts, cells):
-                    terms = _TERMS[kind]
-                    pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
-                    mean_b = sum(ex(0, q, 0, s) for q, s in terms)
-                    mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
-                    mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
-                    d = np.full(tb.size, float(len(terms)))  # <[B, B+]> of a1, a2 and a1 + a2
-                    if kind is SqueezeKind.SUM:
-                        n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
-                        d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-                    part[i].append((mean_b, mean_b_sq, mean_n, d))
-            del pair, kerr, phase, kept, amp, ex  # released before the next block is built
-    shape = np.broadcast_shapes(p.shape, np.shape(t))  # (P, T) for a batch
-    return [
-        QuadratureMoments(*(np.concatenate(column).reshape(shape) for column in zip(*sum(part, []))))
-        for part in parts
-    ]
+            for fields, (kind, d_convention) in zip(sets, cells):
+                terms = _TERMS[kind]
+                pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
+                mean_b = sum(ex(0, q, 0, s) for q, s in terms)
+                mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
+                mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
+                d = float(len(terms))  # <[B, B+]> of a1, a2 and a1 + a2
+                if kind is SqueezeKind.SUM:
+                    n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
+                    d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+                for field, value in zip(fields, (mean_b, mean_b_sq, mean_n, d)):
+                    field[entries, block] = value
+            del amp, bra, ex  # released before the next state is built
+    shape = np.broadcast_shapes(shape, np.shape(t))  # (P, T) for a batch
+    return [QuadratureMoments(*(field.reshape(shape) for field in fields)) for fields in sets]
 
 
 def moment_set_numeric(
@@ -382,13 +381,14 @@ def motion_constants(
     """
     p.require_one("the Fock oracle")
     parts = []
-    for _, amp, norm_sq, _ in _propagate(p, np.ravel(t), cfg):
+    for _, _, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
+        bra = amp.conj()
         n1, n2, aa1, aa2, n1n2 = (  # aa: <a+^2 a^2> of one mode
-            _contract(amp, powers).real / norm_sq
+            _contract(amp, bra, powers).real / norm_sq
             for powers in ((1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 0, 0), (0, 0, 2, 2), (1, 1, 1, 1))
         )
         n, n_sq = n1 - n2, aa1 + n1 - 2.0 * n1n2 + aa2 + n2
-        pair = _contract(amp, (0, 1, 0, 1)).imag / norm_sq
+        pair = _contract(amp, bra, (0, 1, 0, 1)).imag / norm_sq
         parts.append((n, n_sq, p.chi_bar * (n_sq - n) + 2.0 * p.k * pair, np.sqrt(norm_sq)))
-        del amp  # released before the next block is built
+        del amp, bra  # released before the next block is built
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -25,7 +25,7 @@ from kerrdown.fock_oracle import (
     moment_set_numeric,
     moment_sets,
 )
-from kerrdown.verify import GRID_KS, KIND_CELLS, conservation_checks, run_verification
+from kerrdown.verify import GRID_KS, GRID_STEPS, KIND_CELLS, conservation_checks, run_verification
 
 
 def _idx(n1, n2, n_max):
@@ -55,19 +55,58 @@ def build_hamiltonian(p, n_max):
 
 def _expect(amp, powers):
     """Normally ordered moment <a1+^p a1^q a2+^r a2^s> of one state, norm-squared normalized."""
-    return complex(fock_oracle._contract(amp, powers) / np.sum(np.abs(amp) ** 2))
+    return complex(fock_oracle._contract(amp, amp.conj(), powers) / np.sum(np.abs(amp) ** 2))
+
+
+def _with_kerr(pair, phase, out):
+    """out = pair (times, n1, n2) times the Kerr phase (N + n_max, times) of N = n1 - n2."""
+    n = np.arange(pair.shape[-1])
+    np.take(phase.T, np.subtract.outer(n, n) + n[-1], axis=1, out=out, mode="clip")  # unbuffered
+    return np.multiply(out, pair, out=out)
 
 
 def _evolve(p, ts, cfg):
     """Amplitudes (times, n1, n2) of the seed of p evolved to every time of ts.
 
-    Formed as the oracle forms one entry's state: the pair amplitude times the
-    Kerr phase of each sector N = n1 - n2.
+    The pair amplitudes of the oracle's propagation times the Kerr phase
+    exp(-i chi N(N - 1) t) of each sector N = n1 - n2.
     """
+    ts = np.asarray(ts, dtype=float)
+    n = np.arange(-cfg.n_max, cfg.n_max + 1.0)
+    kerr = np.exp(-1j * np.multiply.outer(p.chi_bar * n * (n - 1.0), ts))  # (N + n_max, times)
     return np.concatenate([
-        fock_oracle._with_kerr(pair, kerr, np.empty_like(pair))
-        for _, pair, _, kerr in fock_oracle._propagate(p, ts, cfg)
+        _with_kerr(pair, kerr[:, block], np.empty_like(pair))
+        for block, _, pair, _ in fock_oracle._propagate(p, ts, cfg)
     ])
+
+
+def _per_entry_sets(p, ts, cells, cfg):
+    """(<B>, <B^2>, <B+ B>, d) of each cell for one parameter set, read out on its Kerr-phased state.
+
+    The reference for `moment_sets`: every moment is contracted on the
+    state of `_evolve`, and a mode-2 moment carries exp(2i chi t) per net
+    power of a2.
+    """
+    amp = _evolve(p, ts, cfg)
+    bra, norm_sq = amp.conj(), np.sum(np.abs(amp) ** 2, axis=(1, 2))
+    carrier = np.exp(2j * p.chi_bar * ts)
+
+    def ex(*powers):
+        return carrier ** (powers[3] - powers[2]) * fock_oracle._contract(amp, bra, powers) / norm_sq
+
+    sets = []
+    for kind, conv in cells:
+        terms = fock_oracle._TERMS[kind]
+        pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
+        mean_b = sum(ex(0, q, 0, s) for q, s in terms)
+        mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
+        mean_n = sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs).real
+        d = np.full(ts.size, float(len(terms)))
+        if kind is SqueezeKind.SUM:
+            n_total = ex(1, 1, 0, 0).real + ex(0, 0, 1, 1).real
+            d = n_total if conv is DConvention.NUMBER_SUM else n_total + 1.0
+        sets.append((mean_b, mean_b_sq, mean_n, d))
+    return sets
 
 
 class TestHamiltonian:
@@ -370,28 +409,59 @@ class TestStream:
     def test_each_distinct_moment_contracted_once_per_block(self, monkeypatch):
         # the five kind cells share ten normally ordered moments; a moment and
         # its adjoint (<a1 a2+> of the two-mode <B+ B>) are one contraction
-        calls = []
-        contract = fock_oracle._contract
-
-        def counting_contract(amp, powers):
-            calls.append(powers)
-            return contract(amp, powers)
-
-        monkeypatch.setattr(fock_oracle, "_contract", counting_contract)
+        calls = _count_calls(monkeypatch, fock_oracle, "_contract")
         p = SystemParams(0.5, 0.1, 0.4, 0.3)
         moment_sets(p, np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13), KIND_CELLS)
-        assert len(calls) == 2 * len(set(calls)) == 20
+        powers = [pw for _, _, pw, _ in calls]
+        assert len(powers) == 2 * len(set(powers)) == 20
 
     def test_entries_differing_in_chi_share_one_pair_evolution(self, monkeypatch):
-        # the Kerr phases cancel in the five moments that keep N = n1 - n2:
-        # they are contracted once per block for the three chi, and the five
-        # that change N once per block and chi
-        calls = _count_calls(monkeypatch, fock_oracle, "_contract")
-        p = SystemParams(np.array([[0.0], [0.25], [0.5]]), 0.1, 0.4, 0.3)
-        moment_sets(p, np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13), KIND_CELLS)
-        keeps_n = [pw[1] - pw[0] == pw[3] - pw[2] for _, pw in calls]
-        assert len(calls) == 2 * (5 + 3 * 5)
-        assert sum(keeps_n) == 2 * 5
+        # the Kerr phase is applied to the moments of the pair evolution, for
+        # every chi at once: the contractions per block do not grow with the
+        # number of chi
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
+        counts = []
+        for chis in ([[0.25]], [[0.0], [0.25], [0.5]]):
+            calls = _count_calls(monkeypatch, fock_oracle, "_contract")
+            moment_sets(SystemParams(np.array(chis), 0.1, 0.4, 0.3), ts, KIND_CELLS)
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts == [2 * 10, 2 * 10]
+
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_sets_match_the_per_entry_read_out(self, monkeypatch, n_max):
+        # several seeds of one k, each under four chi, across two blocks of
+        # times: every field matches the reference read-out on each entry's
+        # Kerr-phased state.  Both sides evolve the same truncated generator,
+        # so the tail guard is off
+        monkeypatch.setattr(fock_oracle, "_TAU_TAIL", 1.0)
+        cfg = OracleConfig(n_max=n_max)
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
+        params = [
+            SystemParams(chi, 0.1, a1, a2)
+            for a1, a2 in ((0.4, 0.3), (0.2, 0.0), (0.0, 0.35))
+            for chi in (0.0, 0.25, 0.5, 2.0)
+        ]
+        names = [f.name for f in dataclasses.fields(SystemParams)]
+        batch = SystemParams(*(np.array([[getattr(p, name)] for p in params]) for name in names))
+        sets = moment_sets(batch, ts, KIND_CELLS, cfg)
+        for i, p in enumerate(params):
+            for m, ref in zip(sets, _per_entry_sets(p, ts, KIND_CELLS, cfg)):
+                for field, want in zip(dataclasses.fields(m), ref):
+                    assert np.max(np.abs(getattr(m, field.name)[i] - want)) <= 1e-13, (p, field.name)
+
+    def test_large_kerr_phase_matches_the_per_entry_read_out(self):
+        # at chi t = 1e4 (neither factor exact) the two read-outs round their
+        # Kerr phases apart, the reference's chi N(N - 1) t and the oracle's
+        # 2 chi t m; over the few sectors the seed populates that stays below
+        # eps chi t (measured 0.05 eps chi t)
+        cfg = OracleConfig(n_max=24)
+        p = SystemParams(1e4 / 2.9, 0.1, 0.4, 0.3)
+        ts = np.array([2.9])
+        bound = np.finfo(float).eps * p.chi_bar * ts[0]
+        for m, ref in zip(moment_sets(p, ts, KIND_CELLS, cfg), _per_entry_sets(p, ts, KIND_CELLS, cfg)):
+            for field, want in zip(dataclasses.fields(m), ref):
+                assert np.max(np.abs(getattr(m, field.name) - want)) <= bound, field.name
 
     def test_interleaved_batch_equals_per_parameter_sets(self, monkeypatch):
         # chi outermost and shuffled: the entries of one (k, alpha1, alpha2)
@@ -449,6 +519,18 @@ class TestStream:
         # shared by the sectors +N and -N
         dim = OracleConfig().n_max + 1
         assert shapes == [(dim, dim, dim)] * len(GRID_KS)
+
+    def test_verification_builds_one_pair_phase_table_per_k_and_block(self, monkeypatch):
+        # the ten seeds of the grid share one table per k and block of times;
+        # the conservation run builds its own.  Pair tables are the (nu, j)
+        # spectra, Kerr tables the (chi, m) rows
+        calls = _count_calls(monkeypatch, fock_oracle, "_phases")
+        run_verification()
+        dim = OracleConfig().n_max + 1
+        pair = [t.size for energy, t in calls if energy.shape == (dim, dim)]
+        size = fock_oracle._BLOCK
+        blocks = [min(size, GRID_STEPS - lo) for lo in range(0, GRID_STEPS, size)]
+        assert pair == blocks * len(GRID_KS) + [16]
 
     def test_verification_evolves_each_pair_term_once(self, monkeypatch):
         # one seed projection per (k, alpha1, alpha2): the nine of the grid

@@ -1,7 +1,8 @@
 """Every check of `kerrdown verify` can fail: a mutation table over the three routes.
 
 Each row wraps one function of one route so that one of its outputs is off by
-a relative 1e-3 (the principal factor by an absolute 1e-3), and asserts that
+a relative 1e-3 (the principal factor by an absolute 1e-3, the oracle's
+relative Kerr phase by the phase of a wrong Kerr energy), and asserts that
 the verification fails on the check that reads that output.  A mutation that
 makes the oracle's moments unphysical must be refused where the moment set is
 built instead.
@@ -39,13 +40,30 @@ def _contraction(powers):
     """Scale the oracle's normally ordered moment of these powers only."""
 
     def mutate(orig):
-        def contract(amp, pw):
-            value = orig(amp, pw)
+        def contract(amp, bra, pw, *kerr):
+            value = orig(amp, bra, pw, *kerr)
             return value * SCALE if pw == powers else value
 
         return contract
 
     return mutate
+
+
+def _kerr_n_plus_one(orig):
+    """Read the relative Kerr phase's delta (delta - 1) as delta (delta + 1): E(N) = N(N + 1).
+
+    The extra factor is exp(2i chi t delta), column m = delta of the table
+    exp(2i chi t m), whose middle column is m = 0.
+    """
+
+    def contract(amp, bra, pw, kerr=None):
+        value = orig(amp, bra, pw, kerr)
+        delta = pw[0] - pw[1] - pw[2] + pw[3]
+        if kerr is None or delta == 0:
+            return value
+        return value * kerr[..., kerr.shape[-1] // 2 + delta]
+
+    return contract
 
 
 def _any_variant(orig):
@@ -72,8 +90,10 @@ MUTATIONS = [
     (fock_oracle, "_contract", _contraction((2, 2, 0, 0)), ("frame energy drift",)),
     (squeezing_analytic, "_single_mode", _any_variant, VARIANT_FLOORS),
     (fock_oracle, "_contract", _contraction((0, 1, 0, 1)), ValueError),
-    # G alone, which no row above changes on its own (last, so their ids keep their index)
+    # G alone, which no row above changes on its own (appended, so their ids keep their index)
     (quad_core, "factors", _item(1, lambda g: g * SCALE), (MOMENTS,)),
+    # the relative Kerr phase, which only the moments that move n1 - n2 take (appended too)
+    (fock_oracle, "_contract", _kerr_n_plus_one, ("moments route vs oracle",)),
 ]
 
 
