@@ -33,16 +33,16 @@ tridiagonal with -i k sqrt((n1 + 1)(n2 + 1)) above the diagonal; the gauge
 diag(i^m) turns it into the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)),
 which depends on neither chi nor the sign of N.  The n_max + 1 chains
 nu = |N|, zero-padded to n_max + 1, are diagonalized in one stacked `eigh`
-per (n_max, k); the sectors +nu and -nu read the same eigenvectors.  Times
-are propagated in blocks of `_BLOCK`, each with one table of pair phases
-exp(-i lambda t) of chain nu for every seed (alpha1, alpha2) of its k; a
-seed's coefficients (nu, j, sign, t) are that table times its projection,
-one batched product with the eigenvectors gives its pair amplitudes, and
-padded slots are never scattered back onto the grid.  The scalar Kerr term
-commutes with the pair term, so one state serves every chi of its seed:
-`_contract` forms each moment of it once per block, and one that moves N by
-delta takes, per chi, the relative Kerr phase exp(i chi t (E(N + delta) -
-E(N))), E(N) = N(N - 1), of its ket sector as separable weights in n1, n2.
+per (n_max, k); the sectors +nu and -nu read the same eigenvectors.
+`_propagate` groups a batch by seed (k, alpha1, alpha2) once and walks it by
+k, in blocks of `_BLOCK` times with one table of pair phases exp(-i lambda t)
+per chain nu for all seeds of the k; a seed's coefficients (nu, j, sign, t)
+are that table times its projection, one batched product with the
+eigenvectors gives its pair amplitudes, and padded slots never reach the grid.
+The scalar Kerr term commutes with the pair term, so one state serves every
+chi of its seed: `_contract` forms each moment of it once per block, and one
+that moves N by delta takes, per chi, its ket sector's relative Kerr phase
+exp(i chi t (E(N + delta) - E(N))), E(N) = N(N - 1), as separable weights.
 """
 
 from __future__ import annotations
@@ -168,64 +168,69 @@ def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _propagate(
     p: SystemParams, ts: Iterable[float], cfg: OracleConfig
 ) -> Iterator[tuple[slice, list[int], np.ndarray, np.ndarray]]:
-    """Yield (block, rows, pair amplitudes (times, n1, n2), norms squared) per block of ts and seed.
+    """Yield (block, entries, pair amplitudes (times, n1, n2), norms squared) per k, block and seed.
 
-    p is one parameter set or a 1-D batch of one k; rows are the batch
-    positions of a seed (alpha1, alpha2).  The axis and both phase factors are
-    validated before the first block, and every state for norm drift and tail
-    population before it is yielded; an empty axis gives one empty block.
+    p is one parameter set or a batch, walked by k in sorted order; entries
+    are the flat batch positions of a seed (k, alpha1, alpha2).  The axis and
+    the largest |chi|'s Kerr phase are checked before any seed is projected,
+    a k's pair phase before its first seed, and every state for norm drift
+    and tail population before it is yielded; an empty axis gives empty blocks.
     """
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
     if bad.any():
         raise ValueError(f"t must be >= 0, got {ts[bad][0]}")
     n_max, dim = cfg.n_max, cfg.n_max + 1
-    groups = {}  # batch positions of each seed
-    _, *alphas = np.broadcast_arrays(p.chi_bar, p.alpha1, p.alpha2)
-    for i, seed in enumerate(zip(*(a.ravel().tolist() for a in alphas))):
-        groups.setdefault(seed, []).append(i)
-    seeds = [(rows, coherent_state(*seed, n_max)) for seed, rows in sorted(groups.items())]
-    evals, evecs = _spectrum(n_max, p.k)
-    t_end = float(ts.max(initial=0.0))
+    chis, *fields = map(np.ravel, np.broadcast_arrays(p.chi_bar, p.k, p.alpha1, p.alpha2))
+    groups = {}  # flat batch positions of each seed (alpha1, alpha2), by k
+    for i, (k, *seed) in enumerate(zip(*(a.tolist() for a in fields))):
+        groups.setdefault(k, {}).setdefault(tuple(seed), []).append(i)
+    t_end, chi_max = float(ts.max(initial=0.0)), float(np.abs(chis).max())
     # the Kerr reach also bounds the read-out's relative Kerr phases 2 chi t m, |m| <= 2 n_max + 2
-    reaches = (float(np.abs(evals).max()), float(np.abs(p.chi_bar).max()) * (n_max * (n_max + 1)))
-    for what, reach in zip(("pair phase lambda t", "Kerr phase chi N(N-1) t"), reaches):
-        if not reach * t_end < math.inf:
-            raise NumericOverflow(f"{what} overflows at t={t_end} (|energy| <= {reach:.3e})")
+    if not chi_max * (n_max * (n_max + 1)) * t_end < math.inf:
+        raise NumericOverflow(
+            f"Kerr phase chi N(N-1) t overflows at t={t_end} (|chi| <= {chi_max:.3e}, n_max={n_max})"
+        )
     slots = _slots(n_max)
-    projected = []  # (rows, evecs^H psi0 laid out (nu, j, sign), seed norm) per seed
-    for rows, seed in seeds:
-        seed_x = np.zeros(2 * dim * dim, dtype=complex)
-        seed_x[slots] = seed.reshape(-1)
-        # the seed is real: (evecs^T psi0)* needs no conjugate copy of the eigenvector stack
-        c = (evecs.transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)).conj()
-        projected.append((rows, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
-    for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
-        phase = _phases(evals, ts[block])  # (nu, j, t), for both signs and every seed
-        size = phase.shape[-1]
-        for rows, c, norm0 in projected:
-            x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time
-            for sign in (0, 1):
-                np.matmul(evecs, phase * c[:, :, sign, None], out=x[:, :, sign])
-            amp = x.reshape(2 * dim * dim, size).T[:, slots].reshape(size, dim, dim)
-            del x  # only amp is held while the state is checked and read out
-            w = np.abs(amp) ** 2
-            norm_sq = w.sum(axis=(1, 2))
-            drift = np.abs(np.sqrt(norm_sq) - norm0)
-            bad = drift > _TAU_NORM
-            if bad.any():
-                raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {_TAU_NORM:.3e}")
-            # weight in the top two shells of either mode, relative to the norm
-            tail = (w[:, -2:, :].sum(axis=(1, 2)) + w[:, :-2, -2:].sum(axis=(1, 2))) / norm_sq
-            bad = tail > _TAU_TAIL
-            if bad.any():
-                raise TailOverflow(
-                    f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
-                    f"raise n_max for this time span"
-                )
-            del w
-            yield block, rows, amp, norm_sq
-            del amp  # released before the next state is built
+    for k, seeds in sorted(groups.items()):  # one spectrum at a time
+        evals, evecs = _spectrum(n_max, k)
+        reach = float(np.abs(evals).max())
+        if not reach * t_end < math.inf:
+            raise NumericOverflow(f"pair phase lambda t overflows at t={t_end} (|energy| <= {reach:.3e})")
+        projected = []  # (entries, evecs^H psi0 laid out (nu, j, sign), seed norm) per seed
+        for alphas, entries in sorted(seeds.items()):
+            seed = coherent_state(*alphas, n_max)
+            seed_x = np.zeros(2 * dim * dim, dtype=complex)
+            seed_x[slots] = seed.reshape(-1)
+            # the seed is real: (evecs^T psi0)* needs no conjugate copy of the eigenvector stack
+            c = (evecs.transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)).conj()
+            projected.append((entries, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
+        for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
+            phase = _phases(evals, ts[block])  # (nu, j, t), for both signs and every seed
+            size = phase.shape[-1]
+            for entries, c, norm0 in projected:
+                x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time
+                for sign in (0, 1):
+                    np.matmul(evecs, phase * c[:, :, sign, None], out=x[:, :, sign])
+                amp = x.reshape(2 * dim * dim, size).T[:, slots].reshape(size, dim, dim)
+                del x  # only amp is held while the state is checked and read out
+                w = np.abs(amp) ** 2
+                norm_sq = w.sum(axis=(1, 2))
+                drift = np.abs(np.sqrt(norm_sq) - norm0)
+                bad = drift > _TAU_NORM
+                if bad.any():
+                    raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {_TAU_NORM:.3e}")
+                # weight in the top two shells of either mode, relative to the norm
+                tail = (w[:, -2:, :].sum(axis=(1, 2)) + w[:, :-2, -2:].sum(axis=(1, 2))) / norm_sq
+                bad = tail > _TAU_TAIL
+                if bad.any():
+                    raise TailOverflow(
+                        f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
+                        f"raise n_max for this time span"
+                    )
+                del w
+                yield block, entries, amp, norm_sq
+                del amp  # released before the next state is built
 
 
 @functools.cache
@@ -305,54 +310,48 @@ def moment_sets(
     """Moment sets of each (kind, d_convention) cell at the times t.
 
     p is one parameter set (sets shaped like t) or a column batch (P, 1) with
-    a float or 1-D t ((P, T) sets).  Entries are walked in order of k, one
-    spectrum and one table of pair phases per block for all of a k; entries
-    sharing (k, alpha1, alpha2) share one state, each of whose distinct
-    normally ordered moments is contracted once per block for all their chi.
-    Mode-1 moments are the Schrodinger expectations in the co-rotating frame;
-    mode-2 moments carry the carrier e^{2i chi t} once per net power of a2.
+    a float or 1-D t ((P, T) sets).  Entries sharing (k, alpha1, alpha2) share
+    one state of `_propagate`, each of whose distinct normally ordered moments
+    is contracted once per block for all their chi.  Mode-1 moments are the
+    Schrodinger expectations in the co-rotating frame; mode-2 moments carry
+    the carrier e^{2i chi t} once per net power of a2.
     """
     shape = p.shape
     if shape and shape[1:] != (1,):
         raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {shape}")
     if shape and np.ndim(t) > 1:
         raise TypeError(f"a (P, 1) batch takes a float or a 1-D t, not one of shape {np.shape(t)}")
-    ts = np.ravel(t)
-    chis, ks, alpha1, alpha2 = map(np.ravel, np.broadcast_arrays(p.chi_bar, p.k, p.alpha1, p.alpha2))
+    ts, chis = np.ravel(t), np.ravel(np.broadcast_to(p.chi_bar, shape))
     sets = [[np.empty((chis.size, ts.size), d) for d in (complex,) * 2 + (float,) * 2] for _ in cells]
     mid = 2 * (cfg.n_max + 1)  # the Kerr table's column m = 0
     m = np.arange(-mid, mid + 1)
-    for k in sorted(set(ks.tolist())):  # one spectrum at a time
-        (batch,) = np.nonzero(ks == k)
-        group = SystemParams(chis[batch], k, alpha1[batch], alpha2[batch]) if shape else p
-        last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
-        for block, rows, amp, norm_sq in _propagate(group, ts, cfg):
-            entries = batch[rows]
-            if (block.start, chis[entries].tolist()) != last:  # seeds of a k mostly share their chi
-                last = (block.start, chis[entries].tolist())
-                z = _phases(np.multiply.outer(chis[entries], -2.0 * m), ts[block]).transpose(0, 2, 1)
-            bra = amp.conj()
+    last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
+    for block, entries, amp, norm_sq in _propagate(p, ts, cfg):
+        if (block.start, chis[entries].tolist()) != last:  # seeds mostly share their chi
+            last = (block.start, chis[entries].tolist())
+            z = _phases(np.multiply.outer(chis[entries], -2.0 * m), ts[block]).transpose(0, 2, 1)
+        bra = amp.conj()
 
-            @functools.cache
-            def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s> per entry, carrier z^(s - r)
-                if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
-                    return ex(pw_q, pw_p, pw_s, pw_r).conj()
-                carrier = z[..., mid + pw_s - pw_r] / norm_sq
-                return carrier * _contract(amp, bra, (pw_p, pw_q, pw_r, pw_s), z)
+        @functools.cache
+        def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s> per entry, carrier z^(s - r)
+            if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
+                return ex(pw_q, pw_p, pw_s, pw_r).conj()
+            carrier = z[..., mid + pw_s - pw_r] / norm_sq
+            return carrier * _contract(amp, bra, (pw_p, pw_q, pw_r, pw_s), z)
 
-            for fields, (kind, d_convention) in zip(sets, cells):
-                terms = _TERMS[kind]
-                pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
-                mean_b = sum(ex(0, q, 0, s) for q, s in terms)
-                mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
-                mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
-                d = float(len(terms))  # <[B, B+]> of a1, a2 and a1 + a2
-                if kind is SqueezeKind.SUM:
-                    n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
-                    d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-                for field, value in zip(fields, (mean_b, mean_b_sq, mean_n, d)):
-                    field[entries, block] = value
-            del amp, bra, ex  # released before the next state is built
+        for fields, (kind, d_convention) in zip(sets, cells):
+            terms = _TERMS[kind]
+            pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
+            mean_b = sum(ex(0, q, 0, s) for q, s in terms)
+            mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
+            mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
+            d = float(len(terms))  # <[B, B+]> of a1, a2 and a1 + a2
+            if kind is SqueezeKind.SUM:
+                n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
+                d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+            for field, value in zip(fields, (mean_b, mean_b_sq, mean_n, d)):
+                field[entries, block] = value
+        del amp, bra, ex  # released before the next state is built
     shape = np.broadcast_shapes(shape, np.shape(t))  # (P, T) for a batch
     return [QuadratureMoments(*(field.reshape(shape) for field in fields)) for fields in sets]
 

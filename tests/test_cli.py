@@ -289,6 +289,20 @@ def test_overflow_is_typed_physics_error(capsys, engine, overrides):
     assert "NumericOverflow" in err or (engine == "oracle" and "TailOverflow" in err)
 
 
+@pytest.mark.parametrize("engine, exit_code", [("analytic", 0), ("moments", 0), ("oracle", 1)])
+def test_each_engine_keeps_its_own_kerr_gate(capsys, engine, exit_code):
+    # the closed forms refuse only |chi t| >= float max / 16; the oracle refuses
+    # max|chi| n_max (n_max + 1) t past float max, and names max|chi| and n_max
+    code, _, err = _run(capsys, [
+        "sweep", "--kind", "single1", "--engine", engine, "--chi", "1e306", "--k", "0",
+        "--alpha1", "0.4", "--alpha2", "0", "--tmax", "1", "--steps", "2",
+    ])
+    assert code == exit_code, err
+    if engine == "oracle":
+        assert "NumericOverflow: Kerr phase" in err
+        assert "|chi| <= 1.000e+306, n_max=24" in err and "inf" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--tmax", "nan"],
     ["--tmax", "inf"],

@@ -275,6 +275,15 @@ class TestEvolve:
         with pytest.raises(NumericOverflow, match="Kerr" if k == 0.0 else "pair"):
             next(blocks)
 
+    def test_batch_kerr_phase_checked_before_any_seed(self, monkeypatch):
+        # the Kerr gate reads the largest |chi| of the whole batch: the k
+        # walked first (0.05, chi 0.5) is not projected either
+        p = SystemParams(np.array([[0.5], [1e306]]), np.array([[0.05], [0.1]]), 0.4, 0.2)
+        seeds = _count_calls(monkeypatch, fock_oracle, "coherent_state")
+        with pytest.raises(NumericOverflow, match="Kerr"):
+            moment_sets(p, np.array([0.5, 1.0]), KIND_CELLS)
+        assert seeds == []
+
     def test_mirrored_seed_evolves_to_the_transpose(self):
         # at chi = 0 the generator is symmetric under the mode swap, which
         # maps the sector N onto -N; both read the one chain |N|

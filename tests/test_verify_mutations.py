@@ -1,8 +1,9 @@
 """Every check of `kerrdown verify` can fail: a mutation table over the three routes.
 
-Each row wraps one function of one route so that one of its outputs is off by
-a relative 1e-3 (the principal factor by an absolute 1e-3, the oracle's
-relative Kerr phase by the phase of a wrong Kerr energy), and asserts that
+Each row wraps one function of one route so that one of its outputs, or one
+of its arguments, is off by a relative 1e-3 (the principal factor by an
+absolute 1e-3, the oracle's relative Kerr phase by the phase of a wrong Kerr
+energy), and asserts that
 the verification fails on the check that reads that output.  A mutation that
 makes the oracle's moments unphysical must be refused where the moment set is
 built instead.
@@ -34,6 +35,11 @@ def _item(i, change):
 
 
 _first = _item(0, lambda f: f * SCALE)
+
+
+def _argument(i):
+    """A mutation that scales positional argument i of the wrapped function."""
+    return lambda orig: lambda *args: orig(*args[:i], args[i] * SCALE, *args[i + 1:])
 
 
 def _contraction(powers):
@@ -94,6 +100,10 @@ MUTATIONS = [
     (quad_core, "factors", _item(1, lambda g: g * SCALE), (MOMENTS,)),
     # the relative Kerr phase, which only the moments that move n1 - n2 take (appended too)
     (fock_oracle, "_contract", _kerr_n_plus_one, ("moments route vs oracle",)),
+    # the propagation: the spectrum's k, the seed's alpha1 and the phases' t (appended too)
+    (fock_oracle, "_spectrum", _argument(1), ("moments route vs oracle",)),
+    (fock_oracle, "coherent_state", _argument(0), ("moments route vs oracle",)),
+    (fock_oracle, "_phases", _argument(1), ("moments route vs oracle",)),
 ]
 
 
