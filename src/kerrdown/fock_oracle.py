@@ -17,7 +17,7 @@ i.e. the self-phase couplings locked to the cross coupling with the resulting
 single-mode frequency shifts absorbed into the frame (see `moments_engine` for
 the dressing).  In this frame the Schrodinger expectations of a1 are exactly
 the dressed-mode moments <A1(t)...>; mode-2 moments additionally carry the
-2*chi carrier once per net power of a2.  `moment_sets` applies it itself and
+2*chi carrier once per net power of a2.  `_read_out` applies it itself and
 never uses `SystemParams.mirrored`, so it checks the closed forms' mirror.
 
 The seed state is kept truncated-unnormalized: its norm deficit is the
@@ -40,16 +40,17 @@ per chain nu for all seeds of the k; a seed's coefficients (nu, j, sign, t)
 are that table times its projection, one batched product with the
 eigenvectors gives its pair amplitudes, and padded slots never reach the grid.
 The scalar Kerr term commutes with the pair term, so one state serves every
-chi of its seed: `_contract` forms each moment of it once per block, and one
-that moves N by delta takes, per chi, its ket sector's relative Kerr phase
-exp(i chi t (E(N + delta) - E(N))), E(N) = N(N - 1), as separable weights.
+chi of its seed.  `_read_out` is the one reader: it contracts each moment of a
+state once (`_contract`, which gives a moment that moves N each chi's relative
+Kerr phase), and `moment_sets` (squeezing moments) and `motion_constants`
+(conserved quantities) read every moment through it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,7 @@ class OracleConfig:
 def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
     """Amplitudes (n1, n2) of the truncated product coherent state |alpha1, alpha2>; not renormalized.
 
-    The norm deficit 1 - sum|amp|^2 is the truncation diagnostic; it must not
-    exceed _TAU_TRUNC.
+    Its norm deficit 1 - sum|amp|^2 must not exceed _TAU_TRUNC.
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("coherent amplitudes must be >= 0")
@@ -136,10 +136,7 @@ def _slots(n_max: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_SPECTRA)
 def _spectrum(n_max: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair-term eigenvalues (nu, j) and gauged eigenvectors (nu, m, j) of the chains nu = 0 .. n_max.
-
-    Chain nu serves both sectors N = +nu and N = -nu.
-    """
+    """Pair-term eigenvalues (nu, j) and gauged eigenvectors (nu, m, j) of the chains nu = 0 .. n_max."""
     dim = n_max + 1
     nu = np.arange(dim)[:, None]
     m = np.arange(n_max)
@@ -170,11 +167,10 @@ def _propagate(
 ) -> Iterator[tuple[slice, list[int], np.ndarray, np.ndarray]]:
     """Yield (block, entries, pair amplitudes (times, n1, n2), norms squared) per k, block and seed.
 
-    p is one parameter set or a batch, walked by k in sorted order; entries
-    are the flat batch positions of a seed (k, alpha1, alpha2).  The axis and
-    the largest |chi|'s Kerr phase are checked before any seed is projected,
-    a k's pair phase before its first seed, and every state for norm drift
-    and tail population before it is yielded; an empty axis gives empty blocks.
+    Entries are the flat batch positions of a seed (k, alpha1, alpha2).  The
+    axis and the largest |chi|'s Kerr phase are checked before any seed is
+    projected, a k's pair phase before its first seed, and every state for norm
+    drift and tail population before it is yielded; an empty axis gives empty blocks.
     """
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
@@ -301,28 +297,14 @@ _TERMS = {
 }
 
 
-def moment_sets(
-    p: SystemParams,
-    t,
-    cells: Sequence[tuple[SqueezeKind, DConvention]],
-    cfg: OracleConfig = OracleConfig(),
-) -> list[QuadratureMoments]:
-    """Moment sets of each (kind, d_convention) cell at the times t.
+def _read_out(
+    p: SystemParams, ts: np.ndarray, cfg: OracleConfig
+) -> Iterator[tuple[slice, list[int], Callable[..., np.ndarray], np.ndarray]]:
+    """Yield (block, entries, ex, norms squared) per state of `_propagate`.
 
-    p is one parameter set (sets shaped like t) or a column batch (P, 1) with
-    a float or 1-D t ((P, T) sets).  Entries sharing (k, alpha1, alpha2) share
-    one state of `_propagate`, each of whose distinct normally ordered moments
-    is contracted once per block for all their chi.  Mode-1 moments are the
-    Schrodinger expectations in the co-rotating frame; mode-2 moments carry
-    the carrier e^{2i chi t} once per net power of a2.
+    ex(p, q, r, s) is <a1+^p a1^q a2+^r a2^s> (entries, times), carrier included.
     """
-    shape = p.shape
-    if shape and shape[1:] != (1,):
-        raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {shape}")
-    if shape and np.ndim(t) > 1:
-        raise TypeError(f"a (P, 1) batch takes a float or a 1-D t, not one of shape {np.shape(t)}")
-    ts, chis = np.ravel(t), np.ravel(np.broadcast_to(p.chi_bar, shape))
-    sets = [[np.empty((chis.size, ts.size), d) for d in (complex,) * 2 + (float,) * 2] for _ in cells]
+    chis = np.ravel(np.broadcast_to(p.chi_bar, p.shape))
     mid = 2 * (cfg.n_max + 1)  # the Kerr table's column m = 0
     m = np.arange(-mid, mid + 1)
     last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
@@ -333,12 +315,35 @@ def moment_sets(
         bra = amp.conj()
 
         @functools.cache
-        def ex(pw_p, pw_q, pw_r, pw_s):  # <a1+^p a1^q a2+^r a2^s> per entry, carrier z^(s - r)
+        def ex(pw_p, pw_q, pw_r, pw_s):
             if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
                 return ex(pw_q, pw_p, pw_s, pw_r).conj()
             carrier = z[..., mid + pw_s - pw_r] / norm_sq
             return carrier * _contract(amp, bra, (pw_p, pw_q, pw_r, pw_s), z)
 
+        yield block, entries, ex, norm_sq
+        del amp, bra  # released before the next state is built; ex reads them no more
+
+
+def moment_sets(
+    p: SystemParams,
+    t,
+    cells: Sequence[tuple[SqueezeKind, DConvention]],
+    cfg: OracleConfig = OracleConfig(),
+) -> list[QuadratureMoments]:
+    """Moment sets of each (kind, d_convention) cell at the times t, read from `_read_out`.
+
+    p is one parameter set (sets shaped like t) or a column batch (P, 1) with
+    a float or 1-D t ((P, T) sets).
+    """
+    shape = p.shape
+    if shape and shape[1:] != (1,):
+        raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {shape}")
+    if shape and np.ndim(t) > 1:
+        raise TypeError(f"a (P, 1) batch takes a float or a 1-D t, not one of shape {np.shape(t)}")
+    ts, size = np.ravel(t), (math.prod(shape), np.size(t))
+    sets = [[np.empty(size, d) for d in (complex, complex, float, float)] for _ in cells]
+    for block, entries, ex, _ in _read_out(p, ts, cfg):
         for fields, (kind, d_convention) in zip(sets, cells):
             terms = _TERMS[kind]
             pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
@@ -351,7 +356,6 @@ def moment_sets(
                 d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
             for field, value in zip(fields, (mean_b, mean_b_sq, mean_n, d)):
                 field[entries, block] = value
-        del amp, bra, ex  # released before the next state is built
     shape = np.broadcast_shapes(shape, np.shape(t))  # (P, T) for a batch
     return [QuadratureMoments(*(field.reshape(shape) for field in fields)) for fields in sets]
 
@@ -363,7 +367,7 @@ def moment_set_numeric(
     cfg: OracleConfig = OracleConfig(),
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ) -> QuadratureMoments:
-    """Oracle moment set at one time, drop-in replacement for the `moments_engine` output."""
+    """Oracle moment set at one time; stays as `benchmarks/worker.py`'s entry point until ROADMAP item 2."""
     return moment_sets(p, t, [(kind, d_convention)], cfg)[0]
 
 
@@ -373,21 +377,17 @@ def motion_constants(
     """<N>, <N^2>, frame energy <H> and norm of the evolved seed along the 1-D time axis t.
 
     N = n1 - n2 and H itself commute with the generator H, and the evolution
-    is unitary, so all four are flat.  They keep N, so they are read from the
-    pair amplitudes of the same propagated blocks as `moment_sets`:
+    is unitary, so all four are flat.  They are read from `_read_out`:
         <N^2> = <a1+^2 a1^2> + <n1> - 2<n1 n2> + <a2+^2 a2^2> + <n2>,
-        <H>   = chi (<N^2> - <N>) + 2k Im<a1 a2>.
+        <H>   = chi (<N^2> - <N>) + 2k Im<a1 a2>,
+    <a1 a2> taken off its carrier here, so <H> also checks the Kerr table's.
     """
     p.require_one("the Fock oracle")
-    parts = []
-    for _, _, amp, norm_sq in _propagate(p, np.ravel(t), cfg):
-        bra = amp.conj()
-        n1, n2, aa1, aa2, n1n2 = (  # aa: <a+^2 a^2> of one mode
-            _contract(amp, bra, powers).real / norm_sq
-            for powers in ((1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 0, 0), (0, 0, 2, 2), (1, 1, 1, 1))
-        )
+    ts, parts = np.ravel(t), []
+    for block, _, ex, norm_sq in _read_out(p, ts, cfg):
+        # aa: <a+^2 a^2> of one mode
+        n1, n2, aa1, aa2, n1n2 = (ex(q, q, s, s)[0].real for q, s in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
         n, n_sq = n1 - n2, aa1 + n1 - 2.0 * n1n2 + aa2 + n2
-        pair = _contract(amp, bra, (0, 1, 0, 1)).imag / norm_sq
+        pair = (ex(0, 1, 0, 1)[0] * np.exp(-2j * p.chi_bar * ts[block])).imag
         parts.append((n, n_sq, p.chi_bar * (n_sq - n) + 2.0 * p.k * pair, np.sqrt(norm_sq)))
-        del amp, bra  # released before the next block is built
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kerrdown
-from kerrdown import SqueezeKind, SystemParams, cli, verify
+from kerrdown import SqueezeKind, SystemParams, cli, fock_oracle, verify
 from kerrdown.cli import main
 from kerrdown.fock_oracle import OracleConfig
 
@@ -423,6 +423,22 @@ def test_verify_command_passes(capsys):
     assert len(rows) == 12
     assert len({re.search(r" [<>]= ", row).start() for row in rows}) == 1
     assert verify.Check("x", 0.5, 1.0).render() == "[PASS] x  5.00000e-01 <= 1.0e+00"
+
+
+def test_oracle_norm_gate_stops_verify_before_its_report(capsys, monkeypatch):
+    # eigenvectors 1e-8 too long: the oracle refuses the state at its own
+    # 1e-10 budget, so the report's norm-drift row (same bound) never shows
+    spectrum = fock_oracle._spectrum
+
+    def leaky(n_max, k):
+        evals, evecs = spectrum(n_max, k)
+        return evals, evecs * (1.0 + 1e-8)
+
+    monkeypatch.setattr(fock_oracle, "_spectrum", leaky)
+    code, out, err = _run(capsys, ["verify"])
+    assert code == 1
+    assert err.startswith("kerrdown: NormDrift: norm drift 2.000e-08 > 1.000e-10")
+    assert out == ""
 
 
 def test_default_cutoff_is_the_oracle_default(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Tests of the truncated Fock-space oracle."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -495,6 +497,19 @@ class TestStream:
             for field in dataclasses.fields(m):
                 for row, r in zip(getattr(m, field.name), cell):
                     assert np.array_equal(row, getattr(r, field.name)), field.name
+
+    def test_one_reader_walks_and_contracts(self):
+        # the squeezing moments and the motion constants read through one
+        # function, the only one that walks `_propagate` or calls `_contract`
+        callers = {}
+        for node in ast.parse(inspect.getsource(fock_oracle)).body:
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                        callers.setdefault(call.func.id, set()).add(node.name)
+        (reader,) = callers["_propagate"]
+        assert callers["_contract"] == {reader}
+        assert {"moment_sets", "motion_constants"} <= callers[reader]
 
     def test_memory_does_not_grow_with_the_time_axis(self):
         # blocks are propagated and read out one at a time: ten blocks of

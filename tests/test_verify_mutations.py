@@ -103,7 +103,8 @@ MUTATIONS = [
     # the propagation: the spectrum's k, the seed's alpha1 and the phases' t (appended too)
     (fock_oracle, "_spectrum", _argument(1), ("moments route vs oracle",)),
     (fock_oracle, "coherent_state", _argument(0), ("moments route vs oracle",)),
-    (fock_oracle, "_phases", _argument(1), ("moments route vs oracle",)),
+    # the frame energy takes <a1 a2> off the carrier of the Kerr table with a t of its own
+    (fock_oracle, "_phases", _argument(1), ("moments route vs oracle", "frame energy drift")),
 ]
 
 
