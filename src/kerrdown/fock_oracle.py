@@ -40,10 +40,13 @@ per chain nu for all seeds of the k; a seed's coefficients (nu, j, sign, t)
 are that table times its projection, one batched product with the
 eigenvectors gives its pair amplitudes, and padded slots never reach the grid.
 The scalar Kerr term commutes with the pair term, so one state serves every
-chi of its seed.  `_read_out` is the one reader: it contracts each moment of a
-state once (`_contract`, which gives a moment that moves N each chi's relative
-Kerr phase), and `moment_sets` (squeezing moments) and `motion_constants`
-(conserved quantities) read every moment through it.
+chi of its seed, and a seed of k = 0 (no pair energies) one time per block.
+`_read_out` is the one reader: it contracts each moment of a state once
+(`_contract`: number moments on the norm check's |amp|^2, the others as
+contiguous products with a shifted window of the flat conjugate, and each chi's
+relative Kerr phase for a moment that moves N) into one (P, T) array per call.
+`moment_sets` (squeezing moments, each kind cell assembled once per call) and
+`motion_constants` (conserved quantities) read every moment through it.
 """
 
 from __future__ import annotations
@@ -165,9 +168,10 @@ def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _propagate(
     p: SystemParams, ts: Iterable[float], cfg: OracleConfig
 ) -> Iterator[tuple[slice, list[int], np.ndarray, np.ndarray]]:
-    """Yield (block, entries, pair amplitudes (times, n1, n2), norms squared) per k, block and seed.
+    """Yield (block, entries, pair amplitudes (times, n1, n2), their |amp|^2) per k, block and seed.
 
-    Entries are the flat batch positions of a seed (k, alpha1, alpha2).  The
+    Entries are the flat batch positions of a seed (k, alpha1, alpha2); a
+    seed of k = 0 has one time per block, the state of every time.  The
     axis and the largest |chi|'s Kerr phase are checked before any seed is
     projected, a k's pair phase before its first seed, and every state for norm
     drift and tail population before it is yielded; an empty axis gives empty blocks.
@@ -202,13 +206,15 @@ def _propagate(
             c = (evecs.transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)).conj()
             projected.append((entries, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
         for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
-            phase = _phases(evals, ts[block])  # (nu, j, t), for both signs and every seed
+            # without pair energies every time of the block has one state: the read-out broadcasts it
+            phase = _phases(evals, ts[block][: 1 if reach == 0.0 else None])  # (nu, j, t), all seeds
             size = phase.shape[-1]
             for entries, c, norm0 in projected:
                 x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time
                 for sign in (0, 1):
                     np.matmul(evecs, phase * c[:, :, sign, None], out=x[:, :, sign])
-                amp = x.reshape(2 * dim * dim, size).T[:, slots].reshape(size, dim, dim)
+                # contiguous (t, n1, n2): the read-out's products and matrix products run over whole rows
+                amp = np.ascontiguousarray(x.reshape(2 * dim * dim, size).T[:, slots]).reshape(size, dim, dim)
                 del x  # only amp is held while the state is checked and read out
                 w = np.abs(amp) ** 2
                 norm_sq = w.sum(axis=(1, 2))
@@ -224,40 +230,41 @@ def _propagate(
                         f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
                         f"raise n_max for this time span"
                     )
-                del w
-                yield block, entries, amp, norm_sq
-                del amp  # released before the next state is built
+                yield block, entries, amp, w
+                del amp, w  # released before the next state is built
 
 
 @functools.cache
-def _weights(n_max: int, q: int, p: int) -> tuple[int, int, np.ndarray]:
-    """Rows lo..hi of a^q then a+^p on one mode of the cutoff, and their ladder factors.
+def _weights(n_max: int, q: int, p: int) -> np.ndarray:
+    """Ladder factors of a^q then a+^p on the rows n = 0 .. n_max of one mode.
 
-    Only rows n where both a^q and the a+^p image stay on the grid.  The
-    factor sqrt(n!/(n-q)!) sqrt((n-q+p)!/(n-q)!) is a product of sqrt(n - j)
-    terms: no n! is ever formed, so every cutoff stays in float range.
+    A row where a^q or the a+^p image leaves the grid weighs 0.  The factor
+    sqrt(n!/(n-q)!) sqrt((n-q+p)!/(n-q)!) is a product of sqrt(n - j) terms:
+    no n! is ever formed, so every cutoff stays in float range.
     """
-    lo, hi = q, min(n_max, n_max + q - p)
-    n = np.arange(lo, hi + 1, dtype=float)
-    w = np.ones_like(n)
+    n = np.arange(n_max + 1.0)
+    w = (n >= q) * (n <= n_max + q - p) * 1.0
     for j in range(q):
-        w *= np.sqrt(n - j)
+        w[q:] *= np.sqrt(n[q:] - j)
     for j in range(1, p + 1):
-        w *= np.sqrt(n - q + j)
-    return lo, hi, w
+        w[q:] *= np.sqrt(n[q:] - q + j)
+    return w
 
 
 def _contract(
-    amp: np.ndarray, bra: np.ndarray, powers: tuple[int, int, int, int], kerr: np.ndarray | None = None
+    amp: np.ndarray, bra: np.ndarray | None, powers: tuple[int, int, int, int], kerr: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unnormalized <a1+^p a1^q a2+^r a2^s> over the trailing (n1, n2) axes of amp; bra is amp.conj().
+    """Unnormalized <a1+^p a1^q a2+^r a2^s> over the trailing (n1, n2) axes of amp.
 
-    Exact contraction with the ladder factors of `_weights`; leading axes (a
-    block of times) are kept.  kerr, exp(2i chi t m) laid out (entries, times,
-    m + 2 n_max + 2), reads each entry's state, amp times exp(-i chi N(N - 1) t)
-    on N = n1 - n2, as (entries, times): a moment that moves N by delta = p -
-    q - r + s, |delta| <= 2, takes exp(i chi t delta (2N + delta - 1)) on its
-    ket as z^n1 z^-n2 exp(i chi t delta (delta - 1)), z = exp(2i chi t delta).
+    bra is amp.conj() or `_read_out`'s flat, zero-padded conjugate; None says
+    that amp holds |amp|^2 (p = q, r = s).  The whole ket meets the window of
+    the bra shifted by (p - q, r - s); the ladder factors of `_weights` are 0
+    where the shift leaves the grid.  Leading axes (a block of times) are
+    kept.  kerr, exp(2i chi t m) laid out (entries, times, m + 2 n_max + 2),
+    reads each entry's state, amp times exp(-i chi N(N - 1) t) on N = n1 - n2,
+    as (entries, times): a moment that moves N by delta = p - q - r + s,
+    |delta| <= 2, takes exp(i chi t delta (2N + delta - 1)) on its ket as
+    z^n1 z^-n2 exp(i chi t delta (delta - 1)), z = exp(2i chi t delta).
     """
     pw_p, pw_q, pw_r, pw_s = powers
     n_max = amp.shape[-1] - 1
@@ -265,22 +272,28 @@ def _contract(
         raise ValueError(f"powers must be >= 0, got {powers}")
     if pw_p + pw_q > n_max or pw_r + pw_s > n_max:
         raise ValueError(f"powers {powers} exceed the cutoff {n_max}")
-    lo1, hi1, w1 = _weights(n_max, pw_q, pw_p)
-    lo2, hi2, w2 = _weights(n_max, pw_s, pw_r)
+    w1, w2 = _weights(n_max, pw_q, pw_p), _weights(n_max, pw_s, pw_r)
     d1, d2 = pw_p - pw_q, pw_r - pw_s  # the bra's shift in n1 and n2
-    ket = amp[..., lo1 : hi1 + 1, lo2 : hi2 + 1]
-    prod = ket * bra[..., lo1 + d1 : hi1 + d1 + 1, lo2 + d2 : hi2 + d2 + 1]
+    prod = amp
+    if bra is not None:
+        shift = d1 * (n_max + 1) + d2  # in the flat index n1 (n_max + 1) + n2
+        if bra.shape == amp.shape:  # amp.conj() itself
+            bra = np.pad(bra.ravel(), abs(shift))
+        start = (bra.size - amp.size) // 2 + shift
+        prod = amp * bra[start : start + amp.size].reshape(amp.shape)
     delta = d1 - d2
     if kerr is None or delta == 0:
         return prod @ w2 @ w1
     mid = kerr.shape[-1] // 2  # column m = 0; u = w1 z^n1 (entry, t, 1, n1), v = w2 z^-n2 (.., n2, 1)
-    u = w1 * kerr[..., None, mid + delta * lo1 : mid + delta * (hi1 + 1) : delta]
-    v = w2[:, None] * kerr[..., mid - delta * lo2 : mid - delta * (hi2 + 1) : -delta, None]
+    u = w1 * kerr[..., None, mid : mid + delta * (n_max + 1) : delta]
+    v = w2[:, None] * kerr[..., mid : mid - delta * (n_max + 1) : -delta, None]
     # one vector-matrix-vector product per entry and time: an entry's value is blind to the others
     return kerr[..., mid + delta * (delta - 1) // 2] * (u @ prod @ v)[..., 0, 0]
 
 
 def _real(z: np.ndarray, what: str) -> np.ndarray:
+    if not np.iscomplexobj(z):  # a number moment
+        return z
     bad = np.abs(z.imag) > 1e-9 * np.maximum(1.0, np.abs(z))
     if bad.any():
         raise ValueError(f"{what} should be real, got {z[bad][0]}")
@@ -288,41 +301,61 @@ def _real(z: np.ndarray, what: str) -> np.ndarray:
 
 
 # B of each kind as a sum of monomials a1^q a2^s, given as (q, s); <B>, <B^2>
-# and <B+ B> are then sums of normally ordered moments over terms and pairs
+# and <B+ B> are then sums of normally ordered moments over terms and pairs,
+# which _SUMS lists with the <n1> and <n2> of the d of `sum`
 _TERMS = {
     SqueezeKind.SINGLE1: ((1, 0),),
     SqueezeKind.SINGLE2: ((0, 1),),
     SqueezeKind.TWO_MODE: ((1, 0), (0, 1)),
     SqueezeKind.SUM: ((1, 1),),
 }
+_SUMS = {
+    kind: (
+        [(0, q, 0, s) for q, s in terms],
+        [(0, q + q2, 0, s + s2) for q, s in terms for q2, s2 in terms],
+        [(q, q2, s, s2) for q, s in terms for q2, s2 in terms],
+        [(1, 1, 0, 0), (0, 0, 1, 1)] if kind is SqueezeKind.SUM else [],
+    )
+    for kind, terms in _TERMS.items()
+}
 
 
 def _read_out(
-    p: SystemParams, ts: np.ndarray, cfg: OracleConfig
-) -> Iterator[tuple[slice, list[int], Callable[..., np.ndarray], np.ndarray]]:
-    """Yield (block, entries, ex, norms squared) per state of `_propagate`.
+    p: SystemParams, ts: np.ndarray, cfg: OracleConfig, powers: Iterable[tuple[int, int, int, int]]
+) -> tuple[dict[tuple[int, int, int, int], np.ndarray], np.ndarray]:
+    """<a1+^p a1^q a2+^r a2^s> of each of powers, carrier included, and the norms squared, as (entries, times).
 
-    ex(p, q, r, s) is <a1+^p a1^q a2+^r a2^s> (entries, times), carrier included.
+    Each moment is contracted once per state, as itself or as its adjoint
+    (<X+> = <X>*): a number moment on the |amp|^2 of `_propagate`, the others
+    on the state's conjugate, flat and zero-padded by the widest shift, with
+    each chi's Kerr table.  A seed of k = 0 is one state per block, which the
+    contractions broadcast against the block's times.
     """
+    own = {pw: min(pw, (pw[1], pw[0], pw[3], pw[2])) for pw in powers}  # contracted, as <X> or <X+>*
     chis = np.ravel(np.broadcast_to(p.chi_bar, p.shape))
+    norm_sq = np.empty((chis.size, ts.size))
+    out = {pw: np.empty_like(norm_sq, float if pw[::2] == pw[1::2] else complex) for pw in sorted(set(own.values()))}
     mid = 2 * (cfg.n_max + 1)  # the Kerr table's column m = 0
+    pad = max(abs((pw[0] - pw[1]) * (cfg.n_max + 1) + pw[2] - pw[3]) for pw in out)
     m = np.arange(-mid, mid + 1)
     last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
-    for block, entries, amp, norm_sq in _propagate(p, ts, cfg):
+    for block, entries, amp, w in _propagate(p, ts, cfg):
         if (block.start, chis[entries].tolist()) != last:  # seeds mostly share their chi
             last = (block.start, chis[entries].tolist())
-            z = _phases(np.multiply.outer(chis[entries], -2.0 * m), ts[block]).transpose(0, 2, 1)
-        bra = amp.conj()
-
-        @functools.cache
-        def ex(pw_p, pw_q, pw_r, pw_s):
-            if (pw_r, pw_p) > (pw_s, pw_q):  # contracted as its adjoint: <X+> = <X>*
-                return ex(pw_q, pw_p, pw_s, pw_r).conj()
-            carrier = z[..., mid + pw_s - pw_r] / norm_sq
-            return carrier * _contract(amp, bra, (pw_p, pw_q, pw_r, pw_s), z)
-
-        yield block, entries, ex, norm_sq
-        del amp, bra  # released before the next state is built; ex reads them no more
+            z = _phases(np.multiply.outer(last[1], -2.0 * m), ts[block]).transpose(0, 2, 1)
+        # a run of entries, as of one parameter set, is written through a slice
+        rows = slice(entries[0], entries[-1] + 1) if entries[-1] - entries[0] == len(entries) - 1 else entries
+        norm_sq[rows, block] = norm = w.sum(axis=(1, 2))
+        bra = np.empty(amp.size + 2 * pad, dtype=complex)
+        bra[:pad] = bra[pad + amp.size :] = 0.0
+        np.conjugate(amp, out=bra[pad : pad + amp.size].reshape(amp.shape))
+        for pw, values in out.items():
+            if values.dtype == float:
+                values[rows, block] = _contract(w, None, pw, z) / norm
+            else:
+                values[rows, block] = z[..., mid + pw[3] - pw[2]] / norm * _contract(amp, bra, pw, z)
+        del amp, w, bra  # released before the next state is built
+    return {pw: out[c] if c == pw else out[c].conj() for pw, c in own.items()}, norm_sq
 
 
 def moment_sets(
@@ -334,30 +367,27 @@ def moment_sets(
     """Moment sets of each (kind, d_convention) cell at the times t, read from `_read_out`.
 
     p is one parameter set (sets shaped like t) or a column batch (P, 1) with
-    a float or 1-D t ((P, T) sets).
+    a float or 1-D t ((P, T) sets).  Every cell is assembled once, over the
+    whole call, from the moments it asks for.
     """
     shape = p.shape
     if shape and shape[1:] != (1,):
         raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {shape}")
     if shape and np.ndim(t) > 1:
         raise TypeError(f"a (P, 1) batch takes a float or a 1-D t, not one of shape {np.shape(t)}")
-    ts, size = np.ravel(t), (math.prod(shape), np.size(t))
-    sets = [[np.empty(size, d) for d in (complex, complex, float, float)] for _ in cells]
-    for block, entries, ex, _ in _read_out(p, ts, cfg):
-        for fields, (kind, d_convention) in zip(sets, cells):
-            terms = _TERMS[kind]
-            pairs = [(q, s, q2, s2) for q, s in terms for q2, s2 in terms]
-            mean_b = sum(ex(0, q, 0, s) for q, s in terms)
-            mean_b_sq = sum(ex(0, q + q2, 0, s + s2) for q, s, q2, s2 in pairs)
-            mean_n = _real(sum(ex(q, q2, s, s2) for q, s, q2, s2 in pairs), "<B+ B>")
-            d = float(len(terms))  # <[B, B+]> of a1, a2 and a1 + a2
-            if kind is SqueezeKind.SUM:
-                n_total = _real(ex(1, 1, 0, 0), "<n1>") + _real(ex(0, 0, 1, 1), "<n2>")
-                d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
-            for field, value in zip(fields, (mean_b, mean_b_sq, mean_n, d)):
-                field[entries, block] = value
+    sums = [_SUMS[kind] for kind, _ in cells]
+    ex, _ = _read_out(p, np.ravel(t), cfg, [pw for cell in sums for part in cell for pw in part])
     shape = np.broadcast_shapes(shape, np.shape(t))  # (P, T) for a batch
-    return [QuadratureMoments(*(field.reshape(shape) for field in fields)) for fields in sets]
+    sets = []
+    for (_, d_convention), parts in zip(cells, sums):
+        b, b_sq, n, numbers = ([ex[pw] for pw in part] for part in parts)
+        mean_n = _real(sum(n), "<B+ B>")
+        d = np.full(mean_n.shape, float(len(b)))  # <[B, B+]> of a1, a2 and a1 + a2
+        if numbers:
+            d = sum(numbers) if d_convention is DConvention.NUMBER_SUM else sum(numbers) + 1.0
+        fields = (sum(b), sum(b_sq), mean_n, d)
+        sets.append(QuadratureMoments(*(field.reshape(shape) for field in fields)))
+    return sets
 
 
 def moment_set_numeric(
@@ -383,11 +413,9 @@ def motion_constants(
     <a1 a2> taken off its carrier here, so <H> also checks the Kerr table's.
     """
     p.require_one("the Fock oracle")
-    ts, parts = np.ravel(t), []
-    for block, _, ex, norm_sq in _read_out(p, ts, cfg):
-        # aa: <a+^2 a^2> of one mode
-        n1, n2, aa1, aa2, n1n2 = (ex(q, q, s, s)[0].real for q, s in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
-        n, n_sq = n1 - n2, aa1 + n1 - 2.0 * n1n2 + aa2 + n2
-        pair = (ex(0, 1, 0, 1)[0] * np.exp(-2j * p.chi_bar * ts[block])).imag
-        parts.append((n, n_sq, p.chi_bar * (n_sq - n) + 2.0 * p.k * pair, np.sqrt(norm_sq)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    ts, numbers = np.ravel(t), ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))  # aa: <a+^2 a^2> of one mode
+    ex, norm_sq = _read_out(p, ts, cfg, [(q, q, s, s) for q, s in numbers] + [(0, 1, 0, 1)])
+    n1, n2, aa1, aa2, n1n2 = (ex[q, q, s, s][0] for q, s in numbers)
+    n, n_sq = n1 - n2, aa1 + n1 - 2.0 * n1n2 + aa2 + n2
+    pair = (ex[0, 1, 0, 1][0] * np.exp(-2j * p.chi_bar * ts)).imag
+    return n, n_sq, p.chi_bar * (n_sq - n) + 2.0 * p.k * pair, np.sqrt(norm_sq[0])

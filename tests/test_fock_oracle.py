@@ -77,7 +77,7 @@ def _evolve(p, ts, cfg):
     n = np.arange(-cfg.n_max, cfg.n_max + 1.0)
     kerr = np.exp(-1j * np.multiply.outer(p.chi_bar * n * (n - 1.0), ts))  # (N + n_max, times)
     return np.concatenate([
-        _with_kerr(pair, kerr[:, block], np.empty_like(pair))
+        _with_kerr(pair, kerr[:, block], np.empty((ts[block].size, *pair.shape[1:]), dtype=complex))
         for block, _, pair, _ in fock_oracle._propagate(p, ts, cfg)
     ])
 
@@ -202,6 +202,76 @@ class TestExpect:
         for powers in ((1, 1, 0, 0), (1, 2, 0, 1), (2, 2, 2, 2), (0, 3, 2, 1)):
             want = a1 ** (powers[0] + powers[1]) * a2 ** (powers[2] + powers[3])
             assert _expect(st, powers) == pytest.approx(want, abs=1e-12)
+
+
+def _explicit_moment(state, powers):
+    """<a1+^p a1^q a2+^r a2^s> of one unnormalized state (n1, n2), summed term by term.
+
+    a1+^p a1^q |n1> = sqrt(n1! / (n1 - q)!) sqrt(m1! / (n1 - q)!) |m1>, m1 =
+    n1 - q + p, and likewise for mode 2; terms whose |m1, m2> leaves the
+    grid are dropped.
+    """
+    p, q, r, s = powers
+    n_max = state.shape[-1] - 1
+    total = 0j
+    for n1 in range(q, n_max + 1):
+        for n2 in range(s, n_max + 1):
+            m1, m2 = n1 - q + p, n2 - s + r
+            if m1 <= n_max and m2 <= n_max:
+                f1 = math.sqrt(math.factorial(n1) * math.factorial(m1)) / math.factorial(n1 - q)
+                f2 = math.sqrt(math.factorial(n2) * math.factorial(m2)) / math.factorial(n2 - s)
+                total += state[m1, m2].conjugate() * f1 * f2 * state[n1, n2]
+    return total
+
+
+def _random_states(seed, times, n_max):
+    """Random complex states (times, n1, n2) of unit norm."""
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(times, n_max + 1, n_max + 1)) + 1j * rng.normal(size=(times, n_max + 1, n_max + 1))
+    return amp / np.sqrt(np.sum(np.abs(amp) ** 2, axis=(1, 2)))[:, None, None]
+
+
+# every (p, q, r, s) with p + q <= 3 and r + s <= 3, the grid edges included
+_POWERS_TO_3 = [
+    (p, q, r, s)
+    for p in range(4) for q in range(4 - p) for r in range(4) for s in range(4 - r)
+]
+
+
+class TestContract:
+    def test_contraction_matches_explicit_sums(self):
+        # random unit states of three times at n_max = 6, against the
+        # conjugate itself and a flat conjugate padded wider than any shift;
+        # number moments also from |amp|^2
+        n_max = 6
+        amp = _random_states(11, 3, n_max)
+        wide = np.pad(amp.conj().ravel(), 5 * (n_max + 1))
+        assert len(_POWERS_TO_3) == 100
+        for powers in _POWERS_TO_3:
+            want = np.array([_explicit_moment(state, powers) for state in amp])
+            assert np.max(np.abs(fock_oracle._contract(amp, amp.conj(), powers) - want)) <= 1e-14, powers
+            assert np.max(np.abs(fock_oracle._contract(amp, wide, powers) - want)) <= 1e-14, powers
+            if powers[0] == powers[1] and powers[2] == powers[3]:
+                got = fock_oracle._contract(np.abs(amp) ** 2, None, powers)
+                assert np.max(np.abs(got - want)) <= 1e-14, powers
+
+    def test_kerr_contraction_matches_explicit_sums(self):
+        # each entry's state is amp times exp(-i chi N(N - 1) t), N = n1 - n2,
+        # formed here; the table exp(2i chi t m) is widened to the |delta| <= 6
+        # of these powers.  Dyadic chi and t make every phase argument exact
+        # on both sides, so only the contraction's roundoff is left
+        n_max = 6
+        amp = _random_states(12, 3, n_max)
+        chis, ts = np.array([0.25, -0.75]), np.array([0.0, 0.5, 2.0])
+        m = np.arange(-6 * (n_max + 1), 6 * (n_max + 1) + 1)
+        kerr = np.exp(2j * chis[:, None, None] * ts[:, None] * m)  # (entries, times, m)
+        n1, n2 = np.indices(amp.shape[1:])
+        energy = (n1 - n2) * (n1 - n2 - 1.0)
+        states = amp * np.exp(-1j * chis[:, None, None, None] * ts[:, None, None] * energy)
+        for powers in _POWERS_TO_3:
+            want = np.array([[_explicit_moment(state, powers) for state in entry] for entry in states])
+            got = fock_oracle._contract(amp, amp.conj(), powers, kerr)
+            assert np.max(np.abs(got - want)) <= 1e-14, powers
 
 
 class TestEvolve:
@@ -441,15 +511,16 @@ class TestStream:
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_sets_match_the_per_entry_read_out(self, monkeypatch, n_max):
-        # several seeds of one k, each under four chi, across two blocks of
-        # times: every field matches the reference read-out on each entry's
-        # Kerr-phased state.  Both sides evolve the same truncated generator,
-        # so the tail guard is off
+        # several seeds of a pair-free k = 0 (one state per block) and of k =
+        # 0.1, each under four chi, across two blocks of times: every field
+        # matches the reference read-out on each entry's Kerr-phased state.
+        # Both sides evolve the same truncated generator, so the tail guard is off
         monkeypatch.setattr(fock_oracle, "_TAU_TAIL", 1.0)
         cfg = OracleConfig(n_max=n_max)
         ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
         params = [
-            SystemParams(chi, 0.1, a1, a2)
+            SystemParams(chi, k, a1, a2)
+            for k in (0.0, 0.1)
             for a1, a2 in ((0.4, 0.3), (0.2, 0.0), (0.0, 0.35))
             for chi in (0.0, 0.25, 0.5, 2.0)
         ]
@@ -460,6 +531,17 @@ class TestStream:
             for m, ref in zip(sets, _per_entry_sets(p, ts, KIND_CELLS, cfg)):
                 for field, want in zip(dataclasses.fields(m), ref):
                     assert np.max(np.abs(getattr(m, field.name)[i] - want)) <= 1e-13, (p, field.name)
+
+    def test_pair_free_seed_is_propagated_at_one_time_per_block(self, monkeypatch):
+        # without pair energies every time of a block has the same amplitudes:
+        # a k = 0 seed is one state per block, a k = 0.1 seed one per time
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
+        p = SystemParams(0.5, np.array([[0.0], [0.1]]), 0.4, 0.3)
+        phases = _count_calls(monkeypatch, fock_oracle, "_phases")
+        states = [(entries, amp.shape[0]) for _, entries, amp, _ in fock_oracle._propagate(p, ts, OracleConfig())]
+        assert states == [([0], 1), ([0], 1), ([1], fock_oracle._BLOCK), ([1], 13)]
+        dim = OracleConfig().n_max + 1
+        assert [t.size for energy, t in phases if energy.shape == (dim, dim)] == [1, 1, fock_oracle._BLOCK, 13]
 
     def test_large_kerr_phase_matches_the_per_entry_read_out(self):
         # at chi t = 1e4 (neither factor exact) the two read-outs round their
@@ -547,14 +629,16 @@ class TestStream:
     def test_verification_builds_one_pair_phase_table_per_k_and_block(self, monkeypatch):
         # the ten seeds of the grid share one table per k and block of times;
         # the conservation run builds its own.  Pair tables are the (nu, j)
-        # spectra, Kerr tables the (chi, m) rows
+        # spectra, Kerr tables the (chi, m) rows.  The seeds of k = 0, walked
+        # first, have one state per block: their tables hold one time
         calls = _count_calls(monkeypatch, fock_oracle, "_phases")
         run_verification()
         dim = OracleConfig().n_max + 1
         pair = [t.size for energy, t in calls if energy.shape == (dim, dim)]
         size = fock_oracle._BLOCK
         blocks = [min(size, GRID_STEPS - lo) for lo in range(0, GRID_STEPS, size)]
-        assert pair == blocks * len(GRID_KS) + [16]
+        assert GRID_KS[0] == 0.0
+        assert pair == [1] * len(blocks) + blocks * (len(GRID_KS) - 1) + [16]
 
     def test_verification_evolves_each_pair_term_once(self, monkeypatch):
         # one seed projection per (k, alpha1, alpha2): the nine of the grid
@@ -569,6 +653,14 @@ class TestConservation:
         checks = conservation_checks(OracleConfig())
         for c in checks:
             assert c.passed, c.render()
+
+    def test_motion_constants_of_a_pair_free_seed(self):
+        # k = 0: one state serves every time of a block, so each column is as
+        # long as the time axis and exactly flat
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
+        for column in fock_oracle.motion_constants(SystemParams(0.5, 0.0, 0.4, 0.4), ts):
+            assert column.shape == ts.shape
+            assert np.all(column == column[0])
 
     def test_frame_energy_check_fails_on_the_wrong_pair_term(self, monkeypatch):
         # without the i^m gauge the chain evolves k(a1 a2 + a1+ a2+) in place
