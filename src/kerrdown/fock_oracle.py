@@ -41,8 +41,8 @@ are that table times its projection, one batched product with the
 eigenvectors gives its pair amplitudes, and padded slots never reach the grid.
 The scalar Kerr term commutes with the pair term, so one state serves every
 chi of its seed, and a seed of k = 0 (no pair energies) one time per block.
-`_read_out` is the one reader: it contracts each moment of a state once
-(`_contract`: number moments on the norm check's |amp|^2, the others as
+`_read_out` is the one reader: it contracts each moment of a state once over
+the norm check's sum (`_contract`: number moments on its |amp|^2, the others as
 contiguous products with a shifted window of the flat conjugate, and each chi's
 relative Kerr phase for a moment that moves N) into one (P, T) array per call.
 `moment_sets` (squeezing moments, each kind cell assembled once per call) and
@@ -95,6 +95,8 @@ class OracleConfig:
     n_max: int = 24
 
     def __post_init__(self):
+        if not isinstance(self.n_max, (int, np.integer)):
+            raise TypeError(f"n_max must be an integer, got {self.n_max!r}")
         if not 4 <= self.n_max <= _N_MAX_LIMIT:
             raise ValueError(f"n_max must be in [4, {_N_MAX_LIMIT}], got {self.n_max}")
 
@@ -104,8 +106,8 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
 
     Its norm deficit 1 - sum|amp|^2 must not exceed _TAU_TRUNC.
     """
-    if alpha1 < 0 or alpha2 < 0:
-        raise ValueError("coherent amplitudes must be >= 0")
+    if not (0 <= alpha1 < math.inf and 0 <= alpha2 < math.inf):  # also fails for a nan
+        raise ValueError(f"coherent amplitudes must be finite and >= 0, got {alpha1}, {alpha2}")
     ns = np.arange(n_max + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, n_max + 1)))))
 
@@ -167,8 +169,8 @@ def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _propagate(
     p: SystemParams, ts: Iterable[float], cfg: OracleConfig
-) -> Iterator[tuple[slice, list[int], np.ndarray, np.ndarray]]:
-    """Yield (block, entries, pair amplitudes (times, n1, n2), their |amp|^2) per k, block and seed.
+) -> Iterator[tuple[slice, list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (block, entries, pair amplitudes (times, n1, n2), their |amp|^2, its sum) per k, block and seed.
 
     Entries are the flat batch positions of a seed (k, alpha1, alpha2); a
     seed of k = 0 has one time per block, the state of every time.  The
@@ -230,7 +232,7 @@ def _propagate(
                         f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
                         f"raise n_max for this time span"
                     )
-                yield block, entries, amp, w
+                yield block, entries, amp, w, norm_sq
                 del amp, w  # released before the next state is built
 
 
@@ -256,14 +258,15 @@ def _contract(
 ) -> np.ndarray:
     """Unnormalized <a1+^p a1^q a2+^r a2^s> over the trailing (n1, n2) axes of amp.
 
-    bra is amp.conj() or `_read_out`'s flat, zero-padded conjugate; None says
-    that amp holds |amp|^2 (p = q, r = s).  The whole ket meets the window of
-    the bra shifted by (p - q, r - s); the ladder factors of `_weights` are 0
-    where the shift leaves the grid.  Leading axes (a block of times) are
-    kept.  kerr, exp(2i chi t m) laid out (entries, times, m + 2 n_max + 2),
-    reads each entry's state, amp times exp(-i chi N(N - 1) t) on N = n1 - n2,
-    as (entries, times): a moment that moves N by delta = p - q - r + s,
-    |delta| <= 2, takes exp(i chi t delta (2N + delta - 1)) on its ket as
+    bra is amp's flat conjugate, zero-padded at both ends by at least the
+    shift; None says that amp holds |amp|^2 (p = q, r = s).  The whole ket
+    meets the window of the bra shifted by (p - q, r - s); the ladder factors
+    of `_weights` are 0 where the shift leaves the grid.  Leading axes (a
+    block of times) are kept.  kerr, exp(2i chi t m) laid out (entries,
+    times, m + 2 n_max + 2), reads each entry's state, amp times
+    exp(-i chi N(N - 1) t) on N = n1 - n2, as (entries, times): a moment
+    that moves N by delta = p - q - r + s, |delta| <= 2, takes
+    exp(i chi t delta (2N + delta - 1)) on its ket as
     z^n1 z^-n2 exp(i chi t delta (delta - 1)), z = exp(2i chi t delta).
     """
     pw_p, pw_q, pw_r, pw_s = powers
@@ -276,10 +279,7 @@ def _contract(
     d1, d2 = pw_p - pw_q, pw_r - pw_s  # the bra's shift in n1 and n2
     prod = amp
     if bra is not None:
-        shift = d1 * (n_max + 1) + d2  # in the flat index n1 (n_max + 1) + n2
-        if bra.shape == amp.shape:  # amp.conj() itself
-            bra = np.pad(bra.ravel(), abs(shift))
-        start = (bra.size - amp.size) // 2 + shift
+        start = (bra.size - amp.size) // 2 + d1 * (n_max + 1) + d2  # the shift in the flat index
         prod = amp * bra[start : start + amp.size].reshape(amp.shape)
     delta = d1 - d2
     if kerr is None or delta == 0:
@@ -326,34 +326,32 @@ def _read_out(
     """<a1+^p a1^q a2+^r a2^s> of each of powers, carrier included, and the norms squared, as (entries, times).
 
     Each moment is contracted once per state, as itself or as its adjoint
-    (<X+> = <X>*): a number moment on the |amp|^2 of `_propagate`, the others
-    on the state's conjugate, flat and zero-padded by the widest shift, with
-    each chi's Kerr table.  A seed of k = 0 is one state per block, which the
-    contractions broadcast against the block's times.
+    (<X+> = <X>*), over `_propagate`'s norm squared: a number moment on its
+    |amp|^2, the others on the state's conjugate, flat and zero-padded by the
+    widest shift, with each chi's Kerr table.  A seed of k = 0 is one state
+    per block, which the contractions broadcast against the block's times.
     """
     own = {pw: min(pw, (pw[1], pw[0], pw[3], pw[2])) for pw in powers}  # contracted, as <X> or <X+>*
     chis = np.ravel(np.broadcast_to(p.chi_bar, p.shape))
     norm_sq = np.empty((chis.size, ts.size))
     out = {pw: np.empty_like(norm_sq, float if pw[::2] == pw[1::2] else complex) for pw in sorted(set(own.values()))}
     mid = 2 * (cfg.n_max + 1)  # the Kerr table's column m = 0
-    pad = max(abs((pw[0] - pw[1]) * (cfg.n_max + 1) + pw[2] - pw[3]) for pw in out)
+    pad = max((abs((pw[0] - pw[1]) * (cfg.n_max + 1) + pw[2] - pw[3]) for pw in out), default=0)
     m = np.arange(-mid, mid + 1)
     last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
-    for block, entries, amp, w in _propagate(p, ts, cfg):
+    for block, entries, amp, w, norm in _propagate(p, ts, cfg):
         if (block.start, chis[entries].tolist()) != last:  # seeds mostly share their chi
             last = (block.start, chis[entries].tolist())
             z = _phases(np.multiply.outer(last[1], -2.0 * m), ts[block]).transpose(0, 2, 1)
-        # a run of entries, as of one parameter set, is written through a slice
-        rows = slice(entries[0], entries[-1] + 1) if entries[-1] - entries[0] == len(entries) - 1 else entries
-        norm_sq[rows, block] = norm = w.sum(axis=(1, 2))
+        norm_sq[entries, block] = norm
         bra = np.empty(amp.size + 2 * pad, dtype=complex)
         bra[:pad] = bra[pad + amp.size :] = 0.0
         np.conjugate(amp, out=bra[pad : pad + amp.size].reshape(amp.shape))
         for pw, values in out.items():
             if values.dtype == float:
-                values[rows, block] = _contract(w, None, pw, z) / norm
+                values[entries, block] = _contract(w, None, pw, z) / norm
             else:
-                values[rows, block] = z[..., mid + pw[3] - pw[2]] / norm * _contract(amp, bra, pw, z)
+                values[entries, block] = z[..., mid + pw[3] - pw[2]] / norm * _contract(amp, bra, pw, z)
         del amp, w, bra  # released before the next state is built
     return {pw: out[c] if c == pw else out[c].conj() for pw, c in own.items()}, norm_sq
 

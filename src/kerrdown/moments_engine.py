@@ -69,6 +69,7 @@ warnings are silenced.  Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -149,9 +150,9 @@ class SystemParams:
         if not r2 < _MAX_ARG:
             raise ValueError("alpha1^2 + alpha2^2 must stay within the float range")
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
-        """Shape of the batch; () for one parameter set."""
+        """Shape of the batch; () for one parameter set; computed once per instance."""
         return np.broadcast_shapes(*map(np.shape, (self.chi_bar, self.k, self.alpha1, self.alpha2)))
 
     def require_one(self, caller: str) -> None:

@@ -237,6 +237,17 @@ def test_scalar_fields_stay_floats():
     assert mixed.shape == (4,)
 
 
+def test_shape_is_computed_once():
+    # one tuple per instance, however often a batch's shape is read;
+    # equality and hashing stay on the four fields
+    p = _batch()
+    assert p.shape is p.shape == (4,)
+    one = SystemParams(0.5, 0.1, 0.4, 0.2)
+    key = hash(one)
+    assert one.shape == ()
+    assert hash(one) == key and one == SystemParams(0.5, 0.1, 0.4, 0.2)
+
+
 def test_batch_holds_its_own_copy():
     k = np.array(VALID["k"])
     p = _batch()

@@ -511,6 +511,23 @@ def test_figure_curve_is_header_plus_its_columns(capsys, tmp_path):
     ) + _reference_rows(result.t, result.f)
 
 
+def test_figure_titles_read_the_four_fields():
+    # a read of params.shape caches it among vars(params); titles keep to the fields
+    titles = {}
+    for fig_id, (*_, template, sets) in cli._FIGURES.items():
+        for (req, _, title), values in zip(cli._figure_sets(fig_id, None, 5), sets):
+            assert req.params.shape == ()
+            assert title == template.format(**vars(req.params))
+            assert title == template.format(**dict(zip(("chi_bar", "k", "alpha1", "alpha2"), values)))
+            titles.setdefault(fig_id, []).append(title)
+    assert titles == {
+        "1": ["(0.4,0.0)", "(0.4,0.4)"],
+        "2a": ["(0.4,0.0)", "(0.4,0.4)"],
+        "2b": ["chi=0.5", "chi=0.0"],
+        "3": ["chi=0.0", "chi=0.5"],
+    }
+
+
 def test_figure_curve_set_shares_its_t_column(capsys, tmp_path):
     assert _run(capsys, ["figure", "2a", "--out-dir", str(tmp_path)])[0] == 0
     for seeds in ("a0.4_0", "a0.4_0.4"):

@@ -55,9 +55,19 @@ def build_hamiltonian(p, n_max):
     return h
 
 
+def _bra(amp, powers):
+    """The bra `_contract` takes: amp's flat conjugate, zero-padded by exactly the shift of powers.
+
+    The shift is |(p - q)(n_max + 1) + r - s| in the flat index, so the
+    window of a shifted moment reaches an end of the bra.
+    """
+    pw_p, pw_q, pw_r, pw_s = powers
+    return np.pad(amp.conj().ravel(), abs((pw_p - pw_q) * amp.shape[-1] + pw_r - pw_s))
+
+
 def _expect(amp, powers):
     """Normally ordered moment <a1+^p a1^q a2+^r a2^s> of one state, norm-squared normalized."""
-    return complex(fock_oracle._contract(amp, amp.conj(), powers) / np.sum(np.abs(amp) ** 2))
+    return complex(fock_oracle._contract(amp, _bra(amp, powers), powers) / np.sum(np.abs(amp) ** 2))
 
 
 def _with_kerr(pair, phase, out):
@@ -78,7 +88,7 @@ def _evolve(p, ts, cfg):
     kerr = np.exp(-1j * np.multiply.outer(p.chi_bar * n * (n - 1.0), ts))  # (N + n_max, times)
     return np.concatenate([
         _with_kerr(pair, kerr[:, block], np.empty((ts[block].size, *pair.shape[1:]), dtype=complex))
-        for block, _, pair, _ in fock_oracle._propagate(p, ts, cfg)
+        for block, _, pair, _, _ in fock_oracle._propagate(p, ts, cfg)
     ])
 
 
@@ -90,11 +100,11 @@ def _per_entry_sets(p, ts, cells, cfg):
     power of a2.
     """
     amp = _evolve(p, ts, cfg)
-    bra, norm_sq = amp.conj(), np.sum(np.abs(amp) ** 2, axis=(1, 2))
+    norm_sq = np.sum(np.abs(amp) ** 2, axis=(1, 2))
     carrier = np.exp(2j * p.chi_bar * ts)
 
     def ex(*powers):
-        return carrier ** (powers[3] - powers[2]) * fock_oracle._contract(amp, bra, powers) / norm_sq
+        return carrier ** (powers[3] - powers[2]) * fock_oracle._contract(amp, _bra(amp, powers), powers) / norm_sq
 
     sets = []
     for kind, conv in cells:
@@ -169,6 +179,13 @@ class TestCoherentState:
         with pytest.raises(TruncationTooSevere):
             coherent_state(2.0, 0.0, 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_amplitude_must_be_finite_and_non_negative(self, bad):
+        # a nan or inf amplitude is refused, not turned into nan amplitudes
+        for alphas in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                coherent_state(*alphas, 8)
+
 
 class TestExpect:
     def test_vacuum_moments_vanish(self):
@@ -240,16 +257,17 @@ _POWERS_TO_3 = [
 
 class TestContract:
     def test_contraction_matches_explicit_sums(self):
-        # random unit states of three times at n_max = 6, against the
-        # conjugate itself and a flat conjugate padded wider than any shift;
-        # number moments also from |amp|^2
+        # random unit states of three times at n_max = 6, against a flat
+        # conjugate padded by exactly the moment's shift (the window reaches
+        # one end) and one padded wider than any shift; number moments also
+        # from |amp|^2
         n_max = 6
         amp = _random_states(11, 3, n_max)
         wide = np.pad(amp.conj().ravel(), 5 * (n_max + 1))
         assert len(_POWERS_TO_3) == 100
         for powers in _POWERS_TO_3:
             want = np.array([_explicit_moment(state, powers) for state in amp])
-            assert np.max(np.abs(fock_oracle._contract(amp, amp.conj(), powers) - want)) <= 1e-14, powers
+            assert np.max(np.abs(fock_oracle._contract(amp, _bra(amp, powers), powers) - want)) <= 1e-14, powers
             assert np.max(np.abs(fock_oracle._contract(amp, wide, powers) - want)) <= 1e-14, powers
             if powers[0] == powers[1] and powers[2] == powers[3]:
                 got = fock_oracle._contract(np.abs(amp) ** 2, None, powers)
@@ -270,7 +288,7 @@ class TestContract:
         states = amp * np.exp(-1j * chis[:, None, None, None] * ts[:, None, None] * energy)
         for powers in _POWERS_TO_3:
             want = np.array([[_explicit_moment(state, powers) for state in entry] for entry in states])
-            got = fock_oracle._contract(amp, amp.conj(), powers, kerr)
+            got = fock_oracle._contract(amp, _bra(amp, powers), powers, kerr)
             assert np.max(np.abs(got - want)) <= 1e-14, powers
 
 
@@ -487,6 +505,27 @@ class TestStream:
             for name in ("mean_b", "mean_b_sq", "mean_bdag_b", "mean_d"):
                 assert getattr(m, name).shape == getattr(ref, name).shape == (0,)
 
+    def test_no_cells_give_no_sets(self):
+        # the layout and the time axis are still checked
+        p = SystemParams(0.5, 0.1, 0.4, 0.3)
+        assert moment_sets(p, np.linspace(0.0, 1.0, 5), []) == []
+        with pytest.raises(TypeError):
+            moment_sets(SystemParams(np.zeros((2, 2)), 0.1, 0.4, 0.3), 0.5, [])
+        with pytest.raises(ValueError):
+            moment_sets(p, np.array([0.5, -1.0]), [])
+
+    def test_norms_are_the_sums_of_the_propagated_states(self):
+        # the read-out's norms squared are |amp|^2 summed over each state that
+        # `_propagate` yields, bit for bit: the norm is summed once per state
+        p = SystemParams(np.array([[0.5], [0.25], [0.5]]), np.array([[0.1], [0.0], [0.0]]), 0.4, 0.3)
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
+        cfg = OracleConfig(n_max=16)
+        want = np.full((3, ts.size), np.nan)
+        for block, entries, amp, _, _ in fock_oracle._propagate(p, ts, cfg):
+            want[entries, block] = np.sum(np.abs(amp) ** 2, axis=(1, 2))
+        _, norm_sq = fock_oracle._read_out(p, ts, cfg, [(1, 1, 0, 0), (0, 1, 0, 1)])
+        assert np.array_equal(norm_sq, want)
+
     def test_each_distinct_moment_contracted_once_per_block(self, monkeypatch):
         # the five kind cells share ten normally ordered moments; a moment and
         # its adjoint (<a1 a2+> of the two-mode <B+ B>) are one contraction
@@ -538,7 +577,7 @@ class TestStream:
         ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
         p = SystemParams(0.5, np.array([[0.0], [0.1]]), 0.4, 0.3)
         phases = _count_calls(monkeypatch, fock_oracle, "_phases")
-        states = [(entries, amp.shape[0]) for _, entries, amp, _ in fock_oracle._propagate(p, ts, OracleConfig())]
+        states = [(entries, amp.shape[0]) for _, entries, amp, _, _ in fock_oracle._propagate(p, ts, OracleConfig())]
         assert states == [([0], 1), ([0], 1), ([1], fock_oracle._BLOCK), ([1], 13)]
         dim = OracleConfig().n_max + 1
         assert [t.size for energy, t in phases if energy.shape == (dim, dim)] == [1, 1, fock_oracle._BLOCK, 13]
@@ -685,6 +724,16 @@ class TestConfig:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
             OracleConfig(n_max=3)
+
+    @pytest.mark.parametrize("n_max", [24.0, 24.5, "24", None])
+    def test_cutoff_must_be_an_integer(self, n_max):
+        with pytest.raises(TypeError, match="n_max"):
+            OracleConfig(n_max=n_max)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        assert OracleConfig(n_max=np.int64(8)).n_max == 8
+        with pytest.raises(ValueError):
+            OracleConfig(n_max=np.int64(3))
 
     def test_cutoff_ceiling(self):
         # rejected before anything is allocated
