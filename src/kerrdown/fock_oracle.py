@@ -31,9 +31,10 @@ chain |m + N+, m + N-> (m = 0 .. n_max - |N|, N+ = max(N, 0), N- = max(-N, 0)).
 Within a sector the Kerr term is the scalar chi N(N - 1) and the pair term is
 tridiagonal with -i k sqrt((n1 + 1)(n2 + 1)) above the diagonal; the gauge
 diag(i^m) turns it into the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)),
-which depends on neither chi nor the sign of N.  The n_max + 1 chains
-nu = |N|, zero-padded to n_max + 1, are diagonalized in one stacked `eigh`
-per (n_max, k); the sectors +nu and -nu read the same eigenvectors.
+which depends on neither chi nor the sign of N, and k only scales it.  The
+n_max + 1 chains nu = |N| of k = 1, zero-padded to n_max + 1, are diagonalized
+in one stacked `eigh` per n_max: a k's pair energies are k times their
+eigenvalues on the same eigenvectors, which the sectors +nu and -nu share.
 `_propagate` groups a batch by seed (k, alpha1, alpha2) once and walks it by
 k, in blocks of `_BLOCK` times with one table of pair phases exp(-i lambda t)
 per chain nu for all seeds of the k; a seed's coefficients (nu, j, sign, t)
@@ -70,9 +71,9 @@ __all__ = [
     "motion_constants",
 ]
 
-# Spectra kept warm.  Callers walk one (n_max, k) at a time, or alternate two
-# cutoffs of one parameter set (the cutoff-doubling check); an entry at cutoff
-# 32 holds 33 complex 33^2 chain eigenvector matrices (33^3 x 16 B = 0.57 MB).
+# Spectra kept warm, one per cutoff and whatever the k.  Callers use one cutoff,
+# or alternate two (the cutoff-doubling check); an entry at cutoff 32 holds 33
+# complex 33^2 chain eigenvector matrices (33^3 x 16 B = 0.57 MB).
 _SPECTRA = 2
 # Times propagated and read out together, bounding a call's memory whatever the
 # axis: a block's state takes (n_max + 1)^2 x 32 x 16 B = 0.3 MB at cutoff 24.
@@ -140,16 +141,13 @@ def _slots(n_max: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_SPECTRA)
-def _spectrum(n_max: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair-term eigenvalues (nu, j) and gauged eigenvectors (nu, m, j) of the chains nu = 0 .. n_max."""
+def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, and gauged eigenvectors (nu, m, j)."""
     dim = n_max + 1
     nu = np.arange(dim)[:, None]
     m = np.arange(n_max)
-    with np.errstate(over="ignore"):  # an overflowing entry is reported below
-        off = k * np.sqrt((m + 1.0) * (m + 1.0 + nu))
+    off = np.sqrt((m + 1.0) * (m + 1.0 + nu))
     off[m >= n_max - nu] = 0.0  # beyond the chain's last state: padding
-    if not np.isfinite(off).all():
-        raise NumericOverflow(f"generator entries overflow at k={k}, n_max={n_max}")
     chain = np.zeros((dim, dim, dim))
     chain[:, m, m + 1] = off
     chain[:, m + 1, m] = off
@@ -175,8 +173,8 @@ def _propagate(
     Entries are the flat batch positions of a seed (k, alpha1, alpha2); a
     seed of k = 0 has one time per block, the state of every time.  The
     axis and the largest |chi|'s Kerr phase are checked before any seed is
-    projected, a k's pair phase before its first seed, and every state for norm
-    drift and tail population before it is yielded; an empty axis gives empty blocks.
+    projected, a k's pair energies and phase before its first seed, and every state
+    for norm drift and tail population before it is yielded; an empty axis gives empty blocks.
     """
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
@@ -193,12 +191,14 @@ def _propagate(
         raise NumericOverflow(
             f"Kerr phase chi N(N-1) t overflows at t={t_end} (|chi| <= {chi_max:.3e}, n_max={n_max})"
         )
-    slots = _slots(n_max)
-    for k, seeds in sorted(groups.items()):  # one spectrum at a time
-        evals, evecs = _spectrum(n_max, k)
-        reach = float(np.abs(evals).max())
+    slots, (evals, evecs) = _slots(n_max), _spectrum(n_max)
+    for k, seeds in sorted(groups.items()):
+        reach = k * float(np.abs(evals).max())  # a float product: an overflow is inf, not a warning
+        if not reach < math.inf:
+            raise NumericOverflow(f"generator entries overflow at k={k}, n_max={n_max}")
         if not reach * t_end < math.inf:
             raise NumericOverflow(f"pair phase lambda t overflows at t={t_end} (|energy| <= {reach:.3e})")
+        energy = k * evals  # (nu, j), on the k-free eigenvectors
         projected = []  # (entries, evecs^H psi0 laid out (nu, j, sign), seed norm) per seed
         for alphas, entries in sorted(seeds.items()):
             seed = coherent_state(*alphas, n_max)
@@ -209,7 +209,7 @@ def _propagate(
             projected.append((entries, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
         for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
             # without pair energies every time of the block has one state: the read-out broadcasts it
-            phase = _phases(evals, ts[block][: 1 if reach == 0.0 else None])  # (nu, j, t), all seeds
+            phase = _phases(energy, ts[block][: 1 if reach == 0.0 else None])  # (nu, j, t), all seeds
             size = phase.shape[-1]
             for entries, c, norm0 in projected:
                 x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time

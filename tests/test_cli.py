@@ -289,6 +289,17 @@ def test_overflow_is_typed_physics_error(capsys, engine, overrides):
     assert "NumericOverflow" in err or (engine == "oracle" and "TailOverflow" in err)
 
 
+def test_pair_energy_overflow_names_k_and_cutoff(capsys):
+    # the oracle scales one k-free spectrum by k: an overflowing product is a
+    # typed error on one line, not a RuntimeWarning or a traceback
+    code, out, err = _run(capsys, [
+        "sweep", "--kind", "two", "--engine", "oracle", "--chi", "0.5", "--k", "1e307",
+        "--alpha1", "0.4", "--alpha2", "0.3", "--tmax", "1", "--steps", "3",
+    ])
+    assert (code, out) == (1, "")
+    assert err == "kerrdown: NumericOverflow: generator entries overflow at k=1e+307, n_max=24\n"
+
+
 @pytest.mark.parametrize("engine, exit_code", [("analytic", 0), ("moments", 0), ("oracle", 1)])
 def test_each_engine_keeps_its_own_kerr_gate(capsys, engine, exit_code):
     # the closed forms refuse only |chi t| >= float max / 16; the oracle refuses
@@ -430,8 +441,8 @@ def test_oracle_norm_gate_stops_verify_before_its_report(capsys, monkeypatch):
     # 1e-10 budget, so the report's norm-drift row (same bound) never shows
     spectrum = fock_oracle._spectrum
 
-    def leaky(n_max, k):
-        evals, evecs = spectrum(n_max, k)
+    def leaky(n_max):
+        evals, evecs = spectrum(n_max)
         return evals, evecs * (1.0 + 1e-8)
 
     monkeypatch.setattr(fock_oracle, "_spectrum", leaky)

@@ -92,14 +92,20 @@ def _evolve(p, ts, cfg):
     ])
 
 
-def _per_entry_sets(p, ts, cells, cfg):
-    """(<B>, <B^2>, <B+ B>, d) of each cell for one parameter set, read out on its Kerr-phased state.
+def _dense_evolve(p, ts, n_max):
+    """Amplitudes (times, n1, n2) of the seed of p under exp(-iHt) of the dense generator, diagonalized here."""
+    evals, evecs = np.linalg.eigh(build_hamiltonian(p, n_max))
+    psi0 = evecs.conj().T @ coherent_state(p.alpha1, p.alpha2, n_max).reshape(-1)
+    return np.stack([evecs @ (np.exp(-1j * evals * t) * psi0) for t in ts]).reshape(len(ts), n_max + 1, n_max + 1)
+
+
+def _per_entry_sets(p, ts, cells, amp):
+    """(<B>, <B^2>, <B+ B>, d) of each cell for one parameter set, read out on its state amp (times, n1, n2).
 
     The reference for `moment_sets`: every moment is contracted on the
-    state of `_evolve`, and a mode-2 moment carries exp(2i chi t) per net
-    power of a2.
+    Kerr-phased state of `_evolve` or `_dense_evolve`, and a mode-2 moment
+    carries exp(2i chi t) per net power of a2.
     """
-    amp = _evolve(p, ts, cfg)
     norm_sq = np.sum(np.abs(amp) ** 2, axis=(1, 2))
     carrier = np.exp(2j * p.chi_bar * ts)
 
@@ -325,8 +331,8 @@ class TestEvolve:
         _evolve(p, [1.0], cfg)
         spectrum = fock_oracle._spectrum
 
-        def leaky(n_max, k):
-            evals, evecs = spectrum(n_max, k)
+        def leaky(n_max):
+            evals, evecs = spectrum(n_max)
             return evals, evecs * (1.0 + 1e-8)
 
         monkeypatch.setattr(fock_oracle, "_spectrum", leaky)
@@ -365,6 +371,13 @@ class TestEvolve:
         with pytest.raises(NumericOverflow, match="Kerr" if k == 0.0 else "pair"):
             next(blocks)
 
+    def test_pair_energy_overflow_is_typed(self):
+        # k = 1e307 times the chains' largest eigenvalue is past float max:
+        # refused with the k and cutoff named, and no RuntimeWarning
+        p = SystemParams(0.5, 1e307, 0.4, 0.3)
+        with pytest.raises(NumericOverflow, match=r"^generator entries overflow at k=1e\+307, n_max=24$"):
+            moment_sets(p, np.array([0.0, 1.0]), KIND_CELLS)
+
     def test_batch_kerr_phase_checked_before_any_seed(self, monkeypatch):
         # the Kerr gate reads the largest |chi| of the whole batch: the k
         # walked first (0.05, chi 0.5) is not projected either
@@ -393,11 +406,7 @@ class TestEvolve:
         cfg = OracleConfig(n_max=n_max)
         ts = [0.0, 0.4, 1.3, 3.0, 7.5]
         for p in (SystemParams(chi, k, 0.4, 0.3), SystemParams(chi, k, 0.25, 0.4)):
-            evals, evecs = np.linalg.eigh(build_hamiltonian(p, n_max))
-            psi0 = coherent_state(p.alpha1, p.alpha2, n_max).reshape(-1)
-            for t, state in zip(ts, _evolve(p, ts, cfg)):
-                dense = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi0))
-                assert np.max(np.abs(state.reshape(-1) - dense)) <= 1e-12
+            assert np.max(np.abs(_evolve(p, ts, cfg) - _dense_evolve(p, ts, n_max))) <= 1e-12
 
 
 class TestMomentSets:
@@ -438,6 +447,22 @@ class TestMomentSets:
                 for field in dataclasses.fields(a):
                     diff = np.abs(getattr(a, field.name) - getattr(b, field.name))
                     assert np.max(diff) <= 1e-14, field.name
+
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_scaled_spectrum_matches_per_k_diagonalization(self, monkeypatch, n_max):
+        # one k-free spectrum, its eigenvalues scaled by each k of the batch,
+        # against the dense generator of each k diagonalized on its own; k = 0
+        # also goes through the shared eigenvectors.  Both sides evolve the
+        # same truncated generator, so the tail guard is off
+        monkeypatch.setattr(fock_oracle, "_TAU_TAIL", 1.0)
+        ks, ts = (0.0, 1e-3, 0.05, 0.1, 0.3), np.array([0.0, 0.4, 1.3, 3.0])
+        batch = SystemParams(0.5, np.array([[k] for k in ks]), 0.4, 0.3)
+        sets = moment_sets(batch, ts, KIND_CELLS, OracleConfig(n_max))
+        for i, k in enumerate(ks):
+            p = SystemParams(0.5, k, 0.4, 0.3)
+            for m, ref in zip(sets, _per_entry_sets(p, ts, KIND_CELLS, _dense_evolve(p, ts, n_max))):
+                for field, want in zip(dataclasses.fields(m), ref):
+                    assert np.max(np.abs(getattr(m, field.name)[i] - want)) <= 1e-12, (k, field.name)
 
     def test_batch_takes_a_float_or_a_1d_time_axis(self, monkeypatch):
         # one parameter set gives sets shaped like t, whatever its shape; a
@@ -567,7 +592,7 @@ class TestStream:
         batch = SystemParams(*(np.array([[getattr(p, name)] for p in params]) for name in names))
         sets = moment_sets(batch, ts, KIND_CELLS, cfg)
         for i, p in enumerate(params):
-            for m, ref in zip(sets, _per_entry_sets(p, ts, KIND_CELLS, cfg)):
+            for m, ref in zip(sets, _per_entry_sets(p, ts, KIND_CELLS, _evolve(p, ts, cfg))):
                 for field, want in zip(dataclasses.fields(m), ref):
                     assert np.max(np.abs(getattr(m, field.name)[i] - want)) <= 1e-13, (p, field.name)
 
@@ -591,13 +616,14 @@ class TestStream:
         p = SystemParams(1e4 / 2.9, 0.1, 0.4, 0.3)
         ts = np.array([2.9])
         bound = np.finfo(float).eps * p.chi_bar * ts[0]
-        for m, ref in zip(moment_sets(p, ts, KIND_CELLS, cfg), _per_entry_sets(p, ts, KIND_CELLS, cfg)):
+        ref_sets = _per_entry_sets(p, ts, KIND_CELLS, _evolve(p, ts, cfg))
+        for m, ref in zip(moment_sets(p, ts, KIND_CELLS, cfg), ref_sets):
             for field, want in zip(dataclasses.fields(m), ref):
                 assert np.max(np.abs(getattr(m, field.name) - want)) <= bound, field.name
 
     def test_interleaved_batch_equals_per_parameter_sets(self, monkeypatch):
         # chi outermost and shuffled: the entries of one (k, alpha1, alpha2)
-        # are scattered over the batch, yet each k is diagonalized once and
+        # are scattered over the batch, yet the cutoff is diagonalized once and
         # every entry's sets come back in batch order, bit for bit
         params = [
             SystemParams(chi, k, a1, a2)
@@ -613,7 +639,7 @@ class TestStream:
         fock_oracle._spectrum.cache_clear()
         eighs = _count_calls(monkeypatch, np.linalg, "eigh")
         sets = moment_sets(batch, ts, KIND_CELLS)
-        assert len(eighs) == 3
+        assert len(eighs) == 1
         for m, cell in zip(sets, zip(*ref)):
             for field in dataclasses.fields(m):
                 for row, r in zip(getattr(m, field.name), cell):
@@ -659,11 +685,22 @@ class TestStream:
         fock_oracle._spectrum.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         run_verification()
-        # one stacked call per (n_max, k) of the grid; the probe and the
-        # conservation run reuse the last; every block is one chain |N|,
-        # shared by the sectors +N and -N
+        # one stacked call for the cutoff, whose spectrum every k of the grid,
+        # the probe and the conservation run scale; every block is one chain
+        # |N|, shared by the sectors +N and -N
         dim = OracleConfig().n_max + 1
-        assert shapes == [(dim, dim, dim)] * len(GRID_KS)
+        assert shapes == [(dim, dim, dim)]
+
+    def test_cutoff_doubling_diagonalizes_each_cutoff_once(self, monkeypatch):
+        # the cutoff-doubling check alternates two cutoffs over fresh k: the
+        # two cached spectra serve every k
+        fock_oracle._spectrum.cache_clear()
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+        ts = np.linspace(0.0, 1.0, 5)
+        for k in (0.05, 0.1, 0.2):
+            for n_max in (24, 32):
+                moment_sets(SystemParams(0.5, k, 0.4, 0.3), ts, KIND_CELLS, OracleConfig(n_max=n_max))
+        assert [h.shape for (h,) in eighs] == [(25, 25, 25), (33, 33, 33)]
 
     def test_verification_builds_one_pair_phase_table_per_k_and_block(self, monkeypatch):
         # the ten seeds of the grid share one table per k and block of times;
@@ -710,8 +747,8 @@ class TestConservation:
         # terms of the <H> read-out)
         spectrum = fock_oracle._spectrum
 
-        def ungauged(n_max, k):
-            evals, evecs = spectrum(n_max, k)
+        def ungauged(n_max):
+            evals, evecs = spectrum(n_max)
             gauge = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_max + 1) % 4]
             return evals, gauge.conj()[:, None] * evecs
 

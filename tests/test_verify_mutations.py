@@ -100,8 +100,8 @@ MUTATIONS = [
     (quad_core, "factors", _item(1, lambda g: g * SCALE), (MOMENTS,)),
     # the relative Kerr phase, which only the moments that move n1 - n2 take (appended too)
     (fock_oracle, "_contract", _kerr_n_plus_one, ("moments route vs oracle",)),
-    # the propagation: the spectrum's k, the seed's alpha1 and the phases' t (appended too)
-    (fock_oracle, "_spectrum", _argument(1), ("moments route vs oracle",)),
+    # the propagation: the spectrum's energies, the seed's alpha1 and the phases' t (appended too)
+    (fock_oracle, "_spectrum", _item(0, lambda evals: evals * SCALE), ("moments route vs oracle",)),
     (fock_oracle, "coherent_state", _argument(0), ("moments route vs oracle",)),
     # the frame energy takes <a1 a2> off the carrier of the Kerr table with a t of its own
     (fock_oracle, "_phases", _argument(1), ("moments route vs oracle", "frame energy drift")),
