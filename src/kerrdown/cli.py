@@ -30,7 +30,7 @@ from .moments_engine import DConvention, SqueezeKind, SystemParams
 from .verify import TOL_ENVELOPE, run_verification
 
 _ENGINES = ("analytic", "moments", "oracle")
-# Largest sweep; every column is allocated whole: a two-mode sweep peaks near 0.3 GB here
+# Largest sweep; columns are allocated whole (two-mode, --out: 244 MB RSS analytic, 274 MB moments)
 MAX_STEPS = 10**6
 
 # figure id -> kind, quantities, default time range, curve title, and the
@@ -109,15 +109,13 @@ def run_sweep(req: SweepRequest) -> SweepResult:
     p, kind, conv = req.params, req.kind, req.d_convention
     with np.errstate(over="ignore"):  # the engines report an infinite time
         ts = np.arange(req.steps) * req.t_max / (req.steps - 1)
-    if req.engine == "oracle":
-        (m,) = fock_oracle.moment_sets(p, ts, [(kind, conv)], req.cfg)
-    else:
-        m = moments_engine.moments_for(p, ts, kind, conv)
-    f, g, v = quad_core.factors(m)
     if req.engine == "analytic":
-        # closed-form f, g; the envelope has no expanded closed form and is
-        # taken from the moment route
-        f, g = squeezing_analytic.factors(p, ts, kind, conv)
+        f, g, v = squeezing_analytic.factors(p, ts, kind, conv)
+    elif req.engine == "moments":
+        f, g, v = quad_core.factors(moments_engine.moments_for(p, ts, kind, conv))
+    else:
+        (m,) = fock_oracle.moment_sets(p, ts, [(kind, conv)], req.cfg)
+        f, g, v = quad_core.factors(m)
     low = np.minimum(f, g)
     violated = v > low + TOL_ENVELOPE
     if violated.any():

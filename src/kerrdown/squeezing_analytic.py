@@ -29,18 +29,23 @@ out, so the single-mode functions take a `Variant` (or its string value):
 when a rejected one comes within 1e-3 of it.  The two-mode and sum factors
 have the arbitrated form only.
 
-The principal squeezing has no expanded per-kind closed form (it needs the
-complex moments), so sweep assembly takes V from the moment route.
+Principal squeezing: F_phi = (F + G)/2 + (F - G)/2 cos 2phi + H sin 2phi,
+H = 2 Im w / |d| with w as in `quad_core`, and each kind's H is expanded from
+the terms of its F and G.  `factors` gives its minimum over phi,
+V = (F + G)/2 - hypot((F - G)/2, H), as min(F, G) - (hypot((F - G)/2, H) -
+|F - G|/2), so V <= F, G holds without slack.
 
 As in `moments_engine`, t is a float or a 1-D numpy array and the params may
 be a batch broadcast against t (the extremum reduction takes a float t and
-one parameter set only), and F or G out of range raises NumericOverflow.
+one parameter set only).  A factor out of range, or whose cancelled terms
+carry more roundoff than `quad_core`'s slack, raises NumericOverflow.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 
 import numpy as np
 
@@ -51,7 +56,7 @@ from .errors import (
     NumericOverflow,
 )
 from .moments_engine import DConvention, SqueezeKind, SystemParams, _hyperbolic
-from .quad_core import EPS_DEN
+from .quad_core import _CHECK_TOL, EPS_DEN
 
 # extremum times chi*t = m*pi/2 are accepted within this window
 _EXTREMUM_TOL = 1e-9
@@ -66,14 +71,17 @@ class Variant(enum.Enum):
     UNARBITRATED = "unarbitrated"
 
 
-def _finite(f, g):
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-        raise NumericOverflow("squeezing factor F or G is out of float range")
-    return f, g
+def _checked(scale, *values):
+    """The factors once finite, and once eps * scale (their terms' roundoff / |d|) <= _CHECK_TOL."""
+    if not all(np.all(np.isfinite(x)) for x in values):
+        raise NumericOverflow("squeezing factor is out of float range")
+    if not np.all(scale * sys.float_info.epsilon <= _CHECK_TOL):
+        raise NumericOverflow(f"factor lost its precision (terms of size {np.max(scale):.3e})")
+    return values
 
 
 def _single_mode(p: SystemParams, t, variant: Variant | str):
-    """(F, G) of mode 1 before the range check, with Re<B>, Im<B> and their weight in F, G."""
+    """(F, G, H, terms' scale, Re<B>, Im<B>, their weight) of mode 1, unchecked; H is arbitrated."""
     variant = Variant(variant)
     a1, a2 = p.alpha1, p.alpha2
     c, s = _hyperbolic(p, t)
@@ -96,16 +104,24 @@ def _single_mode(p: SystemParams, t, variant: Variant | str):
             + a2 * a2 * s * s * theta_term
             + 2.0 * a1 * a2 * c * s * np.cos(2.0 * x - eps2_s4)
         )
+        mid_h = 2.0 * dephase_mid * (
+            -a1 * a1 * c * c * np.sin(2.0 * x + eps2_s4)
+            + a2 * a2 * s * s * np.sin(theta)
+            + 2.0 * a1 * a2 * c * s * np.sin(2.0 * x - eps2_s4)
+        )
         re_b = a1 * c * np.cos(eps2 * s2) + a2 * s * np.cos(2.0 * x - eps2 * s2)
         im_b = a1 * c * np.sin(eps2 * s2) - a2 * s * np.sin(2.0 * x - eps2 * s2)
         f = head + mid - 4.0 * re_b * re_b * dephase_mean
         g = head - mid - 4.0 * im_b * im_b * dephase_mean
-    return f, g, re_b, im_b, dephase_mean
+        h = mid_h + 4.0 * re_b * im_b * dephase_mean
+        scale = head + abs(mid) + abs(mid_h) + 4.0 * (re_b * re_b + im_b * im_b) * dephase_mean
+    return f, g, h, scale, re_b, im_b, dephase_mean
 
 
 def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRATED):
     """Single-mode factors (F, G) of mode 1, d = 1; mode 2: of `p.mirrored` (eps2 flips)."""
-    return _finite(*_single_mode(p, t, variant)[:2])
+    f, g, _, scale, *_ = _single_mode(p, t, variant)
+    return _checked(scale, f, g)
 
 
 def single_mode_extremum(
@@ -142,26 +158,23 @@ def single_mode_extremum(
     return f, g
 
 
-def two_mode_fg(p: SystemParams, t):
-    """Two-mode squeezing factors (F, G) for B = A1 + A2; d = 2.
+def _two_mode(p: SystemParams, t):
+    """(F, G, H, scale) of B = A1 + A2 before the checks; d = 2.
 
     Head terms and both mean-field blocks come from the single-mode forms; on
-    top come the pair-coherence term ~ cos(2 chi t), the exp(eps1 sin^2 2 chi t)
-    exchange block, and the product of the mean-field blocks.
+    top come the pair-coherence term ~ cos(2 chi t) (sin in H), the exchange
+    block exp(eps1 sin^2 2 chi t) (not in H) and the mean-field product, each
+    no larger than the single-mode terms, so both modes' scales bound them.
     """
-    f1, g1, re1, im1, mean_weight = _single_mode(p, t, Variant.ARBITRATED)
-    f2, g2, re2, im2, _ = _single_mode(p.mirrored, t, Variant.ARBITRATED)
+    f1, g1, h1, scale1, re1, im1, mean_weight = _single_mode(p, t, Variant.ARBITRATED)
+    f2, g2, h2, scale2, re2, im2, _ = _single_mode(p.mirrored, t, Variant.ARBITRATED)
     c, s = _hyperbolic(p, t)
     a1, a2 = p.alpha1, p.alpha2
     eps1, eps2 = -2.0 * (a1**2 + a2**2), a1**2 - a2**2
     with np.errstate(over="ignore", invalid="ignore"):
         x = p.chi_bar * t
-        s2, s4 = np.sin(2.0 * x), np.sin(4.0 * x)
-        pair = (
-            2.0
-            * (a1 * a2 * (s * s + c * c) + s * c * (a1 * a1 + a2 * a2 + 1.0))
-            * np.cos(2.0 * x)
-        )
+        c2, s2, s4 = np.cos(2.0 * x), np.sin(2.0 * x), np.sin(4.0 * x)
+        pair = 2.0 * (a1 * a2 * (s * s + c * c) + s * c * (a1 * a1 + a2 * a2 + 1.0))
         exchange = (
             2.0
             * np.exp(eps1 * s2 * s2)
@@ -171,21 +184,19 @@ def two_mode_fg(p: SystemParams, t):
                 + c * s * a2 * a2 * np.cos(4.0 * x - eps2 * s4)
             )
         )
-        f = 0.5 * (f1 + f2) + pair + exchange - 4.0 * re1 * re2 * mean_weight
-        g = 0.5 * (g1 + g2) - pair + exchange - 4.0 * im1 * im2 * mean_weight
-    return _finite(f, g)
+        f = 0.5 * (f1 + f2) + pair * c2 + exchange - 4.0 * re1 * re2 * mean_weight
+        g = 0.5 * (g1 + g2) - pair * c2 + exchange - 4.0 * im1 * im2 * mean_weight
+        h = 0.5 * (h1 + h2) + pair * s2 + 2.0 * mean_weight * (re1 * im2 + im1 * re2)
+    return f, g, h, scale1 + scale2
 
 
-def sum_fg(
-    p: SystemParams,
-    t,
-    d_convention: DConvention = DConvention.NUMBER_SUM,
-):
-    """Sum-squeezing factors (F, G) for B = A1 A2, in variance form.
+def _sum(p: SystemParams, t, d_convention: DConvention):
+    """(F, G, H, scale) of B = A1 A2 before the checks, in variance form.
 
     The mean field cancels: var_n = <B+ B> - |<B>|^2 = S^2 (beta1^2 + beta2^2) + S^4
     and var_w = |<B^2> - <B>^2| = 2 beta1 beta2 C S + C^2 S^2 give F, G =
-    (2 var_n +- 2 var_w cos(4 chi t)) / d, with beta1, beta2 and d as in `moments_engine`.
+    (2 var_n +- 2 var_w cos(4 chi t)) / d and H = 2 var_w sin(4 chi t) / d,
+    with beta1, beta2 and d as in `moments_engine`: only var_n ~ var_w cancel.
     """
     c, s = _hyperbolic(p, t)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -197,10 +208,13 @@ def sum_fg(
             raise DegenerateDenominator(f"<n1> + <n2> = {np.min(d)} <= {EPS_DEN}")
         var_n = s * s * (b1 * b1 + b2 * b2) + s * s * s * s
         var_w = 2.0 * b1 * b2 * c * s + c * c * s * s
-        osc = 2.0 * var_w * np.cos(4.0 * p.chi_bar * t)
+        x4 = 4.0 * p.chi_bar * t
+        osc = 2.0 * var_w * np.cos(x4)
         f = (2.0 * var_n + osc) / d
         g = (2.0 * var_n - osc) / d
-    return _finite(f, g)
+        h = 2.0 * var_w * np.sin(x4) / d
+        scale = 2.0 * (var_n + var_w) / d
+    return f, g, h, scale
 
 
 def factors(
@@ -209,11 +223,17 @@ def factors(
     kind: SqueezeKind,
     d_convention: DConvention = DConvention.NUMBER_SUM,
 ):
-    """(F, G) of the requested kind along this module's closed-form route."""
+    """(F, G, V) of the requested kind along this module's closed-form route."""
     if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
-        return single_mode_fg(p if kind is SqueezeKind.SINGLE1 else p.mirrored, t)
-    if kind is SqueezeKind.TWO_MODE:
-        return two_mode_fg(p, t)
-    if kind is SqueezeKind.SUM:
-        return sum_fg(p, t, d_convention)
-    raise ValueError(f"unknown kind {kind!r}")
+        mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored
+        f, g, h, scale, *_ = _single_mode(mode1, t, Variant.ARBITRATED)
+    elif kind is SqueezeKind.TWO_MODE:
+        f, g, h, scale = _two_mode(p, t)
+    elif kind is SqueezeKind.SUM:
+        f, g, h, scale = _sum(p, t, d_convention)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_gap = 0.5 * abs(f - g)
+        v = np.minimum(f, g) - (np.hypot(half_gap, h) - half_gap)
+    return _checked(scale, f, g, v)

@@ -112,18 +112,20 @@ def _deviations(p, ts, kind, conv, mm, mo) -> dict:
     route's and the oracle's moment sets at those points.
     """
     fm, gm, vm = quad_core.factors(mm)
-    fa, ga = squeezing_analytic.factors(p, ts, kind, conv)
+    fa, ga, va = squeezing_analytic.factors(p, ts, kind, conv)
     fo, go, vo = quad_core.factors(mo)
     dev = {
-        "analytic-moments": np.maximum(abs(fa - fm), abs(ga - gm)),
-        "analytic-oracle": np.maximum(abs(fa - fo), abs(ga - go)),
+        "analytic-moments": np.maximum.reduce([abs(fa - fm), abs(ga - gm), abs(va - vm)]),
+        "analytic-oracle": np.maximum.reduce([abs(fa - fo), abs(ga - go), abs(va - vo)]),
         "moments-oracle": np.maximum.reduce([abs(fm - fo), abs(gm - go), abs(vm - vo)]),
-        # v - min(f, g), should stay <= 0 up to roundoff
-        "envelope": np.maximum(vm - np.minimum(fm, gm), vo - np.minimum(fo, go)),
+        # v - min(f, g) of each route, should stay <= 0 up to roundoff
+        "envelope": np.maximum.reduce(
+            [vm - np.minimum(fm, gm), vo - np.minimum(fo, go), va - np.minimum(fa, ga)]
+        ),
     }
     if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
-        # factors gave the arbitrated variant; the rejected ones are evaluated here
-        dev[Variant.ARBITRATED] = dev["analytic-oracle"]
+        # factors gave the arbitrated variant's (f, g); the rejected ones are evaluated here
+        dev[Variant.ARBITRATED] = np.maximum(abs(fa - fo), abs(ga - go))
         mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored
         for variant in Variant:
             if variant is not Variant.ARBITRATED:

@@ -87,7 +87,7 @@ def test_criterion_2_sum_identity_at_zero_gain(grid_times):
         for a1, a2 in ((0.4, 0.0), (0.4, 0.4), (0.2, 0.3)):
             p = SystemParams(chi, 0.0, a1, a2)
             for t in grid_times:
-                f_a, g_a = factors(p, float(t), SqueezeKind.SUM)
+                f_a, g_a, _ = factors(p, float(t), SqueezeKind.SUM)
                 m = moments_for(p, float(t), SqueezeKind.SUM)
                 mo = moment_set_numeric(p, float(t), SqueezeKind.SUM, cfg)
                 (f_m, g_m, _), (f_o, g_o, _) = quad_core.factors(m), quad_core.factors(mo)
@@ -155,7 +155,7 @@ def test_criterion_4_pure_gain_limits(grid_times):
             p = SystemParams(0.0, k, 0.4, 0.2)
             for t in grid_times:
                 want = 2.0 * math.sinh(k * t) ** 2
-                f_a, g_a = factors(p, float(t), kind)
+                f_a, g_a, _ = factors(p, float(t), kind)
                 f_m, g_m, _ = quad_core.factors(moments_for(p, float(t), kind))
                 worst = max(worst, abs(f_a - want), abs(g_a - want), abs(f_m - want), abs(g_m - want))
     two_ok = True
@@ -254,8 +254,8 @@ def test_criterion_8_kerr_periodicity():
             p = SystemParams(chi, 0.0, a1, a2)
             for kind in kinds:
                 for t in np.linspace(0.0, period, 17):
-                    f1, g1 = factors(p, float(t), kind)
-                    f2, g2 = factors(p, float(t) + period, kind)
+                    f1, g1, _ = factors(p, float(t), kind)
+                    f2, g2, _ = factors(p, float(t) + period, kind)
                     worst = max(worst, abs(f1 - f2), abs(g1 - g2))
     ok = worst <= 1e-12
     _line("criterion 8 zero-gain periodicity", ok, f"max |X(t) - X(t + pi/chi)| = {worst:.2e} (<=1e-12)")

@@ -22,7 +22,7 @@ from kerrdown import fock_oracle, moments_engine, quad_core, squeezing_analytic,
 from kerrdown.fock_oracle import OracleConfig
 from kerrdown.moments_engine import DConvention, SqueezeKind
 from kerrdown.quad_core import EPS_DEN
-from kerrdown.squeezing_analytic import Variant, factors, single_mode_fg, two_mode_fg
+from kerrdown.squeezing_analytic import Variant, factors, single_mode_fg
 from kerrdown.verify import KIND_CELLS
 
 PARAMS = verify.grid_params() + [SystemParams(0.5, 0.1, 0.0, 0.0)]  # with verify's probe
@@ -69,10 +69,10 @@ def test_factors_on_the_kept_points(kind, conv):
     kept = SystemParams(
         *(np.broadcast_to(getattr(BATCH, f.name), SHAPE)[mask] for f in fields(BATCH))
     )
-    f, g = factors(kept, np.broadcast_to(TS, SHAPE)[mask], kind, conv)
+    batched = factors(kept, np.broadcast_to(TS, SHAPE)[mask], kind, conv)
     ref = [factors(p, TS[ok], kind, conv) for p, ok in zip(PARAMS, keep)]
-    assert np.array_equal(f, np.concatenate([r[0] for r in ref]))
-    assert np.array_equal(g, np.concatenate([r[1] for r in ref]))
+    for i, column in enumerate(batched):  # f, g and v
+        assert np.array_equal(column, np.concatenate([r[i] for r in ref]))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -84,11 +84,11 @@ def test_single_mode_fg(variant):
         _assert_rows_equal(g, [r[1] for r in ref])
 
 
-def test_two_mode_fg():
-    f, g = two_mode_fg(BATCH, TS)
-    ref = [two_mode_fg(p, TS) for p in PARAMS]
-    _assert_rows_equal(f, [r[0] for r in ref])
-    _assert_rows_equal(g, [r[1] for r in ref])
+def test_two_mode_factors():
+    batched = factors(BATCH, TS, SqueezeKind.TWO_MODE)
+    ref = [factors(p, TS, SqueezeKind.TWO_MODE) for p in PARAMS]
+    for i, column in enumerate(batched):  # f, g and v
+        _assert_rows_equal(column, [r[i] for r in ref])
 
 
 def test_mirrored_batch():
@@ -108,13 +108,15 @@ def test_mirrored_batch():
 
 def _reference_deviations(p, ts, kind, conv, mm, mo) -> dict:
     fm, gm, vm = quad_core.factors(mm)
-    fa, ga = factors(p, ts, kind, conv)
+    fa, ga, va = factors(p, ts, kind, conv)
     fo, go, vo = quad_core.factors(mo)
     dev = {
-        "analytic-moments": np.maximum(abs(fa - fm), abs(ga - gm)),
-        "analytic-oracle": np.maximum(abs(fa - fo), abs(ga - go)),
+        "analytic-moments": np.maximum.reduce([abs(fa - fm), abs(ga - gm), abs(va - vm)]),
+        "analytic-oracle": np.maximum.reduce([abs(fa - fo), abs(ga - go), abs(va - vo)]),
         "moments-oracle": np.maximum.reduce([abs(fm - fo), abs(gm - go), abs(vm - vo)]),
-        "envelope": np.maximum(vm - np.minimum(fm, gm), vo - np.minimum(fo, go)),
+        "envelope": np.maximum.reduce(
+            [vm - np.minimum(fm, gm), vo - np.minimum(fo, go), va - np.minimum(fa, ga)]
+        ),
     }
     if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
         mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored

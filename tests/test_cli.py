@@ -1,6 +1,7 @@
 """CLI behavior: CSV contracts, exit codes, figure datasets."""
 
 import contextlib
+import inspect
 import io
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kerrdown
-from kerrdown import SqueezeKind, SystemParams, cli, fock_oracle, verify
+from kerrdown import DConvention, SqueezeKind, SystemParams, cli, fock_oracle, moments_engine, quad_core, verify
 from kerrdown.cli import main
 from kerrdown.fock_oracle import OracleConfig
 
@@ -421,6 +422,27 @@ class TestFigures:
         paths = [p for fig in ("1", "2a", "2b", "3") for p in cli.write_figure(fig, tmp_path)]
         assert len(sweeps) == 8
         assert sum(p.suffix == ".csv" for p in paths) == 22
+
+
+def test_analytic_sweeps_and_figures_take_nothing_from_the_moments_route(monkeypatch, tmp_path):
+    # every function of moments_engine and quad_core refuses to run; the closed
+    # forms keep their own reference to the shared (p, t) gate _hyperbolic
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analytic engine reached the moments route")
+
+    for module in (moments_engine, quad_core):
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(quad_core.QuadratureMoments, "__post_init__", refuse)
+    params = SystemParams(0.5, 0.1, 0.4, 0.3)
+    for kind in SqueezeKind:
+        for conv in DConvention:
+            cli.run_sweep(cli.SweepRequest(kind, "analytic", params, 3.0, 50, conv))
+    for fig in ("1", "2a", "2b", "3"):
+        cli.write_figure(fig, tmp_path, steps=20)
+    with pytest.raises(AssertionError, match="moments route"):
+        cli.run_sweep(cli.SweepRequest(SqueezeKind.TWO_MODE, "moments", params, 3.0, 50))
 
 
 def test_verify_command_passes(capsys):

@@ -20,10 +20,10 @@ from kerrdown import (
     factors,
     moments_for,
     quad_core,
+    squeezing_analytic,
     verify,
 )
 from kerrdown.fock_oracle import moment_sets
-from kerrdown.squeezing_analytic import sum_fg
 
 VACUUM = QuadratureMoments(0.0, 0.0, 0.0, 1.0)
 COHERENT_04 = QuadratureMoments(0.4, 0.16, 0.16, 1.0)
@@ -142,10 +142,8 @@ def test_large_sum_set_within_its_roundoff_is_accepted(conv):
     # miss Cauchy-Schwarz by 2 ulp there
     p, ts = SystemParams(0.25, 0.0, 50.0, 50.0), np.linspace(0.0, 3.0, 301)
     m = moments_for(p, ts, SqueezeKind.SUM, conv)
-    f, g = sum_fg(p, ts, conv)
-    fm, gm, _ = factors(m)
-    assert np.max(np.abs(fm - f)) <= 1e-10
-    assert np.max(np.abs(gm - g)) <= 1e-10
+    for analytic, projected in zip(squeezing_analytic.factors(p, ts, SqueezeKind.SUM, conv), factors(m)):
+        assert np.max(np.abs(projected - analytic)) <= 1e-10
 
 
 def test_principal_is_exactly_the_envelope_on_the_verify_grid():
@@ -178,10 +176,11 @@ def test_verification_reads_each_variance_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("engine", ["analytic", "moments", "oracle"])
 def test_sweep_reads_its_variance_pair_once(monkeypatch, engine):
+    # the analytic engine reads F, G and V from its own closed forms: no variance pair
     calls = _count_variances(monkeypatch)
     req = cli.SweepRequest(SqueezeKind.TWO_MODE, engine, SystemParams(0.5, 0.1, 0.4, 0.3), 3.0, 150)
     cli.run_sweep(req)
-    assert len(calls) == 1
+    assert len(calls) == (0 if engine == "analytic" else 1)
 
 
 # strategy: physically valid moment sets, generated by the closed-form engine

@@ -12,6 +12,7 @@ from kerrdown import (
     DConvention,
     DegenerateDenominator,
     NotAnExtremumTime,
+    NumericOverflow,
     QuadratureMoments,
     SqueezeKind,
     SystemParams,
@@ -20,13 +21,7 @@ from kerrdown import (
     quad_core,
     squeezing_analytic,
 )
-from kerrdown.squeezing_analytic import (
-    factors,
-    single_mode_extremum,
-    single_mode_fg,
-    sum_fg,
-    two_mode_fg,
-)
+from kerrdown.squeezing_analytic import factors, single_mode_extremum, single_mode_fg
 
 GRID = [
     SystemParams(chi, k, a1, a2)
@@ -38,7 +33,7 @@ TIMES = np.linspace(0.0, 3.0, 13)
 
 
 class TestCrossRoute:
-    """The expanded forms must match the moment route at roundoff level."""
+    """The expanded forms, V included, must match the moment route at roundoff level."""
 
     @pytest.mark.parametrize("kind", list(SqueezeKind))
     def test_matches_moment_route(self, kind):
@@ -47,10 +42,11 @@ class TestCrossRoute:
                 m = moments_for(p, float(t), kind)
                 if abs(m.mean_d) < 1e-12:
                     continue
-                f, g = factors(p, float(t), kind)
-                f_m, g_m, _ = quad_core.factors(m)
+                f, g, v = factors(p, float(t), kind)
+                f_m, g_m, v_m = quad_core.factors(m)
                 assert f == pytest.approx(f_m, abs=1e-12)
                 assert g == pytest.approx(g_m, abs=1e-12)
+                assert v == pytest.approx(v_m, abs=1e-12)
 
     @staticmethod
     def _taken(module):
@@ -199,7 +195,7 @@ class TestTwoMode:
         p = SystemParams(0.5, 0.0, 0.4, 0.2)
         for m in (1, 2, 3):
             t = m * math.pi / 0.5
-            f2, g2 = two_mode_fg(p, t)
+            f2, g2, _ = factors(p, t, SqueezeKind.TWO_MODE)
             f1a, g1a = single_mode_fg(p, t)
             f1b, g1b = single_mode_fg(p.mirrored, t)
             assert f2 == pytest.approx(0.5 * (f1a + f1b), abs=1e-12)
@@ -209,7 +205,7 @@ class TestTwoMode:
     def test_pure_gain_squeezes_y_only(self):
         p = SystemParams(0.0, 0.1, 0.4, 0.0)
         for t in TIMES[1:]:
-            f, g = two_mode_fg(p, float(t))
+            f, g, _ = factors(p, float(t), SqueezeKind.TWO_MODE)
             assert f == pytest.approx(math.exp(0.2 * t) - 1.0, abs=1e-12)
             assert g == pytest.approx(math.exp(-0.2 * t) - 1.0, abs=1e-12)
             assert g < 0.0 < f
@@ -220,7 +216,7 @@ class TestSum:
         for chi in (0.25, 0.5):
             p = SystemParams(chi, 0.0, 0.4, 0.4)
             for t in TIMES:
-                f, g = sum_fg(p, float(t))
+                f, g, _ = factors(p, float(t), SqueezeKind.SUM)
                 assert abs(f) <= 1e-12
                 assert abs(g) <= 1e-12
 
@@ -233,13 +229,13 @@ class TestSum:
                 b1, b2 = a1 * c + a2 * s, a2 * c + a1 * s
                 den = b1 * b1 + b2 * b2 + 2 * s * s
                 want_g = -(2 * s * s * (a1**2 + a2**2 + 1) + 4 * a1 * a2 * s * c) / den
-                f, g = sum_fg(p, float(t))
+                f, g, _ = factors(p, float(t), SqueezeKind.SUM)
                 assert g == pytest.approx(want_g, abs=1e-12)
                 assert g < 0.0
 
     def test_pure_gain_squeezing_monotone(self):
         p = SystemParams(0.0, 0.1, 0.4, 0.0)
-        gs = [sum_fg(p, float(t))[1] for t in TIMES[1:]]
+        gs = [factors(p, float(t), SqueezeKind.SUM)[1] for t in TIMES[1:]]
         assert all(b < a for a, b in zip(gs, gs[1:]))
 
     def test_kerr_alternates_quadratures(self):
@@ -249,19 +245,61 @@ class TestSum:
             c4 = math.cos(4 * 0.5 * t)
             if abs(c4) < 0.05:
                 continue
-            f, g = sum_fg(p, float(t))
+            f, g, _ = factors(p, float(t), SqueezeKind.SUM)
             assert (f - g) * c4 > 0.0
 
     def test_degenerate_seed_rejected(self):
         p = SystemParams(0.5, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateDenominator):
-            sum_fg(p, 1.0)
+            factors(p, 1.0, SqueezeKind.SUM)
 
     def test_commutator_convention_never_degenerate(self):
         p = SystemParams(0.5, 0.0, 0.0, 0.0)
-        f, g = sum_fg(p, 1.0, DConvention.COMMUTATOR)
+        f, g, _ = factors(p, 1.0, SqueezeKind.SUM, DConvention.COMMUTATOR)
         assert f == pytest.approx(0.0, abs=1e-12)
         assert g == pytest.approx(0.0, abs=1e-12)
+
+
+# (kind, params, t) on each side of the precision guard: the mode's seed
+# for the single and two-mode forms, k t for the sum's variance form
+_PRECISION = [
+    (SqueezeKind.SINGLE1, SystemParams(0.5, 0.0, 300.0, 300.0), 0.0, False),
+    (SqueezeKind.SINGLE1, SystemParams(0.5, 0.0, 3000.0, 3000.0), 0.0, True),
+    (SqueezeKind.SINGLE2, SystemParams(0.5, 0.0, 30.0, 300.0), 0.0, False),
+    (SqueezeKind.SINGLE2, SystemParams(0.5, 0.0, 30.0, 3000.0), 0.0, True),
+    (SqueezeKind.TWO_MODE, SystemParams(0.5, 0.0, 300.0, 300.0), 0.0, False),
+    (SqueezeKind.TWO_MODE, SystemParams(0.5, 0.0, 3000.0, 3000.0), 0.0, True),
+    (SqueezeKind.SUM, SystemParams(0.5, 1.0, 0.4, 0.3), 6.0, False),
+    (SqueezeKind.SUM, SystemParams(0.5, 1.0, 0.4, 0.3), 10.0, True),
+]
+
+
+class TestPrecisionGuard:
+    """The closed forms refuse where the roundoff of their own cancelled terms
+    exceeds quad_core's slack; at these points the moments route's guard, on
+    its own moments, falls on the same side."""
+
+    @pytest.mark.parametrize("kind, p, t, refused", _PRECISION)
+    def test_each_side_of_the_guard(self, kind, p, t, refused):
+        for route in (lambda: factors(p, t, kind), lambda: quad_core.factors(moments_for(p, t, kind))):
+            if refused:
+                with pytest.raises(NumericOverflow, match="lost its precision"):
+                    route()
+            else:
+                assert np.all(np.isfinite(route()))
+
+    def test_the_sum_never_refuses_a_seed_alone(self):
+        # the variance form cancels the mean field before any arithmetic: at
+        # k = 0 its terms are 0 whatever the seed, while the moments route
+        # cancels moments of 3e24 here
+        p = SystemParams(0.5, 0.0, 1e6, 1e6)
+        assert factors(p, 1.0, SqueezeKind.SUM) == (0.0, 0.0, 0.0)
+        with pytest.raises(NumericOverflow, match="lost its precision"):
+            quad_core.factors(moments_for(p, 1.0, SqueezeKind.SUM))
+
+    def test_variants_are_guarded_too(self):
+        with pytest.raises(NumericOverflow, match="lost its precision"):
+            single_mode_fg(SystemParams(0.5, 0.0, 3000.0, 3000.0), 0.0, "sin-theta")
 
 
 class TestInvariants:
@@ -270,11 +308,12 @@ class TestInvariants:
         for p in GRID:
             for t in TIMES:
                 try:
-                    f, g = factors(p, float(t), kind, DConvention.COMMUTATOR)
+                    f, g, v = factors(p, float(t), kind, DConvention.COMMUTATOR)
                 except DegenerateDenominator:
                     continue
                 assert f >= -1.0 - 1e-10
                 assert g >= -1.0 - 1e-10
+                assert v >= -1.0 - 1e-10
 
     @pytest.mark.parametrize("kind", [SqueezeKind.SINGLE1, SqueezeKind.SINGLE2,
                                       SqueezeKind.TWO_MODE])

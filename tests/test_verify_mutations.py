@@ -1,10 +1,10 @@
 """Every check of `kerrdown verify` can fail: a mutation table over the three routes.
 
 Each row wraps one function of one route so that one of its outputs, or one
-of its arguments, is off by a relative 1e-3 (the principal factor by an
+of its arguments, is off by a relative 1e-3 (the principal factor V by an
 absolute 1e-3, the oracle's relative Kerr phase by the phase of a wrong Kerr
-energy), and asserts that
-the verification fails on the check that reads that output.  A mutation that
+energy), and asserts that the verification fails on the check that reads that
+output.  V is read on all three routes, so a V that is too small fails too.  A mutation that
 makes the oracle's moments unphysical must be refused where the moment set is
 built instead.
 """
@@ -87,8 +87,8 @@ MUTATIONS = [
     (moments_engine, "mode_moments", _field("mean_b_sq"), (MOMENTS,)),
     (moments_engine, "pair_moments", _field("mean_bdag_b"), (MOMENTS,)),
     (squeezing_analytic, "_single_mode", _first, ("single-mode arbitrated variant vs oracle",)),
-    (squeezing_analytic, "two_mode_fg", _first, (ORACLE,)),
-    (squeezing_analytic, "sum_fg", _first, (ORACLE,)),
+    (squeezing_analytic, "_two_mode", _first, (ORACLE,)),
+    (squeezing_analytic, "_sum", _first, (ORACLE,)),
     (quad_core, "factors", _first, (MOMENTS,)),
     (quad_core, "factors", _item(2, lambda v: v + 1e-3), ("principal envelope v - min(f,g)",)),
     (fock_oracle, "_contract", _contraction((1, 1, 0, 0)),
@@ -105,6 +105,11 @@ MUTATIONS = [
     (fock_oracle, "coherent_state", _argument(0), ("moments route vs oracle",)),
     # the frame energy takes <a1 a2> off the carrier of the Kerr table with a t of its own
     (fock_oracle, "_phases", _argument(1), ("moments route vs oracle", "frame energy drift")),
+    # a too-small V, which the envelope cannot see: the analytic route's own V can (appended too)
+    (quad_core, "factors", _item(2, lambda v: v - 1e-3), (MOMENTS,)),
+    # the analytic V, read by both analytic rows and the envelope (appended too)
+    (squeezing_analytic, "factors", _item(2, lambda v: v + 1e-3),
+     (MOMENTS, ORACLE, "principal envelope v - min(f,g)")),
 ]
 
 
