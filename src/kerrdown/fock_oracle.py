@@ -34,12 +34,13 @@ diag(i^m) turns it into the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)),
 which depends on neither chi nor the sign of N, and k only scales it.  The
 n_max + 1 chains nu = |N| of k = 1, zero-padded to n_max + 1, are diagonalized
 in one stacked `eigh` per n_max: a k's pair energies are k times their
-eigenvalues on the same eigenvectors, which the sectors +nu and -nu share.
+eigenvalues on the same real eigenvectors, which the sectors +nu and -nu share.
 `_propagate` groups a batch by seed (k, alpha1, alpha2) once and walks it by
 k, in blocks of `_BLOCK` times with one table of pair phases exp(-i lambda t)
 per chain nu for all seeds of the k; a seed's coefficients (nu, j, sign, t)
-are that table times its projection, one batched product with the
-eigenvectors gives its pair amplitudes, and padded slots never reach the grid.
+are that table times its projection, one real product with the eigenvectors
+gives its chain amplitudes, and the grid takes them times its gauge i^m;
+padded slots never reach it.
 The scalar Kerr term commutes with the pair term, so one state serves every
 chi of its seed, and a seed of k = 0 (no pair energies) one time per block.
 `_read_out` is the one reader: it contracts each moment of a state once over
@@ -73,14 +74,14 @@ __all__ = [
 
 # Spectra kept warm, one per cutoff and whatever the k.  Callers use one cutoff,
 # or alternate two (the cutoff-doubling check); an entry at cutoff 32 holds 33
-# complex 33^2 chain eigenvector matrices (33^3 x 16 B = 0.57 MB).
+# real 33^2 chain eigenvector matrices (33^3 x 8 B = 0.29 MB).
 _SPECTRA = 2
 # Times propagated and read out together, bounding a call's memory whatever the
 # axis: a block's state takes (n_max + 1)^2 x 32 x 16 B = 0.3 MB at cutoff 24.
 _BLOCK = 32
-# Largest cutoff: the stacked spectrum of n_max + 1 complex (n_max + 1)^2
-# eigenvector matrices is 257^3 x 16 B = 272 MB at 256, built from real
-# chain and eigenvector stacks of 136 MB each.
+# Largest cutoff: the stacked spectrum of n_max + 1 real (n_max + 1)^2
+# eigenvector matrices is 257^3 x 8 B = 136 MB at 256; building it peaks at
+# 272 MB, the chain stack and the eigenvectors together.
 _N_MAX_LIMIT = 256
 _TAU_NORM = 1e-10  # allowed drift of the state norm under evolution
 # Allowed population of the top two number shells (relative to the norm);
@@ -129,20 +130,21 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
 
 
 @functools.cache
-def _slots(n_max: int) -> np.ndarray:
-    """Flat slot (|N| (n_max + 1) + min(n1, n2)) * 2 + (N < 0) of each grid point, row-major.
+def _slots(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat slot (|N| (n_max + 1) + m) * 2 + (N < 0) and exact gauge i^m of each grid point, row-major.
 
     The slots index the (nu, m, sign) layout of the chain stack: chain nu =
-    |N|, chain state m, and sign 0 for the sector +nu, 1 for -nu.  The N = 0
-    sector sits at sign 0; its sign-1 column stays empty.
+    |N|, chain state m = min(n1, n2), and sign 0 for the sector +nu, 1 for
+    -nu.  The N = 0 sector sits at sign 0; its sign-1 column stays empty.
     """
     n1, n2 = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
-    return (np.abs(n1 - n2) * (n_max + 1) + np.minimum(n1, n2)) * 2 + (n1 < n2)
+    m = np.minimum(n1, n2)
+    return (np.abs(n1 - n2) * (n_max + 1) + m) * 2 + (n1 < n2), np.array([1.0, 1j, -1.0, -1j])[m % 4]
 
 
 @functools.lru_cache(maxsize=_SPECTRA)
 def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, and gauged eigenvectors (nu, m, j)."""
+    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, and real eigenvectors (nu, m, j)."""
     dim = n_max + 1
     nu = np.arange(dim)[:, None]
     m = np.arange(n_max)
@@ -151,9 +153,7 @@ def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     chain = np.zeros((dim, dim, dim))
     chain[:, m, m + 1] = off
     chain[:, m + 1, m] = off
-    evals, evecs = np.linalg.eigh(chain)
-    gauge = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]  # i^m, exact
-    return evals, gauge[:, None] * evecs
+    return np.linalg.eigh(chain)
 
 
 def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -191,7 +191,7 @@ def _propagate(
         raise NumericOverflow(
             f"Kerr phase chi N(N-1) t overflows at t={t_end} (|chi| <= {chi_max:.3e}, n_max={n_max})"
         )
-    slots, (evals, evecs) = _slots(n_max), _spectrum(n_max)
+    (slots, gauge), (evals, evecs) = _slots(n_max), _spectrum(n_max)
     for k, seeds in sorted(groups.items()):
         reach = k * float(np.abs(evals).max())  # a float product: an overflow is inf, not a warning
         if not reach < math.inf:
@@ -199,13 +199,13 @@ def _propagate(
         if not reach * t_end < math.inf:
             raise NumericOverflow(f"pair phase lambda t overflows at t={t_end} (|energy| <= {reach:.3e})")
         energy = k * evals  # (nu, j), on the k-free eigenvectors
-        projected = []  # (entries, evecs^H psi0 laid out (nu, j, sign), seed norm) per seed
+        projected = []  # (entries, evecs^T (g* psi0) laid out (nu, j, sign), seed norm) per seed
         for alphas, entries in sorted(seeds.items()):
             seed = coherent_state(*alphas, n_max)
-            seed_x = np.zeros(2 * dim * dim, dtype=complex)
-            seed_x[slots] = seed.reshape(-1)
-            # the seed is real: (evecs^T psi0)* needs no conjugate copy of the eigenvector stack
-            c = (evecs.transpose(0, 2, 1) @ seed_x.reshape(dim, dim, 2)).conj()
+            seed_x = np.zeros((dim, dim, 2), dtype=complex)
+            seed_x.reshape(-1)[slots] = gauge.conj() * seed.reshape(-1)
+            # real eigenvectors: one real product over the float view (nu, m, sign and part)
+            c = (evecs.transpose(0, 2, 1) @ seed_x.view(float)).view(complex)
             projected.append((entries, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
         for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
             # without pair energies every time of the block has one state: the read-out broadcasts it
@@ -214,9 +214,9 @@ def _propagate(
             for entries, c, norm0 in projected:
                 x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time
                 for sign in (0, 1):
-                    np.matmul(evecs, phase * c[:, :, sign, None], out=x[:, :, sign])
-                # contiguous (t, n1, n2): the read-out's products and matrix products run over whole rows
-                amp = np.ascontiguousarray(x.reshape(2 * dim * dim, size).T[:, slots]).reshape(size, dim, dim)
+                    np.matmul(evecs, (phase * c[:, :, sign, None]).view(float), out=x[:, :, sign].view(float))
+                # gauged and contiguous (t, n1, n2): the read-out's products and matrix products run over whole rows
+                amp = np.multiply(x.reshape(2 * dim * dim, size).T[:, slots], gauge, order="C").reshape(size, dim, dim)
                 del x  # only amp is held while the state is checked and read out
                 w = np.abs(amp) ** 2
                 norm_sq = w.sum(axis=(1, 2))

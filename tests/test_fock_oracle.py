@@ -409,6 +409,45 @@ class TestEvolve:
             assert np.max(np.abs(_evolve(p, ts, cfg) - _dense_evolve(p, ts, n_max))) <= 1e-12
 
 
+class TestSpectrum:
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_chain_eigenvectors_are_real_and_orthonormal(self, n_max):
+        # the sector chains are real symmetric: their eigenvectors stay real,
+        # one float64 (n_max + 1)^2 matrix per chain, orthonormal chain by chain
+        evals, evecs = fock_oracle._spectrum(n_max)
+        dim = n_max + 1
+        assert evals.dtype == evecs.dtype == np.float64
+        assert evecs.nbytes == dim**3 * 8
+        overlap = evecs.transpose(0, 2, 1) @ evecs
+        assert np.max(np.abs(overlap - np.eye(dim))) <= 1e-13
+
+    def test_cold_spectrum_holds_one_real_stack(self):
+        # the cached spectrum is the real eigenvector stack (plus its
+        # eigenvalues), and building it peaks at the chains and eigenvectors
+        # together: no complex copy is held or made
+        n_max = 64
+        size = (n_max + 1) ** 3 * 8
+        fock_oracle._spectrum.cache_clear()
+        tracemalloc.start()
+        try:
+            fock_oracle._spectrum(n_max)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * size
+        assert peak <= 2.5 * size
+
+    @pytest.mark.parametrize("n_max", [4, 9])
+    def test_grid_gauge_is_i_to_the_chain_state(self, n_max):
+        # the gauge of grid point (n1, n2) is i^min(n1, n2), exactly: powers of
+        # i by repeated exact products, row-major like the slots
+        powers = np.concatenate(([1.0 + 0j], np.cumprod(np.full(n_max, 1j))))
+        n = np.arange(n_max + 1)
+        slots, gauge = fock_oracle._slots(n_max)
+        assert gauge.shape == slots.shape == ((n_max + 1) ** 2,)
+        assert np.array_equal(gauge, powers[np.minimum.outer(n, n)].ravel())
+
+
 class TestMomentSets:
     @pytest.mark.parametrize("kind", list(SqueezeKind))
     def test_time_zero_matches_closed_form(self, kind):
@@ -745,14 +784,13 @@ class TestConservation:
         # this way: the Kerr and pair terms commute, so <H> stays conserved
         # (and for the same reason neither can a wrong weight between the two
         # terms of the <H> read-out)
-        spectrum = fock_oracle._spectrum
+        slots = fock_oracle._slots
 
         def ungauged(n_max):
-            evals, evecs = spectrum(n_max)
-            gauge = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_max + 1) % 4]
-            return evals, gauge.conj()[:, None] * evecs
+            flat, gauge = slots(n_max)
+            return flat, np.ones_like(gauge)
 
-        monkeypatch.setattr(fock_oracle, "_spectrum", ungauged)
+        monkeypatch.setattr(fock_oracle, "_slots", ungauged)
         failed = [c.name for c in conservation_checks(OracleConfig()) if not c.passed]
         assert failed == ["frame energy drift"]
 
