@@ -20,6 +20,13 @@ the dressed-mode moments <A1(t)...>; mode-2 moments additionally carry the
 2*chi carrier once per net power of a2.  `_read_out` applies it itself and
 never uses `SystemParams.mirrored`, so it checks the closed forms' mirror.
 
+The grid is that of mode 1 and of the quarter-turned mode 2, b = -i a2, in
+which the pair term is real: a2 = i b gives k (a1 b + a1+ b+).  b's number
+states are i^n2 |n2>, so the seed is |alpha1, -i alpha2>, the coherent grid
+seed times (-i)^n2, and a moment <a1+^p a1^q a2+^r a2^s> is the frame's
+<a1+^p a1^q b+^r b^s> times the exact i^(s - r), which `_read_out` applies
+with the carrier.
+
 The seed state is kept truncated-unnormalized: its norm deficit is the
 truncation diagnostic, and every moment divides by the norm squared so the
 deficit cannot bias moments.
@@ -29,18 +36,19 @@ Sector propagator
 N commutes with H, so H splits into 2 n_max + 1 sectors, one per N, each the
 chain |m + N+, m + N-> (m = 0 .. n_max - |N|, N+ = max(N, 0), N- = max(-N, 0)).
 Within a sector the Kerr term is the scalar chi N(N - 1) and the pair term is
-tridiagonal with -i k sqrt((n1 + 1)(n2 + 1)) above the diagonal; the gauge
-diag(i^m) turns it into the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)),
-which depends on neither chi nor the sign of N, and k only scales it.  The
-n_max + 1 chains nu = |N| of k = 1, zero-padded to n_max + 1, are diagonalized
-in one stacked `eigh` per n_max: a k's pair energies are k times their
-eigenvalues on the same real eigenvectors, which the sectors +nu and -nu share.
+the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)), which depends on
+neither chi nor the sign of N, and k only scales it.  The n_max + 1 chains
+nu = |N| of k = 1, zero-padded to n_max + 1, are diagonalized in one stacked
+`eigh` per n_max: a k's pair energies are k times their eigenvalues on the
+same real eigenvectors, which the sectors +nu and -nu share.  The spectrum
+and the grid's slots in the chains are one entry of a cache of `_SPECTRA`
+cutoffs, the only one that holds arrays of a cutoff's grid size.
 `_propagate` groups a batch by seed (k, alpha1, alpha2) once and walks it by
 k, in blocks of `_BLOCK` times with one table of pair phases exp(-i lambda t)
 per chain nu for all seeds of the k; a seed's coefficients (nu, j, sign, t)
 are that table times its projection, one real product with the eigenvectors
-gives its chain amplitudes, and the grid takes them times its gauge i^m;
-padded slots never reach it.
+gives its chain amplitudes, and the grid takes them as they are; padded slots
+never reach it.
 The scalar Kerr term commutes with the pair term, so one state serves every
 chi of its seed, and a seed of k = 0 (no pair energies) one time per block.
 `_read_out` is the one reader: it contracts each moment of a state once over
@@ -74,7 +82,7 @@ __all__ = [
 
 # Spectra kept warm, one per cutoff and whatever the k.  Callers use one cutoff,
 # or alternate two (the cutoff-doubling check); an entry at cutoff 32 holds 33
-# real 33^2 chain eigenvector matrices (33^3 x 8 B = 0.29 MB).
+# real 33^2 chain eigenvector matrices (33^3 x 8 B = 0.29 MB), eigenvalues and slots.
 _SPECTRA = 2
 # Times propagated and read out together, bounding a call's memory whatever the
 # axis: a block's state takes (n_max + 1)^2 x 32 x 16 B = 0.3 MB at cutoff 24.
@@ -88,6 +96,7 @@ _TAU_NORM = 1e-10  # allowed drift of the state norm under evolution
 # past it TailOverflow is raised instead of silently degrading.
 _TAU_TAIL = 1e-10
 _TAU_TRUNC = 1e-12  # allowed norm deficit of the truncated coherent seed
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^n at n % 4, exact: the quarter turns between a2 and b
 
 
 @dataclass(frozen=True)
@@ -129,23 +138,17 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
     return amp
 
 
-@functools.cache
-def _slots(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat slot (|N| (n_max + 1) + m) * 2 + (N < 0) and exact gauge i^m of each grid point, row-major.
-
-    The slots index the (nu, m, sign) layout of the chain stack: chain nu =
-    |N|, chain state m = min(n1, n2), and sign 0 for the sector +nu, 1 for
-    -nu.  The N = 0 sector sits at sign 0; its sign-1 column stays empty.
-    """
-    n1, n2 = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
-    m = np.minimum(n1, n2)
-    return (np.abs(n1 - n2) * (n_max + 1) + m) * 2 + (n1 < n2), np.array([1.0, 1j, -1.0, -1j])[m % 4]
-
-
 @functools.lru_cache(maxsize=_SPECTRA)
-def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, and real eigenvectors (nu, m, j)."""
+def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, real eigenvectors (nu, m, j), grid slots.
+
+    The slot of grid point (n1, n2) is its flat place (nu (n_max + 1) + m) * 2
+    + sign in the chains' (nu, m, sign) layout: chain nu = |N|, chain state
+    m = min(n1, n2), sign 1 for N < 0; the N = 0 sector's sign-1 column stays empty.
+    """
     dim = n_max + 1
+    n1, n2 = np.indices((dim, dim))
+    slots = (np.abs(n1 - n2) * dim + np.minimum(n1, n2)) * 2 + (n1 < n2)
     nu = np.arange(dim)[:, None]
     m = np.arange(n_max)
     off = np.sqrt((m + 1.0) * (m + 1.0 + nu))
@@ -153,7 +156,7 @@ def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     chain = np.zeros((dim, dim, dim))
     chain[:, m, m + 1] = off
     chain[:, m + 1, m] = off
-    return np.linalg.eigh(chain)
+    return *np.linalg.eigh(chain), slots
 
 
 def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -191,7 +194,7 @@ def _propagate(
         raise NumericOverflow(
             f"Kerr phase chi N(N-1) t overflows at t={t_end} (|chi| <= {chi_max:.3e}, n_max={n_max})"
         )
-    (slots, gauge), (evals, evecs) = _slots(n_max), _spectrum(n_max)
+    evals, evecs, slots = _spectrum(n_max)
     for k, seeds in sorted(groups.items()):
         reach = k * float(np.abs(evals).max())  # a float product: an overflow is inf, not a warning
         if not reach < math.inf:
@@ -199,11 +202,11 @@ def _propagate(
         if not reach * t_end < math.inf:
             raise NumericOverflow(f"pair phase lambda t overflows at t={t_end} (|energy| <= {reach:.3e})")
         energy = k * evals  # (nu, j), on the k-free eigenvectors
-        projected = []  # (entries, evecs^T (g* psi0) laid out (nu, j, sign), seed norm) per seed
+        projected = []  # (entries, evecs^T psi0 laid out (nu, j, sign), seed norm) per seed
         for alphas, entries in sorted(seeds.items()):
             seed = coherent_state(*alphas, n_max)
             seed_x = np.zeros((dim, dim, 2), dtype=complex)
-            seed_x.reshape(-1)[slots] = gauge.conj() * seed.reshape(-1)
+            seed_x.reshape(-1)[slots] = seed * _I_POWERS[-np.arange(dim) % 4]  # |alpha1, -i alpha2>: (-i)^n2
             # real eigenvectors: one real product over the float view (nu, m, sign and part)
             c = (evecs.transpose(0, 2, 1) @ seed_x.view(float)).view(complex)
             projected.append((entries, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
@@ -215,8 +218,8 @@ def _propagate(
                 x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time
                 for sign in (0, 1):
                     np.matmul(evecs, (phase * c[:, :, sign, None]).view(float), out=x[:, :, sign].view(float))
-                # gauged and contiguous (t, n1, n2): the read-out's products and matrix products run over whole rows
-                amp = np.multiply(x.reshape(2 * dim * dim, size).T[:, slots], gauge, order="C").reshape(size, dim, dim)
+                # contiguous (t, n1, n2): the read-out's products and matrix products run over whole rows
+                amp = np.ascontiguousarray(x.reshape(2 * dim * dim, size).T[:, slots])
                 del x  # only amp is held while the state is checked and read out
                 w = np.abs(amp) ** 2
                 norm_sq = w.sum(axis=(1, 2))
@@ -351,7 +354,8 @@ def _read_out(
             if values.dtype == float:
                 values[entries, block] = _contract(w, None, pw, z) / norm
             else:
-                values[entries, block] = z[..., mid + pw[3] - pw[2]] / norm * _contract(amp, bra, pw, z)
+                turn = z[..., mid + pw[3] - pw[2]] * _I_POWERS[(pw[3] - pw[2]) % 4]  # carrier, a2 = i b
+                values[entries, block] = turn / norm * _contract(amp, bra, pw, z)
         del amp, w, bra  # released before the next state is built
     return {pw: out[c] if c == pw else out[c].conj() for pw, c in own.items()}, norm_sq
 

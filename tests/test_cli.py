@@ -464,8 +464,8 @@ def test_oracle_norm_gate_stops_verify_before_its_report(capsys, monkeypatch):
     spectrum = fock_oracle._spectrum
 
     def leaky(n_max):
-        evals, evecs = spectrum(n_max)
-        return evals, evecs * (1.0 + 1e-8)
+        evals, evecs, slots = spectrum(n_max)
+        return evals, evecs * (1.0 + 1e-8), slots
 
     monkeypatch.setattr(fock_oracle, "_spectrum", leaky)
     code, out, err = _run(capsys, ["verify"])

@@ -70,17 +70,23 @@ def _expect(amp, powers):
     return complex(fock_oracle._contract(amp, _bra(amp, powers), powers) / np.sum(np.abs(amp) ** 2))
 
 
+def _quarter_turns(n_max):
+    """i^n2 for n2 = 0 .. n_max, by repeated exact products: a frame amplitude of b = -i a2 times it is the a2 one."""
+    return np.concatenate(([1.0 + 0j], np.cumprod(np.full(n_max, 1j))))
+
+
 def _with_kerr(pair, phase, out):
-    """out = pair (times, n1, n2) times the Kerr phase (N + n_max, times) of N = n1 - n2."""
+    """out = pair (times, n1, n2), turned back to a2 by i^n2, times the Kerr phase (N + n_max, times) of N = n1 - n2."""
     n = np.arange(pair.shape[-1])
     np.take(phase.T, np.subtract.outer(n, n) + n[-1], axis=1, out=out, mode="clip")  # unbuffered
-    return np.multiply(out, pair, out=out)
+    return np.multiply(out, pair * _quarter_turns(n[-1]), out=out)
 
 
 def _evolve(p, ts, cfg):
     """Amplitudes (times, n1, n2) of the seed of p evolved to every time of ts.
 
-    The pair amplitudes of the oracle's propagation times the Kerr phase
+    The pair amplitudes of the oracle's propagation, which are those of the
+    frame b = -i a2, turned back to a2 by i^n2, times the Kerr phase
     exp(-i chi N(N - 1) t) of each sector N = n1 - n2.
     """
     ts = np.asarray(ts, dtype=float)
@@ -332,8 +338,8 @@ class TestEvolve:
         spectrum = fock_oracle._spectrum
 
         def leaky(n_max):
-            evals, evecs = spectrum(n_max)
-            return evals, evecs * (1.0 + 1e-8)
+            evals, evecs, slots = spectrum(n_max)
+            return evals, evecs * (1.0 + 1e-8), slots
 
         monkeypatch.setattr(fock_oracle, "_spectrum", leaky)
         with pytest.raises(NormDrift):
@@ -414,7 +420,7 @@ class TestSpectrum:
     def test_chain_eigenvectors_are_real_and_orthonormal(self, n_max):
         # the sector chains are real symmetric: their eigenvectors stay real,
         # one float64 (n_max + 1)^2 matrix per chain, orthonormal chain by chain
-        evals, evecs = fock_oracle._spectrum(n_max)
+        evals, evecs, _ = fock_oracle._spectrum(n_max)
         dim = n_max + 1
         assert evals.dtype == evecs.dtype == np.float64
         assert evecs.nbytes == dim**3 * 8
@@ -423,8 +429,8 @@ class TestSpectrum:
 
     def test_cold_spectrum_holds_one_real_stack(self):
         # the cached spectrum is the real eigenvector stack (plus its
-        # eigenvalues), and building it peaks at the chains and eigenvectors
-        # together: no complex copy is held or made
+        # eigenvalues and the grid's slots), and building it peaks at the
+        # chains and eigenvectors together: no complex copy is held or made
         n_max = 64
         size = (n_max + 1) ** 3 * 8
         fock_oracle._spectrum.cache_clear()
@@ -437,15 +443,50 @@ class TestSpectrum:
         assert held <= 1.1 * size
         assert peak <= 2.5 * size
 
-    @pytest.mark.parametrize("n_max", [4, 9])
-    def test_grid_gauge_is_i_to_the_chain_state(self, n_max):
-        # the gauge of grid point (n1, n2) is i^min(n1, n2), exactly: powers of
-        # i by repeated exact products, row-major like the slots
-        powers = np.concatenate(([1.0 + 0j], np.cumprod(np.full(n_max, 1j))))
-        n = np.arange(n_max + 1)
-        slots, gauge = fock_oracle._slots(n_max)
-        assert gauge.shape == slots.shape == ((n_max + 1) ** 2,)
-        assert np.array_equal(gauge, powers[np.minimum.outer(n, n)].ravel())
+    def test_grid_sized_arrays_are_held_for_two_cutoffs_at_most(self):
+        # every array of a cutoff's grid size or more (the spectrum and the
+        # grid's slots) sits in the one spectrum cache: walking 97 cutoffs
+        # holds the memory of the last two entries, (n_max + 1)^3 eigenvector
+        # and 2 (n_max + 1)^2 eigenvalue and slot words each, not of every
+        # cutoff visited.  The ladder weights, n_max + 1 entries a row, are
+        # cleared before the count
+        cutoffs = range(4, 101)
+        p = SystemParams(0.5, 0.1, 0.01, 0.01)  # within the tail budget at n_max = 4
+        fock_oracle._spectrum.cache_clear()
+        tracemalloc.start()
+        try:
+            for n_max in cutoffs:
+                moment_sets(p, np.array([0.0, 0.01]), KIND_CELLS, OracleConfig(n_max))
+            fock_oracle._weights.cache_clear()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fock_oracle._spectrum.cache_info().currsize == fock_oracle._SPECTRA
+        assert held <= 1.05 * sum((n_max + 1) ** 2 * (n_max + 3) * 8 for n_max in cutoffs[-fock_oracle._SPECTRA:])
+
+    @pytest.mark.parametrize("n_max", [12, 24])
+    def test_frame_turns_mode_2_by_a_quarter(self, monkeypatch, n_max):
+        # with identity eigenvectors and no pair energies every product is
+        # exact: the propagated state is the seed of the frame b = -i a2,
+        # |alpha1, -i alpha2>, the grid seed times (-i)^n2; and each moment
+        # read out of it, the frame's times i^(s - r), is that of the real
+        # seed |alpha1, alpha2> at chi = 0: exactly real, and
+        # alpha1^(p + q) alpha2^(r + s)
+        dim = n_max + 1
+        evals, _, slots = fock_oracle._spectrum(n_max)
+        identity = np.broadcast_to(np.eye(dim), (dim, dim, dim))
+        monkeypatch.setattr(fock_oracle, "_spectrum", lambda _: (np.zeros_like(evals), identity, slots))
+        p, ts, cfg = SystemParams(0.0, 0.1, 0.4, 0.3), np.array([0.5]), OracleConfig(n_max)
+        seed = coherent_state(0.4, 0.3, n_max) * _quarter_turns(n_max).conj()
+        (state,) = [amp for _, _, amp, _, _ in fock_oracle._propagate(p, ts, cfg)]
+        assert np.array_equal(state, seed[None])
+        # the read-out's Kerr table covers the moments that move N by at most 2
+        powers = [pw for pw in _POWERS_TO_3 if abs(pw[0] - pw[1] - pw[2] + pw[3]) <= 2]
+        ex, _ = fock_oracle._read_out(p, ts, cfg, powers)
+        for pw, values in ex.items():
+            assert np.all(np.imag(values) == 0.0), pw
+            want = 0.4 ** (pw[0] + pw[1]) * 0.3 ** (pw[2] + pw[3])
+            assert np.max(np.abs(values - want)) <= 1e-14, pw
 
 
 class TestMomentSets:
@@ -778,19 +819,13 @@ class TestConservation:
             assert np.all(column == column[0])
 
     def test_frame_energy_check_fails_on_the_wrong_pair_term(self, monkeypatch):
-        # without the i^m gauge the chain evolves k(a1 a2 + a1+ a2+) in place
-        # of -ik(a1 a2 - a1+ a2+): still unitary and N-conserving, so only
-        # the frame energy moves.  A wrong k or chi alone cannot be caught
+        # without the quarter turn b = -i a2 the chain evolves k(a1 a2 + a1+ a2+)
+        # in place of -ik(a1 a2 - a1+ a2+): still unitary and N-conserving, so
+        # only the frame energy moves.  A wrong k or chi alone cannot be caught
         # this way: the Kerr and pair terms commute, so <H> stays conserved
         # (and for the same reason neither can a wrong weight between the two
         # terms of the <H> read-out)
-        slots = fock_oracle._slots
-
-        def ungauged(n_max):
-            flat, gauge = slots(n_max)
-            return flat, np.ones_like(gauge)
-
-        monkeypatch.setattr(fock_oracle, "_slots", ungauged)
+        monkeypatch.setattr(fock_oracle, "_I_POWERS", np.ones(4, dtype=complex))
         failed = [c.name for c in conservation_checks(OracleConfig()) if not c.passed]
         assert failed == ["frame energy drift"]
 

@@ -23,7 +23,7 @@ from kerrdown import (
     moments_for,
     quad_core,
 )
-from kerrdown.fock_oracle import moment_set_numeric
+from kerrdown.fock_oracle import moment_set_numeric, moment_sets
 from kerrdown.quad_core import EPS_DEN
 from kerrdown.squeezing_analytic import Variant, factors, single_mode_extremum, single_mode_fg
 from kerrdown.verify import KIND_CELLS
@@ -164,6 +164,18 @@ def test_principal_is_below_both_quadratures_on_both_routes(p, ts, cell):
     assert np.all(v <= np.minimum(f, g) + 1e-10)
     assert np.all(v <= np.minimum(fa, ga) + 1e-10)
     assert np.all(va <= np.minimum(fa, ga))  # without slack, as quad_core's V
+
+
+# the oracle's truncation-safe part of that domain: kt <= 0.3, as on the verify grid
+_oracle_axes = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40).map(np.array)
+
+
+@given(p=_domain, ts=_oracle_axes, cell=st.sampled_from(KIND_CELLS))
+def test_principal_is_below_both_quadratures_on_the_oracle(p, ts, cell):
+    (m,) = moment_sets(p, ts, [cell])
+    assume(np.all(np.abs(m.mean_d) > EPS_DEN))  # the seedless sum at t = 0
+    f, g, v = quad_core.factors(m)
+    assert np.all(v <= np.minimum(f, g) + 1e-10)
 
 
 # d is the true commutator expectation in these cells, so the quadratures obey

@@ -3,7 +3,7 @@
 Each row wraps one function of one route so that one of its outputs, or one
 of its arguments, is off by a relative 1e-3 (the principal factor V by an
 absolute 1e-3, the oracle's relative Kerr phase by the phase of a wrong Kerr
-energy, its grid gauge by its conjugate), and asserts that the verification
+energy, its quarter-turned frame by the conjugate one), and asserts that the verification
 fails on the check that reads that output.  V is read on all three routes, so a V that is too small fails too.  A mutation that
 makes the oracle's moments unphysical must be refused where the moment set is
 built instead.
@@ -110,8 +110,8 @@ MUTATIONS = [
     # the analytic V, read by both analytic rows and the envelope (appended too)
     (squeezing_analytic, "factors", _item(2, lambda v: v + 1e-3),
      (MOMENTS, ORACLE, "principal envelope v - min(f,g)")),
-    # the grid gauge i^min(n1, n2) of the real chains, conjugated: the pair term's sign flips (appended too)
-    (fock_oracle, "_slots", _item(1, lambda gauge: gauge.conj()), (ORACLE, "moments route vs oracle")),
+    # the frame of the real chains conjugated, b = +i a2 for -i a2: the pair term's sign flips (appended too)
+    (fock_oracle, "_I_POWERS", lambda powers: powers.conj(), (ORACLE, "moments route vs oracle")),
 ]
 
 
