@@ -239,7 +239,9 @@ def _propagate(
                 del amp, w  # released before the next state is built
 
 
-@functools.cache
+# The kind cells and the motion constants read 6 rows (q, p) per cutoff, so
+# the two cutoffs of the cutoff-doubling check never evict one
+@functools.lru_cache(maxsize=6 * _SPECTRA)
 def _weights(n_max: int, q: int, p: int) -> np.ndarray:
     """Ladder factors of a^q then a+^p on the rows n = 0 .. n_max of one mode.
 
@@ -294,18 +296,10 @@ def _contract(
     return kerr[..., mid + delta * (delta - 1) // 2] * (u @ prod @ v)[..., 0, 0]
 
 
-def _real(z: np.ndarray, what: str) -> np.ndarray:
-    if not np.iscomplexobj(z):  # a number moment
-        return z
-    bad = np.abs(z.imag) > 1e-9 * np.maximum(1.0, np.abs(z))
-    if bad.any():
-        raise ValueError(f"{what} should be real, got {z[bad][0]}")
-    return z.real
-
-
 # B of each kind as a sum of monomials a1^q a2^s, given as (q, s); <B>, <B^2>
 # and <B+ B> are then sums of normally ordered moments over terms and pairs,
-# which _SUMS lists with the <n1> and <n2> of the d of `sum`
+# which _SUMS lists with the <n1> and <n2> of the d of `sum`; <B+ B> over the
+# term pairs i <= j only, `moment_sets` adding twice the real part of i < j
 _TERMS = {
     SqueezeKind.SINGLE1: ((1, 0),),
     SqueezeKind.SINGLE2: ((0, 1),),
@@ -316,7 +310,7 @@ _SUMS = {
     kind: (
         [(0, q, 0, s) for q, s in terms],
         [(0, q + q2, 0, s + s2) for q, s in terms for q2, s2 in terms],
-        [(q, q2, s, s2) for q, s in terms for q2, s2 in terms],
+        [(q, q2, s, s2) for i, (q, s) in enumerate(terms) for q2, s2 in terms[i:]],
         [(1, 1, 0, 0), (0, 0, 1, 1)] if kind is SqueezeKind.SUM else [],
     )
     for kind, terms in _TERMS.items()
@@ -328,16 +322,19 @@ def _read_out(
 ) -> tuple[dict[tuple[int, int, int, int], np.ndarray], np.ndarray]:
     """<a1+^p a1^q a2+^r a2^s> of each of powers, carrier included, and the norms squared, as (entries, times).
 
-    Each moment is contracted once per state, as itself or as its adjoint
-    (<X+> = <X>*), over `_propagate`'s norm squared: a number moment on its
-    |amp|^2, the others on the state's conjugate, flat and zero-padded by the
-    widest shift, with each chi's Kerr table.  A seed of k = 0 is one state
-    per block, which the contractions broadcast against the block's times.
+    Each distinct moment is contracted once per state, as asked (so `_SUMS`
+    lists <B+ B> over term pairs i <= j), over `_propagate`'s norm squared: a
+    number moment on its |amp|^2, the others on the state's conjugate, flat
+    and zero-padded by the widest shift, with each chi's Kerr table, which
+    spans |delta N| <= 2; a wider moment is refused before a seed is projected.
+    A seed of k = 0 is one state per block, broadcast against the block's times.
     """
-    own = {pw: min(pw, (pw[1], pw[0], pw[3], pw[2])) for pw in powers}  # contracted, as <X> or <X+>*
     chis = np.ravel(np.broadcast_to(p.chi_bar, p.shape))
     norm_sq = np.empty((chis.size, ts.size))
-    out = {pw: np.empty_like(norm_sq, float if pw[::2] == pw[1::2] else complex) for pw in sorted(set(own.values()))}
+    out = {pw: np.empty_like(norm_sq, float if pw[::2] == pw[1::2] else complex) for pw in sorted(set(powers))}
+    for pw in out:
+        if abs(pw[0] - pw[1] - pw[2] + pw[3]) > 2:
+            raise ValueError(f"moment {pw} moves N = n1 - n2 by more than the Kerr table's 2")
     mid = 2 * (cfg.n_max + 1)  # the Kerr table's column m = 0
     pad = max((abs((pw[0] - pw[1]) * (cfg.n_max + 1) + pw[2] - pw[3]) for pw in out), default=0)
     m = np.arange(-mid, mid + 1)
@@ -357,7 +354,7 @@ def _read_out(
                 turn = z[..., mid + pw[3] - pw[2]] * _I_POWERS[(pw[3] - pw[2]) % 4]  # carrier, a2 = i b
                 values[entries, block] = turn / norm * _contract(amp, bra, pw, z)
         del amp, w, bra  # released before the next state is built
-    return {pw: out[c] if c == pw else out[c].conj() for pw, c in own.items()}, norm_sq
+    return out, norm_sq
 
 
 def moment_sets(
@@ -383,7 +380,7 @@ def moment_sets(
     sets = []
     for (_, d_convention), parts in zip(cells, sums):
         b, b_sq, n, numbers = ([ex[pw] for pw in part] for part in parts)
-        mean_n = _real(sum(n), "<B+ B>")
+        mean_n = sum(x if x.dtype == float else 2.0 * x.real for x in n)  # 2 Re of each cross pair i < j
         d = np.full(mean_n.shape, float(len(b)))  # <[B, B+]> of a1, a2 and a1 + a2
         if numbers:
             d = sum(numbers) if d_convention is DConvention.NUMBER_SUM else sum(numbers) + 1.0

@@ -449,7 +449,7 @@ class TestSpectrum:
         # holds the memory of the last two entries, (n_max + 1)^3 eigenvector
         # and 2 (n_max + 1)^2 eigenvalue and slot words each, not of every
         # cutoff visited.  The ladder weights, n_max + 1 entries a row, are
-        # cleared before the count
+        # held for as many cutoffs
         cutoffs = range(4, 101)
         p = SystemParams(0.5, 0.1, 0.01, 0.01)  # within the tail budget at n_max = 4
         fock_oracle._spectrum.cache_clear()
@@ -457,12 +457,19 @@ class TestSpectrum:
         try:
             for n_max in cutoffs:
                 moment_sets(p, np.array([0.0, 0.01]), KIND_CELLS, OracleConfig(n_max))
-            fock_oracle._weights.cache_clear()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert fock_oracle._spectrum.cache_info().currsize == fock_oracle._SPECTRA
         assert held <= 1.05 * sum((n_max + 1) ** 2 * (n_max + 3) * 8 for n_max in cutoffs[-fock_oracle._SPECTRA:])
+
+    def test_every_cache_is_bounded(self):
+        # a cache keyed by the cutoff grows with every cutoff visited unless it
+        # has a size
+        caches = [fn for fn in vars(fock_oracle).values() if hasattr(fn, "cache_info")]
+        assert {"_spectrum", "_weights"} <= {fn.__name__ for fn in caches}
+        for fn in caches:
+            assert fn.cache_info().maxsize is not None, fn.__name__
 
     @pytest.mark.parametrize("n_max", [12, 24])
     def test_frame_turns_mode_2_by_a_quarter(self, monkeypatch, n_max):
@@ -487,6 +494,13 @@ class TestSpectrum:
             assert np.all(np.imag(values) == 0.0), pw
             want = 0.4 ** (pw[0] + pw[1]) * 0.3 ** (pw[2] + pw[3])
             assert np.max(np.abs(values - want)) <= 1e-14, pw
+        # every other moment is refused by name before a seed is projected
+        seeds = []
+        monkeypatch.setattr(fock_oracle, "coherent_state", lambda *args: seeds.append(args))
+        for pw in set(_POWERS_TO_3) - set(powers):
+            with pytest.raises(ValueError, match="moves N = n1 - n2 by more than the Kerr table's 2"):
+                fock_oracle._read_out(p, ts, cfg, [pw])
+        assert seeds == [] and len(powers) < len(_POWERS_TO_3)
 
 
 class TestMomentSets:
@@ -632,13 +646,24 @@ class TestStream:
         assert np.array_equal(norm_sq, want)
 
     def test_each_distinct_moment_contracted_once_per_block(self, monkeypatch):
-        # the five kind cells share ten normally ordered moments; a moment and
-        # its adjoint (<a1 a2+> of the two-mode <B+ B>) are one contraction
+        # the five kind cells share ten distinct normally ordered moments: the
+        # two-mode <B+ B> asks for <a1+ a2> and not for its adjoint <a1 a2+>
         calls = _count_calls(monkeypatch, fock_oracle, "_contract")
         p = SystemParams(0.5, 0.1, 0.4, 0.3)
         moment_sets(p, np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13), KIND_CELLS)
         powers = [pw for _, _, pw, _ in calls]
         assert len(powers) == 2 * len(set(powers)) == 20
+
+    def test_a_moment_and_its_adjoint_are_each_contracted_as_asked(self, monkeypatch):
+        # no moment is read as the conjugate of another: <a1+ a2> and <a1 a2+>
+        # are two contractions per state (one seed, so one state per block),
+        # and they come out complex conjugates to roundoff
+        calls = _count_calls(monkeypatch, fock_oracle, "_contract")
+        p = SystemParams(np.array([[0.0], [0.5], [2.0]]), 0.1, 0.4, 0.3)
+        ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
+        ex, _ = fock_oracle._read_out(p, ts, OracleConfig(), [(1, 0, 0, 1), (0, 1, 1, 0)])
+        assert [pw for _, _, pw, _ in calls] == [(0, 1, 1, 0), (1, 0, 0, 1)] * 2
+        assert np.max(np.abs(ex[1, 0, 0, 1] - ex[0, 1, 1, 0].conj())) <= 1e-14
 
     def test_entries_differing_in_chi_share_one_pair_evolution(self, monkeypatch):
         # the Kerr phase is applied to the moments of the pair evolution, for
