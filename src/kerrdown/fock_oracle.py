@@ -41,20 +41,22 @@ neither chi nor the sign of N, and k only scales it.  The n_max + 1 chains
 nu = |N| of k = 1, zero-padded to n_max + 1, are diagonalized in one stacked
 `eigh` per n_max: a k's pair energies are k times their eigenvalues on the
 same real eigenvectors, which the sectors +nu and -nu share.  The spectrum
-and the grid's slots in the chains are one entry of a cache of `_SPECTRA`
+and the grid's places in the chains are one entry of a cache of `_SPECTRA`
 cutoffs, the only one that holds arrays of a cutoff's grid size.
 `_propagate` groups a batch by seed (k, alpha1, alpha2) once and walks it by
 k, in blocks of `_BLOCK` times with one table of pair phases exp(-i lambda t)
-per chain nu for all seeds of the k; a seed's coefficients (nu, j, sign, t)
-are that table times its projection, one real product with the eigenvectors
-gives its chain amplitudes, and the grid takes them as they are; padded slots
-never reach it.
+per chain nu for all seeds of the k.  A state is built one sign of N at a
+time in one workspace: that table times the seed's projection onto the sign,
+one real product with the eigenvectors gives the sign's chain amplitudes
+(nu, m, t), and one scatter lays them onto the sign's grid points as they are;
+padded rows land in a spare column, never on the grid.
 The scalar Kerr term commutes with the pair term, so one state serves every
 chi of its seed, and a seed of k = 0 (no pair energies) one time per block.
 `_read_out` is the one reader: it contracts each moment of a state once over
-the norm check's sum (`_contract`: number moments on its |amp|^2, the others as
-contiguous products with a shifted window of the flat conjugate, and each chi's
-relative Kerr phase for a moment that moves N) into one (P, T) array per call.
+the norm check's sum (`_contract`: number moments on its |amp|^2, which it then
+drops, the others as contiguous products with a shifted window of the flat
+conjugate, and each chi's relative Kerr phase for a moment that moves N) into
+one (P, T) array per call.
 `moment_sets` (squeezing moments, each kind cell assembled once per call) and
 `motion_constants` (conserved quantities) read every moment through it.
 """
@@ -82,10 +84,13 @@ __all__ = [
 
 # Spectra kept warm, one per cutoff and whatever the k.  Callers use one cutoff,
 # or alternate two (the cutoff-doubling check); an entry at cutoff 32 holds 33
-# real 33^2 chain eigenvector matrices (33^3 x 8 B = 0.29 MB), eigenvalues and slots.
+# real 33^2 chain eigenvector matrices (33^3 x 8 B = 0.29 MB), eigenvalues and places.
 _SPECTRA = 2
 # Times propagated and read out together, bounding a call's memory whatever the
-# axis: a block's state takes (n_max + 1)^2 x 32 x 16 B = 0.3 MB at cutoff 24.
+# axis: a block's state takes (n_max + 1)^2 x 32 x 16 B = 0.3 MB at cutoff 24,
+# and a call holds about four such at once: the pair phases, the state, and the
+# workspace of a sign's product with its chain amplitudes, or the padded
+# conjugate with a product.
 _BLOCK = 32
 # Largest cutoff: the stacked spectrum of n_max + 1 real (n_max + 1)^2
 # eigenvector matrices is 257^3 x 8 B = 136 MB at 256; building it peaks at
@@ -140,15 +145,21 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_SPECTRA)
 def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, real eigenvectors (nu, m, j), grid slots.
+    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, real eigenvectors (nu, m, j), grid places.
 
-    The slot of grid point (n1, n2) is its flat place (nu (n_max + 1) + m) * 2
-    + sign in the chains' (nu, m, sign) layout: chain nu = |N|, chain state
-    m = min(n1, n2), sign 1 for N < 0; the N = 0 sector's sign-1 column stays empty.
+    The places (row, sign) hold, for each flat row nu (n_max + 1) + m of the
+    chains' (nu, m) layout and each sign of N = n1 - n2, its flat grid point
+    n1 (n_max + 1) + n2: chain nu = |N|, chain state m = min(n1, n2), sign 0
+    for N >= 0 (the N = 0 sector is its alone), sign 1 for N < 0.  A padded
+    row, and sign 1 of the N = 0 chain, holds (n_max + 1)^2, one past the grid.
     """
     dim = n_max + 1
-    n1, n2 = np.indices((dim, dim))
-    slots = (np.abs(n1 - n2) * dim + np.minimum(n1, n2)) * 2 + (n1 < n2)
+    nu, m = np.indices((dim, dim))
+    real = m < dim - nu  # padded rows lie past a chain's last state
+    places = np.stack(  # 4 B indices: a row's two places take one 8 B word
+        [np.where(real, (nu + m) * dim + m, dim * dim), np.where(real & (nu > 0), m * dim + nu + m, dim * dim)],
+        axis=-1,
+    ).reshape(dim * dim, 2).astype(np.int32)
     nu = np.arange(dim)[:, None]
     m = np.arange(n_max)
     off = np.sqrt((m + 1.0) * (m + 1.0 + nu))
@@ -156,7 +167,7 @@ def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     chain = np.zeros((dim, dim, dim))
     chain[:, m, m + 1] = off
     chain[:, m + 1, m] = off
-    return *np.linalg.eigh(chain), slots
+    return *np.linalg.eigh(chain), places
 
 
 def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -170,14 +181,19 @@ def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _propagate(
     p: SystemParams, ts: Iterable[float], cfg: OracleConfig
-) -> Iterator[tuple[slice, list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (block, entries, pair amplitudes (times, n1, n2), their |amp|^2, its sum) per k, block and seed.
+) -> Iterator[tuple[slice, list[int], np.ndarray, list[np.ndarray], np.ndarray]]:
+    """Yield (block, entries, pair amplitudes (times, n1, n2), [their |amp|^2], its sum) per k, block and seed.
 
     Entries are the flat batch positions of a seed (k, alpha1, alpha2); a
     seed of k = 0 has one time per block, the state of every time.  The
-    axis and the largest |chi|'s Kerr phase are checked before any seed is
-    projected, a k's pair energies and phase before its first seed, and every state
-    for norm drift and tail population before it is yielded; an empty axis gives empty blocks.
+    state is built one sign of N at a time in one workspace, each sign's
+    chain amplitudes scattered straight onto its grid points; the amplitudes
+    are a view whose rows, one per time, are contiguous.  |amp|^2 comes in a
+    one-item list that the walk keeps no other reference to, so a reader that
+    pops it can drop it.  The axis and the largest |chi|'s Kerr phase are checked before
+    any seed is projected, a k's pair energies and phase before its first
+    seed, and every state for norm drift and tail population before it is
+    yielded; an empty axis gives empty blocks.
     """
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
@@ -194,7 +210,8 @@ def _propagate(
         raise NumericOverflow(
             f"Kerr phase chi N(N-1) t overflows at t={t_end} (|chi| <= {chi_max:.3e}, n_max={n_max})"
         )
-    evals, evecs, slots = _spectrum(n_max)
+    evals, evecs, places = _spectrum(n_max)
+    places = places.astype(np.intp)  # once per call: numpy casts any other fancy index at every use
     for k, seeds in sorted(groups.items()):
         reach = k * float(np.abs(evals).max())  # a float product: an overflow is inf, not a warning
         if not reach < math.inf:
@@ -205,22 +222,26 @@ def _propagate(
         projected = []  # (entries, evecs^T psi0 laid out (nu, j, sign), seed norm) per seed
         for alphas, entries in sorted(seeds.items()):
             seed = coherent_state(*alphas, n_max)
-            seed_x = np.zeros((dim, dim, 2), dtype=complex)
-            seed_x.reshape(-1)[slots] = seed * _I_POWERS[-np.arange(dim) % 4]  # |alpha1, -i alpha2>: (-i)^n2
+            turned = np.zeros(dim * dim + 1, dtype=complex)  # a place past the grid reads the trailing 0
+            # |alpha1, -i alpha2>: (-i)^n2
+            np.multiply(seed, _I_POWERS[-np.arange(dim) % 4], out=turned[:-1].reshape(dim, dim))
             # real eigenvectors: one real product over the float view (nu, m, sign and part)
-            c = (evecs.transpose(0, 2, 1) @ seed_x.view(float)).view(complex)
+            c = (evecs.transpose(0, 2, 1) @ turned[places].reshape(dim, dim, 2).view(float)).view(complex)
             projected.append((entries, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
         for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
             # without pair energies every time of the block has one state: the read-out broadcasts it
             phase = _phases(energy, ts[block][: 1 if reach == 0.0 else None])  # (nu, j, t), all seeds
-            size = phase.shape[-1]
             for entries, c, norm0 in projected:
-                x = np.empty((dim, dim, 2, size), dtype=complex)  # (nu, m, sign, t), one sign at a time
+                # contiguous rows (t, n1 n2), so the read-out's products and matrix products run over
+                # whole rows, and a spare last column for the places past the grid
+                amp = np.empty((phase.shape[-1], dim * dim + 1), dtype=complex)
+                # one workspace per state: a sign's product y, then its chain amplitudes x (nu, m, t)
+                y, x = work = np.empty((2, *phase.shape), dtype=complex)
                 for sign in (0, 1):
-                    np.matmul(evecs, (phase * c[:, :, sign, None]).view(float), out=x[:, :, sign].view(float))
-                # contiguous (t, n1, n2): the read-out's products and matrix products run over whole rows
-                amp = np.ascontiguousarray(x.reshape(2 * dim * dim, size).T[:, slots])
-                del x  # only amp is held while the state is checked and read out
+                    np.matmul(evecs, np.multiply(phase, c[:, :, sign, None], out=y).view(float), out=x.view(float))
+                    amp.T[places[:, sign]] = x.reshape(dim * dim, -1)
+                del y, x, work  # released before the state is checked and read out
+                amp = amp[:, :-1].reshape(-1, dim, dim)
                 w = np.abs(amp) ** 2
                 norm_sq = w.sum(axis=(1, 2))
                 drift = np.abs(np.sqrt(norm_sq) - norm0)
@@ -235,6 +256,7 @@ def _propagate(
                         f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
                         f"raise n_max for this time span"
                     )
+                w = [w]  # the walk's only reference: the reader drops |amp|^2 before it builds the conjugate
                 yield block, entries, amp, w, norm_sq
                 del amp, w  # released before the next state is built
 
@@ -276,10 +298,6 @@ def _contract(
     """
     pw_p, pw_q, pw_r, pw_s = powers
     n_max = amp.shape[-1] - 1
-    if min(powers) < 0:
-        raise ValueError(f"powers must be >= 0, got {powers}")
-    if pw_p + pw_q > n_max or pw_r + pw_s > n_max:
-        raise ValueError(f"powers {powers} exceed the cutoff {n_max}")
     w1, w2 = _weights(n_max, pw_q, pw_p), _weights(n_max, pw_s, pw_r)
     d1, d2 = pw_p - pw_q, pw_r - pw_s  # the bra's shift in n1 and n2
     prod = amp
@@ -323,20 +341,26 @@ def _read_out(
     """<a1+^p a1^q a2+^r a2^s> of each of powers, carrier included, and the norms squared, as (entries, times).
 
     Each distinct moment is contracted once per state, as asked (so `_SUMS`
-    lists <B+ B> over term pairs i <= j), over `_propagate`'s norm squared: a
-    number moment on its |amp|^2, the others on the state's conjugate, flat
-    and zero-padded by the widest shift, with each chi's Kerr table, which
-    spans |delta N| <= 2; a wider moment is refused before a seed is projected.
-    A seed of k = 0 is one state per block, broadcast against the block's times.
+    lists <B+ B> over term pairs i <= j), over `_propagate`'s norm squared:
+    first the number moments on its |amp|^2, which is then released, and only
+    then the others on the state's conjugate, flat and zero-padded by the
+    widest shift, with each chi's Kerr table, which spans |delta N| <= 2.  A
+    negative power, one past the cutoff or a wider moment is refused before a
+    seed is projected.  A seed of k = 0 is one state per block, broadcast
+    against the block's times.
     """
     chis = np.ravel(np.broadcast_to(p.chi_bar, p.shape))
     norm_sq = np.empty((chis.size, ts.size))
-    out = {pw: np.empty_like(norm_sq, float if pw[::2] == pw[1::2] else complex) for pw in sorted(set(powers))}
-    for pw in out:
+    powers = sorted(set(powers))
+    numbers = {pw: np.empty_like(norm_sq) for pw in powers if pw[::2] == pw[1::2]}  # read on |amp|^2
+    shifted = {pw: np.empty_like(norm_sq, complex) for pw in powers if pw not in numbers}  # on the conjugate
+    for pw in powers:
+        if min(pw) < 0 or max(pw[0] + pw[1], pw[2] + pw[3]) > cfg.n_max:
+            raise ValueError(f"powers {pw} must be >= 0 and within the cutoff {cfg.n_max}")
         if abs(pw[0] - pw[1] - pw[2] + pw[3]) > 2:
             raise ValueError(f"moment {pw} moves N = n1 - n2 by more than the Kerr table's 2")
     mid = 2 * (cfg.n_max + 1)  # the Kerr table's column m = 0
-    pad = max((abs((pw[0] - pw[1]) * (cfg.n_max + 1) + pw[2] - pw[3]) for pw in out), default=0)
+    pad = max((abs((pw[0] - pw[1]) * (cfg.n_max + 1) + pw[2] - pw[3]) for pw in shifted), default=0)
     m = np.arange(-mid, mid + 1)
     last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
     for block, entries, amp, w, norm in _propagate(p, ts, cfg):
@@ -344,17 +368,18 @@ def _read_out(
             last = (block.start, chis[entries].tolist())
             z = _phases(np.multiply.outer(last[1], -2.0 * m), ts[block]).transpose(0, 2, 1)
         norm_sq[entries, block] = norm
+        w = w.pop()  # the walk holds |amp|^2 no more
+        for pw, values in numbers.items():
+            values[entries, block] = _contract(w, None, pw, z) / norm
+        del w  # released before the conjugate is built
         bra = np.empty(amp.size + 2 * pad, dtype=complex)
         bra[:pad] = bra[pad + amp.size :] = 0.0
         np.conjugate(amp, out=bra[pad : pad + amp.size].reshape(amp.shape))
-        for pw, values in out.items():
-            if values.dtype == float:
-                values[entries, block] = _contract(w, None, pw, z) / norm
-            else:
-                turn = z[..., mid + pw[3] - pw[2]] * _I_POWERS[(pw[3] - pw[2]) % 4]  # carrier, a2 = i b
-                values[entries, block] = turn / norm * _contract(amp, bra, pw, z)
-        del amp, w, bra  # released before the next state is built
-    return out, norm_sq
+        for pw, values in shifted.items():
+            turn = z[..., mid + pw[3] - pw[2]] * _I_POWERS[(pw[3] - pw[2]) % 4]  # carrier, a2 = i b
+            values[entries, block] = turn / norm * _contract(amp, bra, pw, z)
+        del amp, bra  # released before the next state is built
+    return numbers | shifted, norm_sq
 
 
 def moment_sets(

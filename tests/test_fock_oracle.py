@@ -218,10 +218,15 @@ class TestExpect:
         want = 0.3**3 * 0.2  # <a1+ a1^2 a2> on the coherent state
         assert _expect(st, (1, 2, 0, 1)) == pytest.approx(want, abs=1e-12)
 
-    def test_power_bound(self):
-        st = coherent_state(0.0, 0.0, 4)
-        with pytest.raises(ValueError):
-            _expect(st, (3, 2, 0, 0))
+    def test_power_bound(self, monkeypatch):
+        # a power past the cutoff is refused with the request, before any
+        # seed is projected or any block propagated
+        seeds = _count_calls(monkeypatch, fock_oracle, "coherent_state")
+        p, ts = SystemParams(0.5, 0.1, 0.001, 0.001), np.array([0.0, 0.01])
+        for powers in ((3, 3, 0, 0), (3, 2, 0, 0), (0, 0, 2, 3)):
+            with pytest.raises(ValueError, match=r"must be >= 0 and within the cutoff 4$"):
+                fock_oracle._read_out(p, ts, OracleConfig(4), [powers])
+        assert seeds == []
 
     def test_deep_cutoff_moments(self):
         # past n = 170, n! is beyond float range; the ladder factors must not
@@ -429,7 +434,7 @@ class TestSpectrum:
 
     def test_cold_spectrum_holds_one_real_stack(self):
         # the cached spectrum is the real eigenvector stack (plus its
-        # eigenvalues and the grid's slots), and building it peaks at the
+        # eigenvalues and the grid's places), and building it peaks at the
         # chains and eigenvectors together: no complex copy is held or made
         n_max = 64
         size = (n_max + 1) ** 3 * 8
@@ -445,9 +450,10 @@ class TestSpectrum:
 
     def test_grid_sized_arrays_are_held_for_two_cutoffs_at_most(self):
         # every array of a cutoff's grid size or more (the spectrum and the
-        # grid's slots) sits in the one spectrum cache: walking 97 cutoffs
+        # grid's places) sits in the one spectrum cache: walking 97 cutoffs
         # holds the memory of the last two entries, (n_max + 1)^3 eigenvector
-        # and 2 (n_max + 1)^2 eigenvalue and slot words each, not of every
+        # and 2 (n_max + 1)^2 eigenvalue and place words each (a chain row's
+        # places, its grid point for either sign, are two 4 B indices), not of every
         # cutoff visited.  The ladder weights, n_max + 1 entries a row, are
         # held for as many cutoffs
         cutoffs = range(4, 101)
@@ -480,9 +486,9 @@ class TestSpectrum:
         # seed |alpha1, alpha2> at chi = 0: exactly real, and
         # alpha1^(p + q) alpha2^(r + s)
         dim = n_max + 1
-        evals, _, slots = fock_oracle._spectrum(n_max)
+        evals, _, places = fock_oracle._spectrum(n_max)
         identity = np.broadcast_to(np.eye(dim), (dim, dim, dim))
-        monkeypatch.setattr(fock_oracle, "_spectrum", lambda _: (np.zeros_like(evals), identity, slots))
+        monkeypatch.setattr(fock_oracle, "_spectrum", lambda _: (np.zeros_like(evals), identity, places))
         p, ts, cfg = SystemParams(0.0, 0.1, 0.4, 0.3), np.array([0.5]), OracleConfig(n_max)
         seed = coherent_state(0.4, 0.3, n_max) * _quarter_turns(n_max).conj()
         (state,) = [amp for _, _, amp, _, _ in fock_oracle._propagate(p, ts, cfg)]
@@ -494,12 +500,17 @@ class TestSpectrum:
             assert np.all(np.imag(values) == 0.0), pw
             want = 0.4 ** (pw[0] + pw[1]) * 0.3 ** (pw[2] + pw[3])
             assert np.max(np.abs(values - want)) <= 1e-14, pw
-        # every other moment is refused by name before a seed is projected
+        # every other moment is refused by name before a seed is projected,
+        # as is a negative power or one past the cutoff
         seeds = []
         monkeypatch.setattr(fock_oracle, "coherent_state", lambda *args: seeds.append(args))
         for pw in set(_POWERS_TO_3) - set(powers):
             with pytest.raises(ValueError, match="moves N = n1 - n2 by more than the Kerr table's 2"):
                 fock_oracle._read_out(p, ts, cfg, [pw])
+        half = n_max // 2 + 1
+        for pw in ((-1, 0, 0, 0), (0, 1, 0, -1), (half, half, 0, 0), (0, 0, half, half), (1, n_max, 0, n_max)):
+            with pytest.raises(ValueError, match=f"must be >= 0 and within the cutoff {n_max}$"):
+                fock_oracle._read_out(p, ts, cfg, [(1, 1, 0, 0), pw])
         assert seeds == [] and len(powers) < len(_POWERS_TO_3)
 
 
@@ -778,6 +789,23 @@ class TestStream:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_a_block_holds_few_copies_of_its_state(self):
+        # a state unit is one block's state, (n_max + 1)^2 x _BLOCK x 16 B.  A
+        # warm call holds about four at once: the pair phases, the state, and
+        # either one sign's product with its chain amplitudes, or the padded
+        # conjugate with one shifted product, |amp|^2 already dropped
+        n_max = 48
+        unit = (n_max + 1) ** 2 * fock_oracle._BLOCK * 16
+        args = (SystemParams(0.5, 0.1, 0.4, 0.4), np.linspace(0.0, 3.0, 2 * fock_oracle._BLOCK), KIND_CELLS)
+        moment_sets(*args, OracleConfig(n_max))  # the spectrum and weights are cached
+        tracemalloc.start()
+        try:
+            moment_sets(*args, OracleConfig(n_max))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.7 * unit
 
     def test_verification_diagonalizes_each_generator_once(self, monkeypatch):
         shapes = []
