@@ -52,11 +52,11 @@ one real product with the eigenvectors gives the sign's chain amplitudes
 padded rows land in a spare column, never on the grid.
 The scalar Kerr term commutes with the pair term, so one state serves every
 chi of its seed, and a seed of k = 0 (no pair energies) one time per block.
-`_read_out` is the one reader: it contracts each moment of a state once over
-the norm check's sum (`_contract`: number moments on its |amp|^2, which it then
-drops, the others as contiguous products with a shifted window of the flat
-conjugate, and each chi's relative Kerr phase for a moment that moves N) into
-one (P, T) array per call.
+`_read_out` is the one reader: it checks each state's norm drift and tail
+population on its |amp|^2 and contracts each moment once over its sum
+(`_contract`: number moments on that |amp|^2, which it then drops, the others
+as contiguous products with a shifted window of the flat conjugate, and each
+chi's relative Kerr phase for a moment that moves N) into one (P, T) array.
 `moment_sets` (squeezing moments, each kind cell assembled once per call) and
 `motion_constants` (conserved quantities) read every moment through it.
 """
@@ -118,7 +118,7 @@ class OracleConfig:
 
 
 def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
-    """Amplitudes (n1, n2) of the truncated product coherent state |alpha1, alpha2>; not renormalized.
+    """Real amplitudes (n1, n2) of the truncated product coherent state |alpha1, alpha2>; not renormalized.
 
     Its norm deficit 1 - sum|amp|^2 must not exceed _TAU_TRUNC.
     """
@@ -134,7 +134,7 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
             return c
         return np.exp(-0.5 * alpha * alpha + ns * math.log(alpha) - 0.5 * log_fact)
 
-    amp = np.outer(coeffs(alpha1), coeffs(alpha2)).astype(complex)
+    amp = np.outer(coeffs(alpha1), coeffs(alpha2))
     deficit = 1.0 - float(np.sum(np.abs(amp) ** 2))
     if deficit > _TAU_TRUNC:
         raise TruncationTooSevere(
@@ -181,19 +181,17 @@ def _phases(energy: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _propagate(
     p: SystemParams, ts: Iterable[float], cfg: OracleConfig
-) -> Iterator[tuple[slice, list[int], np.ndarray, list[np.ndarray], np.ndarray]]:
-    """Yield (block, entries, pair amplitudes (times, n1, n2), [their |amp|^2], its sum) per k, block and seed.
+) -> Iterator[tuple[slice, list[int], np.ndarray, float]]:
+    """Yield (block, entries, pair amplitudes (times, n1, n2), seed norm) per k, block and seed.
 
     Entries are the flat batch positions of a seed (k, alpha1, alpha2); a
     seed of k = 0 has one time per block, the state of every time.  The
     state is built one sign of N at a time in one workspace, each sign's
     chain amplitudes scattered straight onto its grid points; the amplitudes
-    are a view whose rows, one per time, are contiguous.  |amp|^2 comes in a
-    one-item list that the walk keeps no other reference to, so a reader that
-    pops it can drop it.  The axis and the largest |chi|'s Kerr phase are checked before
-    any seed is projected, a k's pair energies and phase before its first
-    seed, and every state for norm drift and tail population before it is
-    yielded; an empty axis gives empty blocks.
+    are a view whose rows, one per time, are contiguous.  The axis and the
+    largest |chi|'s Kerr phase are checked before any seed is projected, and
+    a k's pair energies and phase before its first seed (the reader checks
+    each state); an empty axis gives empty blocks.
     """
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
@@ -240,25 +238,10 @@ def _propagate(
                 for sign in (0, 1):
                     np.matmul(evecs, np.multiply(phase, c[:, :, sign, None], out=y).view(float), out=x.view(float))
                     amp.T[places[:, sign]] = x.reshape(dim * dim, -1)
-                del y, x, work  # released before the state is checked and read out
+                del y, x, work  # released before the state is read out
                 amp = amp[:, :-1].reshape(-1, dim, dim)
-                w = np.abs(amp) ** 2
-                norm_sq = w.sum(axis=(1, 2))
-                drift = np.abs(np.sqrt(norm_sq) - norm0)
-                bad = drift > _TAU_NORM
-                if bad.any():
-                    raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {_TAU_NORM:.3e}")
-                # weight in the top two shells of either mode, relative to the norm
-                tail = (w[:, -2:, :].sum(axis=(1, 2)) + w[:, :-2, -2:].sum(axis=(1, 2))) / norm_sq
-                bad = tail > _TAU_TAIL
-                if bad.any():
-                    raise TailOverflow(
-                        f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
-                        f"raise n_max for this time span"
-                    )
-                w = [w]  # the walk's only reference: the reader drops |amp|^2 before it builds the conjugate
-                yield block, entries, amp, w, norm_sq
-                del amp, w  # released before the next state is built
+                yield block, entries, amp, norm0
+                del amp  # released before the next state is built
 
 
 # The kind cells and the motion constants read 6 rows (q, p) per cutoff, so
@@ -340,14 +323,16 @@ def _read_out(
 ) -> tuple[dict[tuple[int, int, int, int], np.ndarray], np.ndarray]:
     """<a1+^p a1^q a2+^r a2^s> of each of powers, carrier included, and the norms squared, as (entries, times).
 
-    Each distinct moment is contracted once per state, as asked (so `_SUMS`
-    lists <B+ B> over term pairs i <= j), over `_propagate`'s norm squared:
-    first the number moments on its |amp|^2, which is then released, and only
-    then the others on the state's conjugate, flat and zero-padded by the
-    widest shift, with each chi's Kerr table, which spans |delta N| <= 2.  A
-    negative power, one past the cutoff or a wider moment is refused before a
-    seed is projected.  A seed of k = 0 is one state per block, broadcast
-    against the block's times.
+    A state's |amp|^2 is formed once: its sum is the norm squared, checked
+    for drift and, over the top two shells, for tail population, for every
+    chi of the seed at once.  Each distinct moment is then contracted once
+    per state, as asked (so `_SUMS` lists <B+ B> over term pairs i <= j),
+    over that norm squared: first the number moments on |amp|^2, which is
+    then released, and only then the others on the state's conjugate, flat
+    and zero-padded by the widest shift, with each chi's Kerr table, which
+    spans |delta N| <= 2.  A negative power, one past the cutoff or a wider
+    moment is refused before a seed is projected.  A seed of k = 0 is one
+    state per block, broadcast against the block's times.
     """
     chis = np.ravel(np.broadcast_to(p.chi_bar, p.shape))
     norm_sq = np.empty((chis.size, ts.size))
@@ -363,12 +348,25 @@ def _read_out(
     pad = max((abs((pw[0] - pw[1]) * (cfg.n_max + 1) + pw[2] - pw[3]) for pw in shifted), default=0)
     m = np.arange(-mid, mid + 1)
     last = None  # the (block, chi) of z, the table exp(2i chi t m) laid out (entry, t, m)
-    for block, entries, amp, w, norm in _propagate(p, ts, cfg):
+    for block, entries, amp, norm0 in _propagate(p, ts, cfg):
+        w = np.abs(amp) ** 2
+        norm = w.sum(axis=(1, 2))
+        drift = np.abs(np.sqrt(norm) - norm0)
+        bad = drift > _TAU_NORM
+        if bad.any():
+            raise NormDrift(f"norm drift {drift[bad][0]:.3e} > {_TAU_NORM:.3e}")
+        # weight in the top two shells of either mode, relative to the norm
+        tail = (w[:, -2:, :].sum(axis=(1, 2)) + w[:, :-2, -2:].sum(axis=(1, 2))) / norm
+        bad = tail > _TAU_TAIL
+        if bad.any():
+            raise TailOverflow(
+                f"top-shell population {tail[bad][0]:.3e} > {_TAU_TAIL:.3e}; "
+                f"raise n_max for this time span"
+            )
         if (block.start, chis[entries].tolist()) != last:  # seeds mostly share their chi
             last = (block.start, chis[entries].tolist())
             z = _phases(np.multiply.outer(last[1], -2.0 * m), ts[block]).transpose(0, 2, 1)
         norm_sq[entries, block] = norm
-        w = w.pop()  # the walk holds |amp|^2 no more
         for pw, values in numbers.items():
             values[entries, block] = _contract(w, None, pw, z) / norm
         del w  # released before the conjugate is built

@@ -124,13 +124,10 @@ def _deviations(p, ts, kind, conv, mm, mo) -> dict:
         ),
     }
     if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
-        # factors gave the arbitrated variant's (f, g); the rejected ones are evaluated here
-        dev[Variant.ARBITRATED] = np.maximum(abs(fa - fo), abs(ga - go))
         mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored
         for variant in Variant:
-            if variant is not Variant.ARBITRATED:
-                fv, gv = squeezing_analytic.single_mode_fg(mode1, ts, variant)
-                dev[variant] = np.maximum(abs(fv - fo), abs(gv - go))
+            fv, gv = squeezing_analytic.single_mode_fg(mode1, ts, variant)
+            dev[variant] = np.maximum(abs(fv - fo), abs(gv - go))
     return {name: float(np.max(d)) for name, d in dev.items()}
 
 

@@ -581,6 +581,19 @@ def test_batched_params_are_refused_before_any_work(engine):
                          t_max=1.0, steps=5)
 
 
+def test_unknown_engine_is_refused():
+    with pytest.raises(ValueError, match=r"^engine must be one of \('analytic', 'moments', 'oracle'\)$"):
+        cli.SweepRequest(kind=SqueezeKind.TWO_MODE, engine="bogus", params=SystemParams(0.5, 0.1, 0.4, 0.3),
+                         t_max=1.0, steps=5)
+
+
+def test_unknown_figure_id_writes_nothing(tmp_path):
+    out_dir = tmp_path / "figs"
+    with pytest.raises(ValueError, match="^unknown figure id '9'$"):
+        cli.write_figure("9", out_dir)
+    assert not out_dir.exists()
+
+
 def test_python_dash_m_runs_the_cli():
     # a usage error, so no grid runs; the package is found from this checkout
     src = str(Path(kerrdown.__file__).resolve().parents[1])

@@ -94,7 +94,7 @@ def _evolve(p, ts, cfg):
     kerr = np.exp(-1j * np.multiply.outer(p.chi_bar * n * (n - 1.0), ts))  # (N + n_max, times)
     return np.concatenate([
         _with_kerr(pair, kerr[:, block], np.empty((ts[block].size, *pair.shape[1:]), dtype=complex))
-        for block, _, pair, _, _ in fock_oracle._propagate(p, ts, cfg)
+        for block, _, pair, _ in fock_oracle._propagate(p, ts, cfg)
     ])
 
 
@@ -332,14 +332,14 @@ class TestEvolve:
         # kt = 4 wants hundreds of photons; must refuse, not degrade
         p = SystemParams(0.0, 1.0, 0.0, 0.0)
         with pytest.raises(TailOverflow):
-            _evolve(p, [4.0], OracleConfig(n_max=12))
+            moment_sets(p, [4.0], KIND_CELLS, OracleConfig(n_max=12))
 
     def test_norm_drift_budget_enforced(self, monkeypatch):
         # a non-unitary leak in the spectrum (eigenvectors 1e-8 too long)
         # must trip the default budget; the exact spectrum must not
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
         cfg = OracleConfig(n_max=12)
-        _evolve(p, [1.0], cfg)
+        moment_sets(p, [1.0], KIND_CELLS, cfg)
         spectrum = fock_oracle._spectrum
 
         def leaky(n_max):
@@ -348,7 +348,7 @@ class TestEvolve:
 
         monkeypatch.setattr(fock_oracle, "_spectrum", leaky)
         with pytest.raises(NormDrift):
-            _evolve(p, [1.0], cfg)
+            moment_sets(p, [1.0], KIND_CELLS, cfg)
 
     def test_negative_time_rejected(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
@@ -409,11 +409,10 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n_max", [8, 12])
     @pytest.mark.parametrize("chi, k", [(0.0, 0.1), (0.5, 0.0), (0.25, 0.05), (0.5, 0.1)])
-    def test_sector_evolution_matches_dense_propagator(self, monkeypatch, n_max, chi, k):
+    def test_sector_evolution_matches_dense_propagator(self, n_max, chi, k):
         # independent of the sector split: exp(-iHt) of the dense generator,
-        # diagonalized here; both sides evolve the same truncated generator,
-        # so the tail guard is off
-        monkeypatch.setattr(fock_oracle, "_TAU_TAIL", 1.0)
+        # diagonalized here; both sides evolve the same truncated generator
+        # (the propagation runs no tail check)
         cfg = OracleConfig(n_max=n_max)
         ts = [0.0, 0.4, 1.3, 3.0, 7.5]
         for p in (SystemParams(chi, k, 0.4, 0.3), SystemParams(chi, k, 0.25, 0.4)):
@@ -491,7 +490,7 @@ class TestSpectrum:
         monkeypatch.setattr(fock_oracle, "_spectrum", lambda _: (np.zeros_like(evals), identity, places))
         p, ts, cfg = SystemParams(0.0, 0.1, 0.4, 0.3), np.array([0.5]), OracleConfig(n_max)
         seed = coherent_state(0.4, 0.3, n_max) * _quarter_turns(n_max).conj()
-        (state,) = [amp for _, _, amp, _, _ in fock_oracle._propagate(p, ts, cfg)]
+        (state,) = [amp for _, _, amp, _ in fock_oracle._propagate(p, ts, cfg)]
         assert np.array_equal(state, seed[None])
         # the read-out's Kerr table covers the moments that move N by at most 2
         powers = [pw for pw in _POWERS_TO_3 if abs(pw[0] - pw[1] - pw[2] + pw[3]) <= 2]
@@ -651,7 +650,7 @@ class TestStream:
         ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
         cfg = OracleConfig(n_max=16)
         want = np.full((3, ts.size), np.nan)
-        for block, entries, amp, _, _ in fock_oracle._propagate(p, ts, cfg):
+        for block, entries, amp, _ in fock_oracle._propagate(p, ts, cfg):
             want[entries, block] = np.sum(np.abs(amp) ** 2, axis=(1, 2))
         _, norm_sq = fock_oracle._read_out(p, ts, cfg, [(1, 1, 0, 0), (0, 1, 0, 1)])
         assert np.array_equal(norm_sq, want)
@@ -718,7 +717,7 @@ class TestStream:
         ts = np.linspace(0.0, 3.0, fock_oracle._BLOCK + 13)
         p = SystemParams(0.5, np.array([[0.0], [0.1]]), 0.4, 0.3)
         phases = _count_calls(monkeypatch, fock_oracle, "_phases")
-        states = [(entries, amp.shape[0]) for _, entries, amp, _, _ in fock_oracle._propagate(p, ts, OracleConfig())]
+        states = [(entries, amp.shape[0]) for _, entries, amp, _ in fock_oracle._propagate(p, ts, OracleConfig())]
         assert states == [([0], 1), ([0], 1), ([1], fock_oracle._BLOCK), ([1], 13)]
         dim = OracleConfig().n_max + 1
         assert [t.size for energy, t in phases if energy.shape == (dim, dim)] == [1, 1, fock_oracle._BLOCK, 13]
@@ -763,15 +762,19 @@ class TestStream:
 
     def test_one_reader_walks_and_contracts(self):
         # the squeezing moments and the motion constants read through one
-        # function, the only one that walks `_propagate` or calls `_contract`
-        callers = {}
+        # function, the only one that walks `_propagate`, calls `_contract`
+        # or checks a propagated state for norm drift and tail population
+        callers, raisers = {}, {}
         for node in ast.parse(inspect.getsource(fock_oracle)).body:
             if isinstance(node, ast.FunctionDef):
-                for call in ast.walk(node):
-                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
-                        callers.setdefault(call.func.id, set()).add(node.name)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                        callers.setdefault(sub.func.id, set()).add(node.name)
+                    if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call):
+                        raisers.setdefault(ast.unparse(sub.exc.func), set()).add(node.name)
         (reader,) = callers["_propagate"]
         assert callers["_contract"] == {reader}
+        assert raisers["NormDrift"] == raisers["TailOverflow"] == {reader}
         assert {"moment_sets", "motion_constants"} <= callers[reader]
 
     def test_memory_does_not_grow_with_the_time_axis(self):

@@ -150,6 +150,11 @@ class TestStructure:
                 want = 0.16 * c * c + 2 * 0.4 * 0.2 * c * s + s * s * (0.04 + 1)
                 assert m.mean_bdag_b == pytest.approx(want, abs=1e-14)
 
+    def test_kind_must_be_a_squeeze_kind(self):
+        # the kind's value is not a kind
+        with pytest.raises(ValueError, match="^unknown kind 'single1'$"):
+            moments_for(SystemParams(0.5, 0.1, 0.4, 0.2), 1.3, "single1")
+
     def test_sum_conventions_differ_by_one(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
         a = sum_moments(p, 1.3, DConvention.NUMBER_SUM)

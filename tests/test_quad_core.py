@@ -130,6 +130,14 @@ class TestMomentValidation:
         with pytest.raises(ValueError):
             QuadratureMoments(0.0, 5.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["mean_bdag_b", "mean_d"])
+    def test_imaginary_part_of_a_real_field_rejected(self, field):
+        # refused, not dropped: <B+ B> and d are real by contract
+        values = {"mean_b": 0.0, "mean_b_sq": 0.0, "mean_bdag_b": 0.5, "mean_d": 1.0}
+        values[field] += 1e-3j
+        with pytest.raises(TypeError, match=f"^{field} must be real"):
+            QuadratureMoments(**values)
+
     def test_unphysical_beyond_roundoff_rejected(self):
         # large moments widen the slack only by their own roundoff, eps * 1.5e8
         with pytest.raises(ValueError, match="unphysical"):

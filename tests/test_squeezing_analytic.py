@@ -326,6 +326,11 @@ class TestInvariants:
                 assert a[0] == pytest.approx(b[0], abs=1e-12)
                 assert a[1] == pytest.approx(b[1], abs=1e-12)
 
+    def test_kind_validation(self):
+        # the kind's value is not a kind
+        with pytest.raises(ValueError, match="^unknown kind 'two'$"):
+            factors(SystemParams(0.5, 0.1, 0.4, 0.2), 1.0, "two")
+
     def test_variant_validation(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
         with pytest.raises(ValueError):
