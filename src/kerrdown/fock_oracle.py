@@ -38,18 +38,20 @@ chain |m + N+, m + N-> (m = 0 .. n_max - |N|, N+ = max(N, 0), N- = max(-N, 0)).
 Within a sector the Kerr term is the scalar chi N(N - 1) and the pair term is
 the real symmetric chain k sqrt((m + 1)(m + 1 + |N|)), which depends on
 neither chi nor the sign of N, and k only scales it.  The n_max + 1 chains
-nu = |N| of k = 1, zero-padded to n_max + 1, are diagonalized in one stacked
-`eigh` per n_max: a k's pair energies are k times their eigenvalues on the
-same real eigenvectors, which the sectors +nu and -nu share.  The spectrum
+nu = |N| of k = 1, n_max + 1 - nu states each, are folded in pairs, chain b
+then chain n_max - b in a block of n_max + 2 rows, and the ceil((n_max + 1) / 2)
+blocks are diagonalized in one stacked `eigh` per n_max: a k's pair energies
+are k times their eigenvalues on the same real eigenvectors, which the sectors
++nu and -nu share.  The spectrum
 and the grid's places in the chains are one entry of a cache of `_SPECTRA`
 cutoffs, the only one that holds arrays of a cutoff's grid size.
 `_propagate` groups a batch by seed (k, alpha1, alpha2) once and walks it by
 k, in blocks of `_BLOCK` times with one table of pair phases exp(-i lambda t)
-per chain nu for all seeds of the k.  A state is built one sign of N at a
+per folded block for all seeds of the k.  A state is built one sign of N at a
 time in one workspace: that table times the seed's projection onto the sign,
-one real product with the eigenvectors gives the sign's chain amplitudes
-(nu, m, t), and one scatter lays them onto the sign's grid points as they are;
-padded rows land in a spare column, never on the grid.
+one real product with the eigenvectors gives the chain amplitudes (b, i, t),
+and one scatter lays the sign's rows, one contiguous slice of them, onto its
+grid points; the state is one C-contiguous (t, n1, n2) array.
 The scalar Kerr term commutes with the pair term, so one state serves every
 chi of its seed, and a seed of k = 0 (no pair energies) one time per block.
 `_read_out` is the one reader: it checks each state's norm drift and tail
@@ -83,18 +85,19 @@ __all__ = [
 ]
 
 # Spectra kept warm, one per cutoff and whatever the k.  Callers use one cutoff,
-# or alternate two (the cutoff-doubling check); an entry at cutoff 32 holds 33
-# real 33^2 chain eigenvector matrices (33^3 x 8 B = 0.29 MB), eigenvalues and places.
+# or alternate two (the cutoff-doubling check); an entry at cutoff 32 holds 17
+# real 34^2 eigenvector matrices of folded chain pairs (17 x 34^2 x 8 B = 0.16 MB),
+# eigenvalues and places.
 _SPECTRA = 2
 # Times propagated and read out together, bounding a call's memory whatever the
 # axis: a block's state takes (n_max + 1)^2 x 32 x 16 B = 0.3 MB at cutoff 24,
-# and a call holds about four such at once: the pair phases, the state, and the
-# workspace of a sign's product with its chain amplitudes, or the padded
-# conjugate with a product.
+# and a call holds about four such at once: the pair phases (about half of one),
+# the state, and the workspace of a sign's product with its chain amplitudes
+# (about one), or the padded conjugate with a product.
 _BLOCK = 32
-# Largest cutoff: the stacked spectrum of n_max + 1 real (n_max + 1)^2
-# eigenvector matrices is 257^3 x 8 B = 136 MB at 256; building it peaks at
-# 272 MB, the chain stack and the eigenvectors together.
+# Largest cutoff: the folded spectrum of ceil((n_max + 1) / 2) real (n_max + 2)^2
+# eigenvector matrices is 129 x 258^2 x 8 B = 69 MB at 256; building it peaks at
+# 139 MB, the chain stack and the eigenvectors together.
 _N_MAX_LIMIT = 256
 _TAU_NORM = 1e-10  # allowed drift of the state norm under evolution
 # Allowed population of the top two number shells (relative to the norm);
@@ -129,13 +132,11 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
 
     def coeffs(alpha):
         if alpha == 0.0:
-            c = np.zeros(n_max + 1)
-            c[0] = 1.0
-            return c
+            return (ns == 0) * 1.0  # the vacuum
         return np.exp(-0.5 * alpha * alpha + ns * math.log(alpha) - 0.5 * log_fact)
 
     amp = np.outer(coeffs(alpha1), coeffs(alpha2))
-    deficit = 1.0 - float(np.sum(np.abs(amp) ** 2))
+    deficit = 1.0 - float(np.sum(amp ** 2))
     if deficit > _TAU_TRUNC:
         raise TruncationTooSevere(
             f"norm deficit {deficit:.3e} > {_TAU_TRUNC:.3e} at n_max={n_max}"
@@ -145,28 +146,37 @@ def coherent_state(alpha1: float, alpha2: float, n_max: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_SPECTRA)
 def _spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues (nu, j) of the k = 1 chains nu = 0 .. n_max, which k scales, real eigenvectors (nu, m, j), grid places.
+    """Eigenvalues (b, j) and real eigenvectors (b, i, j) of the k = 1 chains folded in pairs, and the grid places.
 
-    The places (row, sign) hold, for each flat row nu (n_max + 1) + m of the
-    chains' (nu, m) layout and each sign of N = n1 - n2, its flat grid point
-    n1 (n_max + 1) + n2: chain nu = |N|, chain state m = min(n1, n2), sign 0
-    for N >= 0 (the N = 0 sector is its alone), sign 1 for N < 0.  A padded
-    row, and sign 1 of the N = 0 chain, holds (n_max + 1)^2, one past the grid.
+    Chain nu = 0 .. n_max, which k scales, has the n_max + 1 - nu states m.
+    Block b of n_max + 2 rows i holds chain b, then chain n_max - b: their
+    n_max + 1 - b and b + 1 states fill it, uncoupled.  When n_max + 1 is
+    odd the middle chain sits alone in the last block, and its padding rows
+    end the stack.  The flat row b (n_max + 2) + i of state m of chain nu
+    stands for the grid points n1 (n_max + 1) + n2 with N = n1 - n2 = +-nu
+    and m = min(n1, n2).  Chain 0 (N = 0) fills the first n_max + 1 rows, so
+    the rows of N >= 0 are the first H = (n_max + 1)(n_max + 2) / 2 and those
+    of N < 0 the rows n_max + 1 .. H - 1: the places hold the grid points of
+    the former, then of the latter, a permutation of the grid.
     """
     dim = n_max + 1
-    nu, m = np.indices((dim, dim))
-    real = m < dim - nu  # padded rows lie past a chain's last state
-    places = np.stack(  # 4 B indices: a row's two places take one 8 B word
-        [np.where(real, (nu + m) * dim + m, dim * dim), np.where(real & (nu > 0), m * dim + nu + m, dim * dim)],
-        axis=-1,
-    ).reshape(dim * dim, 2).astype(np.int32)
-    nu = np.arange(dim)[:, None]
-    m = np.arange(n_max)
-    off = np.sqrt((m + 1.0) * (m + 1.0 + nu))
-    off[m >= n_max - nu] = 0.0  # beyond the chain's last state: padding
-    chain = np.zeros((dim, dim, dim))
-    chain[:, m, m + 1] = off
-    chain[:, m + 1, m] = off
+    n1, n2 = np.indices((dim, dim))
+    nu = abs(n1 - n2)
+    # chain nu, first in block nu for 2 nu <= n_max, starts at flat row (n_max + 2) nu, or else, after
+    # chain n_max - nu in that block, at (n_max + 2)(n_max - nu) + nu + 1 = (n_max + 1)(n_max + 1 - nu)
+    row = np.where(2 * nu > n_max, dim * (dim - nu), (dim + 1) * nu) + np.minimum(n1, n2)
+    b, i = np.divmod(row, dim + 1)
+    chain = np.zeros(((dim + 1) // 2, dim + 1, dim + 1))
+    # state m couples to m - 1 of its chain by sqrt(m (m + nu)) = sqrt(n1 n2), for either sign of N; a
+    # chain's first state (m = 0) writes its 0 there, in the upper corner for row 0 of a block, which
+    # eigh never reads: it reads the lower triangle only
+    chain[b, i, i - 1] = np.sqrt(n1 * n2)
+    # a grid point's rank is its row for N >= 0, H + row - (n_max + 1) for N < 0; the places list the
+    # grid points by rank in 8 B indices, numpy's own, since any other fancy index is cast at every use.
+    # A scatter, not np.argsort: a process's first sort faults in about 0.3 MB of numpy's sorting code
+    places = np.empty(dim * dim, int)
+    places[row + (n1 < n2) * (n_max * dim // 2)] = n1 * dim + n2
+    del n1, n2, nu, row, b, i  # the grid-sized temporaries go before the eigenvectors are built
     return *np.linalg.eigh(chain), places
 
 
@@ -188,10 +198,10 @@ def _propagate(
     seed of k = 0 has one time per block, the state of every time.  The
     state is built one sign of N at a time in one workspace, each sign's
     chain amplitudes scattered straight onto its grid points; the amplitudes
-    are a view whose rows, one per time, are contiguous.  The axis and the
-    largest |chi|'s Kerr phase are checked before any seed is projected, and
-    a k's pair energies and phase before its first seed (the reader checks
-    each state); an empty axis gives empty blocks.
+    are one C-contiguous array.  The axis and the largest |chi|'s Kerr phase
+    are checked before any seed is projected, and a k's pair energies and
+    phase before its first seed (the reader checks each state); an empty
+    axis gives empty blocks.
     """
     ts = np.fromiter(ts, dtype=float)
     bad = ~(ts >= 0)
@@ -209,38 +219,38 @@ def _propagate(
             f"Kerr phase chi N(N-1) t overflows at t={t_end} (|chi| <= {chi_max:.3e}, n_max={n_max})"
         )
     evals, evecs, places = _spectrum(n_max)
-    places = places.astype(np.intp)  # once per call: numpy casts any other fancy index at every use
+    half = dim * (dim + 1) // 2  # the rows of N >= 0; those of N < 0 are rows dim .. half - 1
+    signs = ((0, places[:half]), (dim, places[half:]))  # each sign's first row and grid places
     for k, seeds in sorted(groups.items()):
         reach = k * float(np.abs(evals).max())  # a float product: an overflow is inf, not a warning
         if not reach < math.inf:
             raise NumericOverflow(f"generator entries overflow at k={k}, n_max={n_max}")
         if not reach * t_end < math.inf:
             raise NumericOverflow(f"pair phase lambda t overflows at t={t_end} (|energy| <= {reach:.3e})")
-        energy = k * evals  # (nu, j), on the k-free eigenvectors
-        projected = []  # (entries, evecs^T psi0 laid out (nu, j, sign), seed norm) per seed
+        energy = k * evals  # (b, j), on the k-free eigenvectors
+        projected = []  # (entries, evecs^T psi0 laid out (b, j, sign), seed norm) per seed
         for alphas, entries in sorted(seeds.items()):
             seed = coherent_state(*alphas, n_max)
-            turned = np.zeros(dim * dim + 1, dtype=complex)  # a place past the grid reads the trailing 0
-            # |alpha1, -i alpha2>: (-i)^n2
-            np.multiply(seed, _I_POWERS[-np.arange(dim) % 4], out=turned[:-1].reshape(dim, dim))
-            # real eigenvectors: one real product over the float view (nu, m, sign and part)
-            c = (evecs.transpose(0, 2, 1) @ turned[places].reshape(dim, dim, 2).view(float)).view(complex)
-            projected.append((entries, c, math.sqrt(np.sum(np.abs(seed) ** 2))))
+            turned = (seed * _I_POWERS[-np.arange(dim) % 4]).ravel()  # |alpha1, -i alpha2>: (-i)^n2
+            rows = np.zeros((evals.size, 2), dtype=complex)  # (row, sign): padding and N < 0 of chain 0 read 0
+            for sign, (lo, at) in enumerate(signs):
+                rows[lo:half, sign] = turned[at]
+            # real eigenvectors: one real product over the float view (b, i, sign and part)
+            c = (evecs.transpose(0, 2, 1) @ rows.reshape(*evals.shape, 2).view(float)).view(complex)
+            projected.append((entries, c, math.sqrt(np.sum(seed ** 2))))
         for block in (slice(lo, lo + _BLOCK) for lo in range(0, max(ts.size, 1), _BLOCK)):
             # without pair energies every time of the block has one state: the read-out broadcasts it
-            phase = _phases(energy, ts[block][: 1 if reach == 0.0 else None])  # (nu, j, t), all seeds
+            phase = _phases(energy, ts[block][: 1 if reach == 0.0 else None])  # (b, j, t), all seeds
             for entries, c, norm0 in projected:
-                # contiguous rows (t, n1 n2), so the read-out's products and matrix products run over
-                # whole rows, and a spare last column for the places past the grid
-                amp = np.empty((phase.shape[-1], dim * dim + 1), dtype=complex)
-                # one workspace per state: a sign's product y, then its chain amplitudes x (nu, m, t)
+                # contiguous rows (t, n1 n2), so the read-out's products and matrix products run over whole rows
+                amp = np.empty((phase.shape[-1], dim * dim), dtype=complex)
+                # one workspace per state: a sign's product y, then its chain amplitudes x (b, i, t)
                 y, x = work = np.empty((2, *phase.shape), dtype=complex)
-                for sign in (0, 1):
+                for sign, (lo, at) in enumerate(signs):
                     np.matmul(evecs, np.multiply(phase, c[:, :, sign, None], out=y).view(float), out=x.view(float))
-                    amp.T[places[:, sign]] = x.reshape(dim * dim, -1)
+                    amp.T[at] = x.reshape(evals.size, -1)[lo:half]
                 del y, x, work  # released before the state is read out
-                amp = amp[:, :-1].reshape(-1, dim, dim)
-                yield block, entries, amp, norm0
+                yield block, entries, amp.reshape(-1, dim, dim), norm0
                 del amp  # released before the next state is built
 
 

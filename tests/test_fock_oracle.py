@@ -407,12 +407,13 @@ class TestEvolve:
         mirrored = _evolve(SystemParams(0.0, 0.1, 0.2, 0.4), ts, cfg)
         assert np.max(np.abs(mirrored - amp.transpose(0, 2, 1))) <= 1e-14
 
-    @pytest.mark.parametrize("n_max", [8, 12])
+    @pytest.mark.parametrize("n_max", [8, 9, 12])
     @pytest.mark.parametrize("chi, k", [(0.0, 0.1), (0.5, 0.0), (0.25, 0.05), (0.5, 0.1)])
     def test_sector_evolution_matches_dense_propagator(self, n_max, chi, k):
         # independent of the sector split: exp(-iHt) of the dense generator,
         # diagonalized here; both sides evolve the same truncated generator
-        # (the propagation runs no tail check)
+        # (the propagation runs no tail check).  An even n_max + 1 folds the
+        # chains with no padding row
         cfg = OracleConfig(n_max=n_max)
         ts = [0.0, 0.4, 1.3, 3.0, 7.5]
         for p in (SystemParams(chi, k, 0.4, 0.3), SystemParams(chi, k, 0.25, 0.4)):
@@ -420,23 +421,57 @@ class TestEvolve:
 
 
 class TestSpectrum:
-    @pytest.mark.parametrize("n_max", [8, 24])
+    @pytest.mark.parametrize("n_max", [8, 24, 25])
     def test_chain_eigenvectors_are_real_and_orthonormal(self, n_max):
         # the sector chains are real symmetric: their eigenvectors stay real,
-        # one float64 (n_max + 1)^2 matrix per chain, orthonormal chain by chain
+        # one float64 (n_max + 2)^2 matrix per pair of chains, ceil((n_max + 1) / 2)
+        # of them, orthonormal block by block
         evals, evecs, _ = fock_oracle._spectrum(n_max)
-        dim = n_max + 1
+        blocks, rows = (n_max + 2) // 2, n_max + 2
         assert evals.dtype == evecs.dtype == np.float64
-        assert evecs.nbytes == dim**3 * 8
+        assert evals.shape == (blocks, rows) and evecs.shape == (blocks, rows, rows)
         overlap = evecs.transpose(0, 2, 1) @ evecs
-        assert np.max(np.abs(overlap - np.eye(dim))) <= 1e-13
+        assert np.max(np.abs(overlap - np.eye(rows))) <= 1e-13
+
+    @pytest.mark.parametrize("n_max", [8, 9, 24, 25])
+    def test_fold_is_a_permutation_of_uncoupled_chains(self, n_max):
+        # block b holds chain b, then chain n_max - b (the middle one once),
+        # so chain 0 fills the first n_max + 1 rows and padding ends the
+        # stack.  The places of the rows of N >= 0, then of N < 0 (chain 0
+        # excluded), cover the grid once, and the spectrum rebuilds each
+        # chain's sqrt((m + 1)(m + 1 + nu)) tridiagonal, with nothing between
+        # the two chains of a block or on a padding row
+        evals, evecs, places = fock_oracle._spectrum(n_max)
+        dim = n_max + 1
+        layout = [
+            (nu, m)
+            for b in range((dim + 1) // 2)
+            for nu in dict.fromkeys((b, n_max - b))
+            for m in range(dim - nu)
+        ]
+        half = len(layout)
+        assert half == dim * (dim + 1) // 2 and evals.size - half == (dim % 2) * (dim + 1) // 2
+        assert np.array_equal(np.sort(places), np.arange(dim * dim))
+        n1, n2 = np.divmod(places, dim)
+        assert np.array_equal(n1[:half] - n2[:half], [nu for nu, _ in layout])
+        assert np.array_equal(n2[:half], [m for _, m in layout])
+        assert np.array_equal(n2[half:] - n1[half:], [nu for nu, _ in layout[dim:]])
+        assert np.array_equal(n1[half:], [m for _, m in layout[dim:]])
+        want = np.zeros(evecs.shape)
+        for row, ((nu, m), after) in enumerate(zip(layout, layout[1:])):
+            if after == (nu, m + 1):
+                b, i = divmod(row, dim + 1)
+                want[b, i, i + 1] = want[b, i + 1, i] = math.sqrt((m + 1) * (m + 1 + nu))
+        assert np.count_nonzero(want) == 2 * sum(n_max - nu for nu in range(dim))
+        rebuilt = evecs * evals[:, None, :] @ evecs.transpose(0, 2, 1)
+        assert np.max(np.abs(rebuilt - want)) <= 1e-13
 
     def test_cold_spectrum_holds_one_real_stack(self):
         # the cached spectrum is the real eigenvector stack (plus its
         # eigenvalues and the grid's places), and building it peaks at the
         # chains and eigenvectors together: no complex copy is held or made
         n_max = 64
-        size = (n_max + 1) ** 3 * 8
+        size = (n_max + 2) // 2 * (n_max + 2) ** 2 * 8
         fock_oracle._spectrum.cache_clear()
         tracemalloc.start()
         try:
@@ -450,11 +485,10 @@ class TestSpectrum:
     def test_grid_sized_arrays_are_held_for_two_cutoffs_at_most(self):
         # every array of a cutoff's grid size or more (the spectrum and the
         # grid's places) sits in the one spectrum cache: walking 97 cutoffs
-        # holds the memory of the last two entries, (n_max + 1)^3 eigenvector
-        # and 2 (n_max + 1)^2 eigenvalue and place words each (a chain row's
-        # places, its grid point for either sign, are two 4 B indices), not of every
-        # cutoff visited.  The ladder weights, n_max + 1 entries a row, are
-        # held for as many cutoffs
+        # holds the memory of the last two entries, ceil((n_max + 1) / 2) folded
+        # blocks of (n_max + 2)^2 eigenvector and n_max + 2 eigenvalue words and
+        # one 8 B place per grid point each, not of every cutoff visited.  The
+        # ladder weights, n_max + 1 entries a row, are held for as many cutoffs
         cutoffs = range(4, 101)
         p = SystemParams(0.5, 0.1, 0.01, 0.01)  # within the tail budget at n_max = 4
         fock_oracle._spectrum.cache_clear()
@@ -466,7 +500,10 @@ class TestSpectrum:
         finally:
             tracemalloc.stop()
         assert fock_oracle._spectrum.cache_info().currsize == fock_oracle._SPECTRA
-        assert held <= 1.05 * sum((n_max + 1) ** 2 * (n_max + 3) * 8 for n_max in cutoffs[-fock_oracle._SPECTRA:])
+        assert held <= 1.05 * sum(
+            (n_max + 2) // 2 * (n_max + 2) * (n_max + 3) * 8 + (n_max + 1) ** 2 * 8
+            for n_max in cutoffs[-fock_oracle._SPECTRA:]
+        )
 
     def test_every_cache_is_bounded(self):
         # a cache keyed by the cutoff grows with every cutoff visited unless it
@@ -484,9 +521,8 @@ class TestSpectrum:
         # read out of it, the frame's times i^(s - r), is that of the real
         # seed |alpha1, alpha2> at chi = 0: exactly real, and
         # alpha1^(p + q) alpha2^(r + s)
-        dim = n_max + 1
-        evals, _, places = fock_oracle._spectrum(n_max)
-        identity = np.broadcast_to(np.eye(dim), (dim, dim, dim))
+        evals, evecs, places = fock_oracle._spectrum(n_max)
+        identity = np.broadcast_to(np.eye(n_max + 2), evecs.shape)
         monkeypatch.setattr(fock_oracle, "_spectrum", lambda _: (np.zeros_like(evals), identity, places))
         p, ts, cfg = SystemParams(0.0, 0.1, 0.4, 0.3), np.array([0.5]), OracleConfig(n_max)
         seed = coherent_state(0.4, 0.3, n_max) * _quarter_turns(n_max).conj()
@@ -719,8 +755,9 @@ class TestStream:
         phases = _count_calls(monkeypatch, fock_oracle, "_phases")
         states = [(entries, amp.shape[0]) for _, entries, amp, _ in fock_oracle._propagate(p, ts, OracleConfig())]
         assert states == [([0], 1), ([0], 1), ([1], fock_oracle._BLOCK), ([1], 13)]
-        dim = OracleConfig().n_max + 1
-        assert [t.size for energy, t in phases if energy.shape == (dim, dim)] == [1, 1, fock_oracle._BLOCK, 13]
+        n_max = OracleConfig().n_max
+        folded = ((n_max + 2) // 2, n_max + 2)  # the (b, j) pair energies
+        assert [t.size for energy, t in phases if energy.shape == folded] == [1, 1, fock_oracle._BLOCK, 13]
 
     def test_large_kerr_phase_matches_the_per_entry_read_out(self):
         # at chi t = 1e4 (neither factor exact) the two read-outs round their
@@ -795,9 +832,10 @@ class TestStream:
 
     def test_a_block_holds_few_copies_of_its_state(self):
         # a state unit is one block's state, (n_max + 1)^2 x _BLOCK x 16 B.  A
-        # warm call holds about four at once: the pair phases, the state, and
-        # either one sign's product with its chain amplitudes, or the padded
-        # conjugate with one shifted product, |amp|^2 already dropped
+        # warm call holds about four at once: the pair phases of the folded
+        # chains (about half a unit), the state, and either one sign's product
+        # with its chain amplitudes (about a unit), or the padded conjugate
+        # with one shifted product, |amp|^2 already dropped
         n_max = 48
         unit = (n_max + 1) ** 2 * fock_oracle._BLOCK * 16
         args = (SystemParams(0.5, 0.1, 0.4, 0.4), np.linspace(0.0, 3.0, 2 * fock_oracle._BLOCK), KIND_CELLS)
@@ -808,7 +846,7 @@ class TestStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.7 * unit
+        assert peak <= 4.2 * unit
 
     def test_verification_diagonalizes_each_generator_once(self, monkeypatch):
         shapes = []
@@ -822,10 +860,10 @@ class TestStream:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         run_verification()
         # one stacked call for the cutoff, whose spectrum every k of the grid,
-        # the probe and the conservation run scale; every block is one chain
-        # |N|, shared by the sectors +N and -N
-        dim = OracleConfig().n_max + 1
-        assert shapes == [(dim, dim, dim)]
+        # the probe and the conservation run scale; every block is a pair of
+        # chains |N|, each shared by the sectors +N and -N
+        n_max = OracleConfig().n_max
+        assert shapes == [((n_max + 2) // 2, n_max + 2, n_max + 2)]
 
     def test_cutoff_doubling_diagonalizes_each_cutoff_once(self, monkeypatch):
         # the cutoff-doubling check alternates two cutoffs over fresh k: the
@@ -836,17 +874,17 @@ class TestStream:
         for k in (0.05, 0.1, 0.2):
             for n_max in (24, 32):
                 moment_sets(SystemParams(0.5, k, 0.4, 0.3), ts, KIND_CELLS, OracleConfig(n_max=n_max))
-        assert [h.shape for (h,) in eighs] == [(25, 25, 25), (33, 33, 33)]
+        assert [h.shape for (h,) in eighs] == [(13, 26, 26), (17, 34, 34)]
 
     def test_verification_builds_one_pair_phase_table_per_k_and_block(self, monkeypatch):
         # the ten seeds of the grid share one table per k and block of times;
-        # the conservation run builds its own.  Pair tables are the (nu, j)
-        # spectra, Kerr tables the (chi, m) rows.  The seeds of k = 0, walked
-        # first, have one state per block: their tables hold one time
+        # the conservation run builds its own.  Pair tables are the folded
+        # (b, j) spectra, Kerr tables the (chi, m) rows.  The seeds of k = 0,
+        # walked first, have one state per block: their tables hold one time
         calls = _count_calls(monkeypatch, fock_oracle, "_phases")
         run_verification()
-        dim = OracleConfig().n_max + 1
-        pair = [t.size for energy, t in calls if energy.shape == (dim, dim)]
+        n_max = OracleConfig().n_max
+        pair = [t.size for energy, t in calls if energy.shape == ((n_max + 2) // 2, n_max + 2)]
         size = fock_oracle._BLOCK
         blocks = [min(size, GRID_STEPS - lo) for lo in range(0, GRID_STEPS, size)]
         assert GRID_KS[0] == 0.0
