@@ -30,7 +30,7 @@ from .moments_engine import DConvention, SqueezeKind, SystemParams
 from .verify import run_verification
 
 _ENGINES = ("analytic", "moments", "oracle")
-# Largest sweep; columns are allocated whole (two-mode, --out: 244 MB RSS analytic, 274 MB moments)
+# Largest sweep; its columns are allocated whole (README *Limits* gives the memory this takes)
 MAX_STEPS = 10**6
 
 # figure id -> kind, quantities, default time range, curve title, and the
@@ -77,6 +77,8 @@ class SweepRequest:
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}")
         self.params.require_one("a sweep")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise TypeError(f"steps must be an integer, got {self.steps!r}")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {self.steps}")
         if not 0 < self.t_max < math.inf:
@@ -182,7 +184,7 @@ def write_figure(fig_id: str, out_dir: Path, t_max: float | None = None,
 
     Each (kind, params) curve set is evaluated once and its f/g/v curves are
     written from the same columns.  A bad t_max or steps raises ValueError
-    before anything is written.
+    (TypeError for a non-integral steps) before anything is written.
     """
     return _write_curve_sets(fig_id, _figure_sets(fig_id, t_max, steps), out_dir)
 

@@ -42,7 +42,11 @@ nu = |N| of k = 1, n_max + 1 - nu states each, are folded in pairs, chain b
 then chain n_max - b in a block of n_max + 2 rows, and the ceil((n_max + 1) / 2)
 blocks are diagonalized in one stacked `eigh` per n_max: a k's pair energies
 are k times their eigenvalues on the same real eigenvectors, which the sectors
-+nu and -nu share.  The spectrum
++nu and -nu share, so every k at a cutoff shares one diagonalization.  No
+matrix larger than (n_max + 2)^2 is diagonalized, and padding rows never
+reach an amplitude.  Where the two chains of a block share an eigenvalue,
+`eigh` may return any basis of that eigenspace; V exp(-i Lambda t) V^T is the
+same in every basis.  The spectrum
 and the grid's places in the chains are one entry of a cache of `_SPECTRA`
 cutoffs, the only one that holds arrays of a cutoff's grid size.
 `_propagate` groups a batch by seed (k, alpha1, alpha2) once and walks it by
@@ -61,6 +65,11 @@ as contiguous products with a shifted window of the flat conjugate, and each
 chi's relative Kerr phase for a moment that moves N) into one (P, T) array.
 `moment_sets` (squeezing moments, each kind cell assembled once per call) and
 `motion_constants` (conserved quantities) read every moment through it.
+
+No dense generator is built here.  The test suite keeps one as the reference
+for the sector amplitudes, the per-entry Kerr-phased read-out as the
+reference for the relative Kerr phases, and explicit sums with factorial
+ladder factors as the reference for `_contract`.
 """
 
 from __future__ import annotations
@@ -416,7 +425,7 @@ def moment_sets(
         mean_n = sum(x if x.dtype == float else 2.0 * x.real for x in n)  # 2 Re of each cross pair i < j
         d = np.full(mean_n.shape, float(len(b)))  # <[B, B+]> of a1, a2 and a1 + a2
         if numbers:
-            d = sum(numbers) if d_convention is DConvention.NUMBER_SUM else sum(numbers) + 1.0
+            d = sum(numbers) if DConvention(d_convention) is DConvention.NUMBER_SUM else sum(numbers) + 1.0
         fields = (sum(b), sum(b_sq), mean_n, d)
         sets.append(QuadratureMoments(*(field.reshape(shape) for field in fields)))
     return sets

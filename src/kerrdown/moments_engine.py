@@ -176,7 +176,7 @@ class SqueezeKind(enum.Enum):
 
 
 class DConvention(enum.Enum):
-    """Normalization of sum squeezing.
+    """Normalization of sum squeezing; `DConvention(value)` converts and validates a string.
 
     NUMBER_SUM ("paper")  -- d = <n1 + n2>, the number-sum reading
     COMMUTATOR            -- d = <[A1 A2, A2+ A1+]> = <n1 + n2> + 1
@@ -279,7 +279,7 @@ def sum_moments(
             + s * s * s * s
         )
         n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
-    d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+    d = n_total if DConvention(d_convention) is DConvention.NUMBER_SUM else n_total + 1.0
     return QuadratureMoments(
         mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_nb, mean_d=d
     )

@@ -203,7 +203,7 @@ def _sum(p: SystemParams, t, d_convention: DConvention):
         b1 = p.alpha1 * c + p.alpha2 * s
         b2 = p.alpha2 * c + p.alpha1 * s
         n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
-        d = n_total if d_convention is DConvention.NUMBER_SUM else n_total + 1.0
+        d = n_total if DConvention(d_convention) is DConvention.NUMBER_SUM else n_total + 1.0
         if np.any(d <= EPS_DEN):
             raise DegenerateDenominator(f"<n1> + <n2> = {np.min(d)} <= {EPS_DEN}")
         var_n = s * s * (b1 * b1 + b2 * b2) + s * s * s * s

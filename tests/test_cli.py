@@ -516,23 +516,6 @@ def test_csv_matches_per_value_format(n_columns, rows, seed, picked):
     assert got == ("# h\n" + _reference_rows(*columns)).split("\n")
 
 
-def test_readme_sweep_is_header_plus_its_columns(capsys):
-    # the README's 5-step example, end to end
-    code, out, _ = _run(capsys, SWEEP_ARGS)
-    assert code == 0
-    result = cli.run_sweep(cli.SweepRequest(
-        kind=SqueezeKind.SINGLE1, engine="analytic",
-        params=SystemParams(0.5, 0.0, 0.4, 0.0), t_max=6.2832, steps=5,
-    ))
-    assert out == (
-        "# engine=analytic, kind=single1, chi=0.5, k=0.0, alpha1=0.4, "
-        "alpha2=0.0, d_convention=paper\n"
-        f"# package=kerrdown {kerrdown.__version__}, numpy={np.__version__}, "
-        "variant=arbitrated, cutoff=24\n"
-        "t,f,g,v\n"
-    ) + _reference_rows(result.t, result.f, result.g, result.v)
-
-
 def test_figure_curve_is_header_plus_its_columns(capsys, tmp_path):
     assert _run(capsys, ["figure", "1", "--out-dir", str(tmp_path)])[0] == 0
     (req, _, _), _ = cli._figure_sets("1", None, cli._FIGURE_STEPS)
@@ -585,6 +568,23 @@ def test_unknown_engine_is_refused():
     with pytest.raises(ValueError, match=r"^engine must be one of \('analytic', 'moments', 'oracle'\)$"):
         cli.SweepRequest(kind=SqueezeKind.TWO_MODE, engine="bogus", params=SystemParams(0.5, 0.1, 0.4, 0.3),
                          t_max=1.0, steps=5)
+
+
+@pytest.mark.parametrize("steps", [2.5, 5.0, "5"])
+def test_non_integral_steps_is_refused(steps):
+    # a float steps would space the axis by t_max / (steps - 1) and run it past t_max
+    with pytest.raises(TypeError, match=r"^steps must be an integer, got "):
+        cli.SweepRequest(kind=SqueezeKind.TWO_MODE, engine="analytic", params=SystemParams(0.5, 0.1, 0.4, 0.3),
+                         t_max=3.0, steps=steps)
+    cli.SweepRequest(kind=SqueezeKind.TWO_MODE, engine="analytic", params=SystemParams(0.5, 0.1, 0.4, 0.3),
+                     t_max=3.0, steps=np.int64(5))
+
+
+def test_non_integral_figure_steps_writes_nothing(tmp_path):
+    out_dir = tmp_path / "figs"
+    with pytest.raises(TypeError, match=r"^steps must be an integer, got 3\.5$"):
+        cli.write_figure("1", out_dir, steps=3.5)
+    assert not out_dir.exists()
 
 
 def test_unknown_figure_id_writes_nothing(tmp_path):

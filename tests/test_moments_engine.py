@@ -18,6 +18,7 @@ from kerrdown import (
     pair_moments,
     sum_moments,
 )
+from kerrdown import fock_oracle, quad_core, squeezing_analytic
 
 
 class TestSystemParams:
@@ -161,6 +162,24 @@ class TestStructure:
         b = sum_moments(p, 1.3, DConvention.COMMUTATOR)
         assert b.mean_d - a.mean_d == pytest.approx(1.0, abs=1e-15)
         assert b.mean_b == a.mean_b
+
+    @pytest.mark.parametrize("route", ["analytic", "moments", "oracle"])
+    def test_sum_convention_is_read_as_a_dconvention(self, route):
+        # a string is the convention of its value on every route: "paper" is the number sum,
+        # not the commutator reading, and any other value is refused
+        p = SystemParams(0.5, 0.1, 0.4, 0.3)
+
+        def sum_f(conv):
+            if route == "analytic":
+                return squeezing_analytic.factors(p, 1.0, SqueezeKind.SUM, conv)[0]
+            if route == "moments":
+                return quad_core.factors(moments_for(p, 1.0, SqueezeKind.SUM, conv))[0]
+            return quad_core.factors(fock_oracle.moment_sets(p, 1.0, [(SqueezeKind.SUM, conv)])[0])[0]
+
+        assert sum_f("paper") == sum_f(DConvention.NUMBER_SUM) == pytest.approx(-0.08310, abs=1e-5)
+        assert sum_f("commutator") == sum_f(DConvention.COMMUTATOR) == pytest.approx(-0.02031, abs=1e-5)
+        with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
+            sum_f("bogus")
 
     def test_sum_kerr_free_magnitudes(self):
         # Kerr phases cancel in every N-commuting product: only the carrier
