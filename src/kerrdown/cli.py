@@ -74,6 +74,7 @@ class SweepRequest:
     cfg: OracleConfig = OracleConfig()
 
     def __post_init__(self):
+        object.__setattr__(self, "d_convention", DConvention(self.d_convention))
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}")
         self.params.require_one("a sweep")

@@ -411,6 +411,7 @@ def moment_sets(
     a float or 1-D t ((P, T) sets).  Every cell is assembled once, over the
     whole call, from the moments it asks for.
     """
+    cells = SqueezeKind.cells(cells)
     shape = p.shape
     if shape and shape[1:] != (1,):
         raise TypeError(f"the Fock oracle takes one parameter set or a (P, 1) batch, not {shape}")
@@ -425,7 +426,7 @@ def moment_sets(
         mean_n = sum(x if x.dtype == float else 2.0 * x.real for x in n)  # 2 Re of each cross pair i < j
         d = np.full(mean_n.shape, float(len(b)))  # <[B, B+]> of a1, a2 and a1 + a2
         if numbers:
-            d = sum(numbers) if DConvention(d_convention) is DConvention.NUMBER_SUM else sum(numbers) + 1.0
+            d = sum(numbers) if d_convention is DConvention.NUMBER_SUM else sum(numbers) + 1.0
         fields = (sum(b), sum(b_sq), mean_n, d)
         sets.append(QuadratureMoments(*(field.reshape(shape) for field in fields)))
     return sets

@@ -73,7 +73,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,6 +90,7 @@ __all__ = [
     "pair_moments",
     "sum_moments",
     "moments_for",
+    "moment_sets",
 ]
 
 
@@ -160,9 +161,9 @@ class SystemParams:
         if self.shape:
             raise TypeError(f"{caller} takes one parameter set, got a batch of shape {self.shape}")
 
-    @property
+    @functools.cached_property
     def mirrored(self) -> SystemParams:
-        """The params with alpha1 and alpha2 swapped: mode 2 is mode 1 of these."""
+        """The params with alpha1 and alpha2 swapped: mode 2 is mode 1 of these; built once per instance."""
         return SystemParams(self.chi_bar, self.k, self.alpha2, self.alpha1)
 
 
@@ -173,6 +174,13 @@ class SqueezeKind(enum.Enum):
     SINGLE2 = "single2"
     TWO_MODE = "two"
     SUM = "sum"
+
+    @staticmethod
+    def cells(cells) -> list[tuple[SqueezeKind, DConvention]]:
+        """The (kind, d_convention) cells, conventions converted; every route reads its cells so first."""
+        if bad := [kind for kind, _ in cells if not isinstance(kind, SqueezeKind)]:
+            raise ValueError(f"unknown kind {bad[0]!r}")
+        return [(kind, DConvention(conv)) for kind, conv in cells]
 
 
 class DConvention(enum.Enum):
@@ -233,10 +241,8 @@ def mode_moments(p: SystemParams, t) -> QuadratureMoments:
     )
 
 
-def pair_moments(p: SystemParams, t) -> QuadratureMoments:
-    """Moments of the mode sum B = A1(t) + A2(t); d = 2."""
-    m1 = mode_moments(p, t)
-    m2 = mode_moments(p.mirrored, t)
+def _pair_moments(p: SystemParams, t, m1: QuadratureMoments, m2: QuadratureMoments) -> QuadratureMoments:
+    """Moments of the mode sum B = A1(t) + A2(t), d = 2, on top of the modes' moment sets m1, m2."""
     c, s = _hyperbolic(p, t)
     a1, a2 = p.alpha1, p.alpha2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,6 +258,11 @@ def pair_moments(p: SystemParams, t) -> QuadratureMoments:
     return QuadratureMoments(
         mean_b=m1.mean_b + m2.mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_n, mean_d=2.0
     )
+
+
+def pair_moments(p: SystemParams, t) -> QuadratureMoments:
+    """Moments of the mode sum B = A1(t) + A2(t); d = 2."""
+    return moment_sets(p, t, [(SqueezeKind.TWO_MODE, DConvention.NUMBER_SUM)])[0]
 
 
 def sum_moments(
@@ -285,17 +296,26 @@ def sum_moments(
     )
 
 
+def moment_sets(p: SystemParams, t, cells) -> list[QuadratureMoments]:
+    """Moment sets of each (kind, d_convention) cell at the time(s) t; each mode's and the sum's formed once."""
+    cells = SqueezeKind.cells(cells)
+    mode = functools.cache(lambda kind: mode_moments(p.mirrored if kind is SqueezeKind.SINGLE2 else p, t))
+    number_sum = functools.cache(lambda: sum_moments(p, t, DConvention.NUMBER_SUM))
+    sets = []
+    for kind, conv in cells:
+        if kind is SqueezeKind.TWO_MODE:
+            sets.append(_pair_moments(p, t, mode(SqueezeKind.SINGLE1), mode(SqueezeKind.SINGLE2)))
+        elif kind is SqueezeKind.SUM:
+            m = number_sum()
+            # the commutator convention's d is <n1 + n2> + 1
+            sets.append(m if conv is DConvention.NUMBER_SUM else replace(m, mean_d=m.mean_d + 1.0))
+        else:
+            sets.append(mode(kind))
+    return sets
+
+
 def moments_for(
-    p: SystemParams,
-    t,
-    kind: SqueezeKind,
-    d_convention: DConvention = DConvention.NUMBER_SUM,
+    p: SystemParams, t, kind: SqueezeKind, d_convention: DConvention = DConvention.NUMBER_SUM
 ) -> QuadratureMoments:
-    """Dispatch to the moment set of the requested squeezing kind at the time(s) t."""
-    if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
-        return mode_moments(p if kind is SqueezeKind.SINGLE1 else p.mirrored, t)
-    if kind is SqueezeKind.TWO_MODE:
-        return pair_moments(p, t)
-    if kind is SqueezeKind.SUM:
-        return sum_moments(p, t, d_convention)
-    raise ValueError(f"unknown kind {kind!r}")
+    """The moment set of the requested squeezing kind at the time(s) t: one cell of `moment_sets`."""
+    return moment_sets(p, t, [(kind, d_convention)])[0]

@@ -31,9 +31,10 @@ have the arbitrated form only.
 
 Principal squeezing: F_phi = (F + G)/2 + (F - G)/2 cos 2phi + H sin 2phi,
 H = 2 Im w / |d| with w as in `quad_core`, and each kind's H is expanded from
-the terms of its F and G.  `factors` gives its minimum over phi,
+the terms of its F and G.  `factor_sets` gives its minimum over phi,
 V = (F + G)/2 - hypot((F - G)/2, H), as min(F, G) - (hypot((F - G)/2, H) -
-|F - G|/2), so V <= F, G holds without slack.
+|F - G|/2), so V <= F, G holds without slack, for several (kind,
+d_convention) cells in one call; `factors` is its one-cell case.
 
 As in `moments_engine`, t is a float or a 1-D numpy array and the params may
 be a batch broadcast against t (the extremum reduction takes a float t and
@@ -44,6 +45,7 @@ carry more roundoff than `quad_core`'s slack, raises NumericOverflow.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 
@@ -80,9 +82,9 @@ def _checked(scale, *values):
     return values
 
 
-def _single_mode(p: SystemParams, t, variant: Variant | str):
-    """(F, G, H, terms' scale, Re<B>, Im<B>, their weight) of mode 1, unchecked; H is arbitrated."""
-    variant = Variant(variant)
+def _single_mode(p: SystemParams, t):
+    """Mode 1's arbitrated (F, G, H, terms' scale, Re<B>, Im<B>, their weight), unchecked, then
+    `variant_fg`, which gives a variant's (terms' scale, F, G) from the same terms."""
     a1, a2 = p.alpha1, p.alpha2
     c, s = _hyperbolic(p, t)
     x = p.chi_bar * t
@@ -92,36 +94,47 @@ def _single_mode(p: SystemParams, t, variant: Variant | str):
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = np.sin(2.0 * x)
         dephase_mid = np.exp(eps1 * s2 * s2)
-        single_dephasing = variant in (Variant.SINGLE_DEPHASING, Variant.UNARBITRATED)
-        e1_weight = eps1 if single_dephasing else 2.0 * eps1
-        dephase_mean = np.exp(e1_weight * np.sin(x) ** 2)
-        sin_theta = variant in (Variant.SIN_THETA, Variant.UNARBITRATED)
-        theta_term = np.sin(theta) if sin_theta else np.cos(theta)
+        sin_x2, sin_theta = np.sin(x) ** 2, np.sin(theta)
+        dephase_mean = np.exp(2.0 * eps1 * sin_x2)
 
         head = 2.0 * (a1 * a1 * c * c + 2.0 * a1 * a2 * s * c + s * s * (a2 * a2 + 1.0))
-        mid = 2.0 * dephase_mid * (
-            a1 * a1 * c * c * np.cos(2.0 * x + eps2_s4)
-            + a2 * a2 * s * s * theta_term
-            + 2.0 * a1 * a2 * c * s * np.cos(2.0 * x - eps2_s4)
-        )
+        # the middle block's terms; the variants differ only in the alpha2^2 S^2 one's factor
+        near, far = a1 * a1 * c * c * np.cos(2.0 * x + eps2_s4), a2 * a2 * s * s
+        cross = 2.0 * a1 * a2 * c * s * np.cos(2.0 * x - eps2_s4)
         mid_h = 2.0 * dephase_mid * (
             -a1 * a1 * c * c * np.sin(2.0 * x + eps2_s4)
-            + a2 * a2 * s * s * np.sin(theta)
+            + far * sin_theta
             + 2.0 * a1 * a2 * c * s * np.sin(2.0 * x - eps2_s4)
         )
         re_b = a1 * c * np.cos(eps2 * s2) + a2 * s * np.cos(2.0 * x - eps2 * s2)
         im_b = a1 * c * np.sin(eps2 * s2) - a2 * s * np.sin(2.0 * x - eps2 * s2)
-        f = head + mid - 4.0 * re_b * re_b * dephase_mean
-        g = head - mid - 4.0 * im_b * im_b * dephase_mean
         h = mid_h + 4.0 * re_b * im_b * dephase_mean
-        scale = head + abs(mid) + abs(mid_h) + 4.0 * (re_b * re_b + im_b * im_b) * dephase_mean
-    return f, g, h, scale, re_b, im_b, dephase_mean
+        mean_sq = 4.0 * (re_b * re_b + im_b * im_b)
+    single_weight = functools.cache(lambda: np.exp(eps1 * sin_x2))
+
+    def variant_fg(variant: Variant):
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = dephase_mean if variant in (Variant.ARBITRATED, Variant.SIN_THETA) else single_weight()
+            theta_term = np.cos(theta) if variant in (Variant.ARBITRATED, Variant.SINGLE_DEPHASING) else sin_theta
+            mid = 2.0 * dephase_mid * (near + far * theta_term + cross)
+            scale = head + abs(mid) + abs(mid_h) + mean_sq * weight
+            return scale, head + mid - 4.0 * re_b * re_b * weight, head - mid - 4.0 * im_b * im_b * weight
+
+    scale, f, g = variant_fg(Variant.ARBITRATED)
+    return f, g, h, scale, re_b, im_b, dephase_mean, variant_fg
+
+
+def single_mode_variants(p: SystemParams, t, variants=tuple(Variant)) -> dict:
+    """{variant: (F, G)} of mode 1, d = 1, from one evaluation of its terms; mode 2: of `p.mirrored`."""
+    variants = [Variant(v) for v in variants]
+    f, g, _, scale, *_, variant_fg = _single_mode(p, t)
+    return {v: _checked(scale, f, g) if v is Variant.ARBITRATED else _checked(*variant_fg(v))
+            for v in variants}
 
 
 def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRATED):
-    """Single-mode factors (F, G) of mode 1, d = 1; mode 2: of `p.mirrored` (eps2 flips)."""
-    f, g, _, scale, *_ = _single_mode(p, t, variant)
-    return _checked(scale, f, g)
+    """Single-mode factors (F, G) of one variant, as `single_mode_variants` gives them."""
+    return single_mode_variants(p, t, [variant])[Variant(variant)]
 
 
 def single_mode_extremum(
@@ -158,16 +171,16 @@ def single_mode_extremum(
     return f, g
 
 
-def _two_mode(p: SystemParams, t):
-    """(F, G, H, scale) of B = A1 + A2 before the checks; d = 2.
+def _two_mode(p: SystemParams, t, mode1, mode2):
+    """(F, G, H, scale) of B = A1 + A2 before the checks, from `_single_mode` of p and p.mirrored; d = 2.
 
     Head terms and both mean-field blocks come from the single-mode forms; on
     top come the pair-coherence term ~ cos(2 chi t) (sin in H), the exchange
     block exp(eps1 sin^2 2 chi t) (not in H) and the mean-field product, each
     no larger than the single-mode terms, so both modes' scales bound them.
     """
-    f1, g1, h1, scale1, re1, im1, mean_weight = _single_mode(p, t, Variant.ARBITRATED)
-    f2, g2, h2, scale2, re2, im2, _ = _single_mode(p.mirrored, t, Variant.ARBITRATED)
+    f1, g1, h1, scale1, re1, im1, mean_weight, _ = mode1
+    f2, g2, h2, scale2, re2, im2, _, _ = mode2
     c, s = _hyperbolic(p, t)
     a1, a2 = p.alpha1, p.alpha2
     eps1, eps2 = -2.0 * (a1**2 + a2**2), a1**2 - a2**2
@@ -190,8 +203,8 @@ def _two_mode(p: SystemParams, t):
     return f, g, h, scale1 + scale2
 
 
-def _sum(p: SystemParams, t, d_convention: DConvention):
-    """(F, G, H, scale) of B = A1 A2 before the checks, in variance form.
+def _sum(p: SystemParams, t):
+    """(F, G, H, scale) of B = A1 A2 times d, then <n1> + <n2>; d divides them after the checks.
 
     The mean field cancels: var_n = <B+ B> - |<B>|^2 = S^2 (beta1^2 + beta2^2) + S^4
     and var_w = |<B^2> - <B>^2| = 2 beta1 beta2 C S + C^2 S^2 give F, G =
@@ -202,38 +215,39 @@ def _sum(p: SystemParams, t, d_convention: DConvention):
     with np.errstate(over="ignore", invalid="ignore"):
         b1 = p.alpha1 * c + p.alpha2 * s
         b2 = p.alpha2 * c + p.alpha1 * s
-        n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
-        d = n_total if DConvention(d_convention) is DConvention.NUMBER_SUM else n_total + 1.0
-        if np.any(d <= EPS_DEN):
-            raise DegenerateDenominator(f"<n1> + <n2> = {np.min(d)} <= {EPS_DEN}")
         var_n = s * s * (b1 * b1 + b2 * b2) + s * s * s * s
         var_w = 2.0 * b1 * b2 * c * s + c * c * s * s
         x4 = 4.0 * p.chi_bar * t
         osc = 2.0 * var_w * np.cos(x4)
-        f = (2.0 * var_n + osc) / d
-        g = (2.0 * var_n - osc) / d
-        h = 2.0 * var_w * np.sin(x4) / d
-        scale = 2.0 * (var_n + var_w) / d
-    return f, g, h, scale
+        terms = (2.0 * var_n + osc, 2.0 * var_n - osc, 2.0 * var_w * np.sin(x4), 2.0 * (var_n + var_w))
+        return *terms, b1 * b1 + b2 * b2 + 2.0 * s * s
 
 
-def factors(
-    p: SystemParams,
-    t,
-    kind: SqueezeKind,
-    d_convention: DConvention = DConvention.NUMBER_SUM,
-):
-    """(F, G, V) of the requested kind along this module's closed-form route."""
-    if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
-        mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored
-        f, g, h, scale, *_ = _single_mode(mode1, t, Variant.ARBITRATED)
-    elif kind is SqueezeKind.TWO_MODE:
-        f, g, h, scale = _two_mode(p, t)
-    elif kind is SqueezeKind.SUM:
-        f, g, h, scale = _sum(p, t, d_convention)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        half_gap = 0.5 * abs(f - g)
-        v = np.minimum(f, g) - (np.hypot(half_gap, h) - half_gap)
-    return _checked(scale, f, g, v)
+def factor_sets(p: SystemParams, t, cells) -> list[tuple]:
+    """(F, G, V) of each (kind, d_convention) cell along this module's closed-form route; mode 1's
+    terms of p and of `p.mirrored` and the sum's are evaluated at most once each, for every cell."""
+    cells = SqueezeKind.cells(cells)
+    mode = functools.cache(lambda kind: _single_mode(p.mirrored if kind is SqueezeKind.SINGLE2 else p, t))
+    sum_terms = functools.cache(lambda: _sum(p, t))
+    sets = []
+    for kind, conv in cells:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind is SqueezeKind.TWO_MODE:
+                f, g, h, scale = _two_mode(p, t, mode(SqueezeKind.SINGLE1), mode(SqueezeKind.SINGLE2))
+            elif kind is SqueezeKind.SUM:
+                *terms, n_total = sum_terms()
+                d = n_total if conv is DConvention.NUMBER_SUM else n_total + 1.0
+                if np.any(d <= EPS_DEN):
+                    raise DegenerateDenominator(f"<n1> + <n2> = {np.min(d)} <= {EPS_DEN}")
+                f, g, h, scale = (x / d for x in terms)
+            else:
+                f, g, h, scale, *_ = mode(kind)
+            half_gap = 0.5 * abs(f - g)
+            v = np.minimum(f, g) - (np.hypot(half_gap, h) - half_gap)
+        sets.append(_checked(scale, f, g, v))
+    return sets
+
+
+def factors(p: SystemParams, t, kind: SqueezeKind, d_convention: DConvention = DConvention.NUMBER_SUM):
+    """(F, G, V) of the requested kind along this module's closed-form route: one cell of `factor_sets`."""
+    return factor_sets(p, t, [(kind, d_convention)])[0]

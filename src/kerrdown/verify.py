@@ -4,9 +4,11 @@ Drives three independent routes to the squeezing factors over a parameter grid
 (couplings x seeds x 50 times), checks them against each other, runs the
 formula-variant arbitration, and checks the oracle's conservation laws.  All
 three routes take the grid as one column batch of `SystemParams` (P, 1)
-against the 1-D time axis, and give (P, T) values: one oracle call for all
-kind cells, one closed-form call per kind cell.  The CLI `verify` subcommand
-renders the resulting report; the acceptance tests call the same functions.
+against the 1-D time axis, and give (P, T) values; each route takes the kind
+cells together and forms the terms they share once per call, and a cell with
+a degenerate point is masked and takes one call of its own.  The CLI `verify`
+subcommand renders the resulting report; the acceptance tests call the same
+functions.
 """
 
 from __future__ import annotations
@@ -105,15 +107,13 @@ KIND_CELLS = (
 )
 
 
-def _deviations(p, ts, kind, conv, mm, mo) -> dict:
-    """Largest deviation of each check over the points (p, ts) of one kind cell.
+def _deviations(analytic, moments, oracle, variants) -> dict:
+    """Largest deviation of each check over the points of one kind cell.
 
-    p is one parameter set or a batch matching ts; mm and mo hold the moments
-    route's and the oracle's moment sets at those points.
+    analytic, moments and oracle are each route's (F, G, V) there, and variants
+    the (F, G) of each single-mode variant, empty for the other kinds.
     """
-    fm, gm, vm = quad_core.factors(mm)
-    fa, ga, va = squeezing_analytic.factors(p, ts, kind, conv)
-    fo, go, vo = quad_core.factors(mo)
+    (fa, ga, va), (fm, gm, vm), (fo, go, vo) = analytic, moments, oracle
     dev = {
         "analytic-moments": np.maximum.reduce([abs(fa - fm), abs(ga - gm), abs(va - vm)]),
         "analytic-oracle": np.maximum.reduce([abs(fa - fo), abs(ga - go), abs(va - vo)]),
@@ -123,11 +123,8 @@ def _deviations(p, ts, kind, conv, mm, mo) -> dict:
             [vm - np.minimum(fm, gm), vo - np.minimum(fo, go), va - np.minimum(fa, ga)]
         ),
     }
-    if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
-        mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored
-        for variant in Variant:
-            fv, gv = squeezing_analytic.single_mode_fg(mode1, ts, variant)
-            dev[variant] = np.maximum(abs(fv - fo), abs(gv - go))
+    for variant, (fv, gv) in variants.items():
+        dev[variant] = np.maximum(abs(fv - fo), abs(gv - go))
     return {name: float(np.max(d)) for name, d in dev.items()}
 
 
@@ -139,28 +136,35 @@ def run_verification(cfg: OracleConfig = OracleConfig()) -> VerificationReport:
     grid = SystemParams(*columns)  # one column batch (P, 1), broadcast against ts to (P, T)
     # one pair evolution per (k, alpha1, alpha2); every kind cell reads its moments from it
     oracle = fock_oracle.moment_sets(grid, ts, KIND_CELLS, cfg)
+    moments = moments_engine.moment_sets(grid, ts, KIND_CELLS)
+    # compare each cell on the points where every route is defined
+    d_abs = [np.minimum(abs(mm.mean_d), abs(mo.mean_d)) for mm, mo in zip(moments, oracle)]
+    whole = [cell for cell, d in zip(KIND_CELLS, d_abs) if np.all(d > quad_core.EPS_DEN)]
+    analytic = dict(zip(whole, squeezing_analytic.factor_sets(grid, ts, whole)))
+    variants = {kind: squeezing_analytic.single_mode_variants(mode1, ts)
+                for kind, mode1 in ((SqueezeKind.SINGLE1, grid), (SqueezeKind.SINGLE2, grid.mirrored))}
     skipped = []
     worst = defaultdict(float)  # largest deviation of each check over the grid
-    for (kind, conv), mo in zip(KIND_CELLS, oracle):
-        mm = moments_engine.moments_for(grid, ts, kind, conv)
-        # compare the cell on the points where every route is defined
-        d_abs = np.minimum(abs(mm.mean_d), abs(mo.mean_d))
-        keep = d_abs > quad_core.EPS_DEN
-        # one line per degenerate (params, kind cell); only the sum's number-sum
-        # cell has a d that can vanish, so they come out in params order
-        skipped += [
-            f"kind={kind.value} d={conv.value} chi={p.chi_bar} k={p.k} "
-            f"alpha=({p.alpha1},{p.alpha2}): DegenerateDenominator: "
-            f"|<D>| = {d[~ok][0]} <= {quad_core.EPS_DEN}; squeezing factor undefined"
-            for p, d, ok in zip(params, d_abs, keep)
-            if not ok.all()
-        ]
-        *kept, kept_ts = (x[keep] for x in np.broadcast_arrays(*columns, ts))
-        mm, mo = (
-            quad_core.QuadratureMoments(*(getattr(m, f.name)[keep] for f in fields(m)))
-            for m in (mm, mo)
-        )
-        for name, value in _deviations(SystemParams(*kept), kept_ts, kind, conv, mm, mo).items():
+    for (kind, conv), mm, mo, d in zip(KIND_CELLS, moments, oracle, d_abs):
+        fa, fv, keep = analytic.get((kind, conv)), variants.get(kind, {}), d > quad_core.EPS_DEN
+        if fa is None:
+            # one line per degenerate (params, kind cell); only the sum's number-sum cell
+            # has a d that can vanish (a single-mode cell's is 1, so its variants stay
+            # whole), so they come out in params order
+            skipped += [
+                f"kind={kind.value} d={conv.value} chi={p.chi_bar} k={p.k} "
+                f"alpha=({p.alpha1},{p.alpha2}): DegenerateDenominator: "
+                f"|<D>| = {row[~ok][0]} <= {quad_core.EPS_DEN}; squeezing factor undefined"
+                for p, row, ok in zip(params, d, keep)
+                if not ok.all()
+            ]
+            *kept, kept_ts = (x[keep] for x in np.broadcast_arrays(*columns, ts))
+            fa = squeezing_analytic.factors(SystemParams(*kept), kept_ts, kind, conv)
+            mm, mo = (
+                quad_core.QuadratureMoments(*(getattr(m, f.name)[keep] for f in fields(m)))
+                for m in (mm, mo)
+            )
+        for name, value in _deviations(fa, quad_core.factors(mm), quad_core.factors(mo), fv).items():
             worst[name] = max(worst[name], value)
 
     checks = [

@@ -93,6 +93,7 @@ def test_two_mode_factors():
 
 def test_mirrored_batch():
     mirrored = BATCH.mirrored
+    assert mirrored is BATCH.mirrored  # built and validated once
     assert np.array_equal(mirrored.alpha1, BATCH.alpha2)
     assert np.array_equal(mirrored.alpha2, BATCH.alpha1)
     assert np.array_equal(mirrored.chi_bar, BATCH.chi_bar)
@@ -164,24 +165,70 @@ def test_batched_verification_equals_the_per_parameter_reference():
 
 
 def test_verification_calls_the_closed_forms_once_per_kind_cell(monkeypatch):
-    calls = defaultdict(list)  # function name -> the params shape of each call
+    # each route takes every kind cell in one call and forms the terms they share once
+    calls = defaultdict(list)  # function -> (params shape, times shape) of each call
     for module, name in (
-        (moments_engine, "moments_for"),
-        (squeezing_analytic, "factors"),
-        (squeezing_analytic, "single_mode_fg"),
         (fock_oracle, "moment_sets"),
+        (moments_engine, "moment_sets"),
+        (moments_engine, "mode_moments"),
+        (moments_engine, "sum_moments"),
+        (squeezing_analytic, "factor_sets"),
+        (squeezing_analytic, "_single_mode"),
+        (squeezing_analytic, "_sum"),
     ):
-        def spy(p, *args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls[_name].append(p.shape)
-            return _fn(p, *args, **kwargs)
+        def spy(p, t, *args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}", **kwargs):
+            calls[_name].append((p.shape, np.shape(t)))
+            return _fn(p, t, *args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
+    built = []
+    post_init = SystemParams.__post_init__
+    monkeypatch.setattr(SystemParams, "__post_init__", lambda self: built.append(post_init(self)))
     verify.run_verification()
-    assert len(calls["moments_for"]) == len(calls["factors"]) == len(KIND_CELLS)
-    for name in ("moments_for", "factors", "single_mode_fg"):
-        assert all(shape for shape in calls[name]), name  # never one parameter set
-    # the oracle evolves the whole grid in one call, as a column batch
-    assert calls["moment_sets"] == [(len(PARAMS), 1)]
+    grid = ((len(PARAMS), 1), TS.shape)  # the whole grid as one column batch
+    assert calls["kerrdown.fock_oracle.moment_sets"] == [grid]
+    assert calls["kerrdown.moments_engine.moment_sets"] == [grid]
+    # the whole grid for the cells every route defines there, then sum/paper's kept points
+    point_sets = calls["kerrdown.squeezing_analytic.factor_sets"]
+    assert point_sets[0] == grid and len(set(point_sets)) == len(point_sets) == 2
+    # mode 1 of p and of p.mirrored, once for the kind cells and once for the variants
+    assert len(calls["kerrdown.squeezing_analytic._single_mode"]) <= 4
+    assert len(calls["kerrdown.moments_engine.mode_moments"]) == 2
+    assert len(calls["kerrdown.moments_engine.sum_moments"]) == 1
+    assert len(calls["kerrdown.squeezing_analytic._sum"]) == len(point_sets)  # once per call
+    # the grid's entries, the probe, the grid, its mirror, sum/paper's kept points, conservation
+    assert len(built) <= len(PARAMS) + 4
+
+
+def test_factor_sets():
+    # the cells of one call share their terms and give the bits of one cell at a time
+    whole = [cell for cell in KIND_CELLS if cell != (SqueezeKind.SUM, DConvention.NUMBER_SUM)]
+    for cell, fgv in zip(whole, squeezing_analytic.factor_sets(BATCH, TS, whole)):
+        for column, ref in zip(fgv, factors(BATCH, TS, *cell)):
+            assert np.array_equal(column, ref)
+    keep = np.broadcast_to(TS > 0.0, SHAPE)  # off the probe's degenerate t = 0, every cell
+    kept = SystemParams(*(np.broadcast_to(getattr(BATCH, f.name), SHAPE)[keep] for f in fields(BATCH)))
+    kept_ts = np.broadcast_to(TS, SHAPE)[keep]
+    for cell, fgv in zip(KIND_CELLS, squeezing_analytic.factor_sets(kept, kept_ts, KIND_CELLS)):
+        for column, ref in zip(fgv, factors(kept, kept_ts, *cell)):
+            assert np.array_equal(column, ref)
+
+
+def test_moments_engine_moment_sets():
+    for m, cell in zip(moments_engine.moment_sets(BATCH, TS, KIND_CELLS), KIND_CELLS):
+        ref = moments_for(BATCH, TS, *cell)
+        assert m.mean_b.shape == SHAPE
+        for f in fields(m):
+            assert np.array_equal(getattr(m, f.name), getattr(ref, f.name))
+
+
+def test_single_mode_variants():
+    for mode1 in (BATCH, BATCH.mirrored):
+        variants = squeezing_analytic.single_mode_variants(mode1, TS)
+        assert list(variants) == list(Variant)
+        for variant in Variant:
+            for column, ref in zip(variants[variant], single_mode_fg(mode1, TS, variant)):
+                assert np.array_equal(column, ref)
 
 
 # -- validation --------------------------------------------------------------

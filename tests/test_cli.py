@@ -570,6 +570,17 @@ def test_unknown_engine_is_refused():
                          t_max=1.0, steps=5)
 
 
+def test_sweep_request_reads_its_convention_as_a_dconvention():
+    # the value of a convention is that convention, as on every route; any other value is refused
+    params = SystemParams(0.5, 0.1, 0.4, 0.3)
+    req = cli.SweepRequest(SqueezeKind.SUM, "analytic", params, 1.0, 3, d_convention="paper")
+    assert req.d_convention is DConvention.NUMBER_SUM
+    want = cli.run_sweep(cli.SweepRequest(SqueezeKind.SUM, "analytic", params, 1.0, 3)).to_csv()
+    assert cli.run_sweep(req).to_csv() == want
+    with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
+        cli.SweepRequest(SqueezeKind.SUM, "analytic", params, 1.0, 3, d_convention="bogus")
+
+
 @pytest.mark.parametrize("steps", [2.5, 5.0, "5"])
 def test_non_integral_steps_is_refused(steps):
     # a float steps would space the axis by t_max / (steps - 1) and run it past t_max

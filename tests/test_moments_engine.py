@@ -18,7 +18,7 @@ from kerrdown import (
     pair_moments,
     sum_moments,
 )
-from kerrdown import fock_oracle, quad_core, squeezing_analytic
+from kerrdown import fock_oracle, moments_engine, quad_core, squeezing_analytic
 
 
 class TestSystemParams:
@@ -180,6 +180,42 @@ class TestStructure:
         assert sum_f("commutator") == sum_f(DConvention.COMMUTATOR) == pytest.approx(-0.02031, abs=1e-5)
         with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
             sum_f("bogus")
+
+    @pytest.mark.parametrize("route", ["analytic", "moments", "oracle"])
+    def test_a_bad_convention_is_refused_before_any_work(self, monkeypatch, route):
+        # every cell's convention is read before the first term is formed, whatever its kind
+        # and wherever it stands; the closed forms start at their (p, t) gate, the oracle at its seed
+        started = []
+        for module, name in (
+            (squeezing_analytic, "_hyperbolic"), (moments_engine, "_hyperbolic"), (fock_oracle, "coherent_state"),
+        ):
+            def record(*args, _fn=getattr(module, name)):
+                started.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, record)
+        cell_sets = {
+            "analytic": squeezing_analytic.factor_sets,
+            "moments": moments_engine.moment_sets,
+            "oracle": fock_oracle.moment_sets,
+        }[route]
+        p, paper = SystemParams(0.5, 0.1, 0.4, 0.3), DConvention.NUMBER_SUM
+        for cells in ([(SqueezeKind.SINGLE1, "bogus")], [(SqueezeKind.SUM, "bogus")],
+                      [(SqueezeKind.TWO_MODE, paper), (SqueezeKind.SUM, "bogus")]):
+            with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
+                cell_sets(p, 0.5, cells)
+        with pytest.raises(ValueError, match="^unknown kind 'sum'$"):
+            cell_sets(p, 0.5, [(SqueezeKind.SINGLE1, paper), ("sum", paper)])
+        assert started == []
+        cell_sets(p, 0.5, [(SqueezeKind.SUM, "paper")])
+        assert started  # the recorders see the work that does start
+
+    def test_one_cell_entry_points_read_the_convention_of_every_kind(self):
+        p = SystemParams(0.5, 0.1, 0.4, 0.3)
+        with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
+            moments_for(p, 0.5, SqueezeKind.SINGLE1, "bogus")
+        with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
+            squeezing_analytic.factors(p, 0.5, SqueezeKind.SINGLE1, "bogus")
 
     def test_sum_kerr_free_magnitudes(self):
         # Kerr phases cancel in every N-commuting product: only the carrier

@@ -73,7 +73,13 @@ def _kerr_n_plus_one(orig):
 
 
 def _any_variant(orig):
-    return lambda p, t, variant: orig(p, t, Variant.ARBITRATED)
+    """Every rejected single-mode variant evaluated as the arbitrated form."""
+
+    def single_mode(p, t):
+        *out, variant_fg = orig(p, t)
+        return (*out, lambda variant: variant_fg(Variant.ARBITRATED))
+
+    return single_mode
 
 
 MOMENTS = "analytic vs moments route"
@@ -85,7 +91,7 @@ VARIANT_FLOORS = tuple(
 MUTATIONS = [
     (moments_engine, "sum_moments", _field("mean_bdag_b"), (MOMENTS,)),
     (moments_engine, "mode_moments", _field("mean_b_sq"), (MOMENTS,)),
-    (moments_engine, "pair_moments", _field("mean_bdag_b"), (MOMENTS,)),
+    (moments_engine, "_pair_moments", _field("mean_bdag_b"), (MOMENTS,)),
     (squeezing_analytic, "_single_mode", _first, ("single-mode arbitrated variant vs oracle",)),
     (squeezing_analytic, "_two_mode", _first, (ORACLE,)),
     (squeezing_analytic, "_sum", _first, (ORACLE,)),
@@ -112,6 +118,10 @@ MUTATIONS = [
      (MOMENTS, ORACLE, "principal envelope v - min(f,g)")),
     # the frame of the real chains conjugated, b = +i a2 for -i a2: the pair term's sign flips (appended too)
     (fock_oracle, "_I_POWERS", lambda powers: powers.conj(), (ORACLE, "moments route vs oracle")),
+    # the analytic V of the cells verify takes on the whole grid in one call (appended too); the
+    # "factors" row above reaches only the sum/paper cell, masked to its kept points
+    (squeezing_analytic, "factor_sets", _output(lambda sets: [(f, g, v + 1e-3) for f, g, v in sets]),
+     (MOMENTS, ORACLE, "principal envelope v - min(f,g)")),
 ]
 
 
