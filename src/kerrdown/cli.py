@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 verification/physics failure or unwritable output,
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass
@@ -195,6 +194,8 @@ def write_figure(fig_id: str, out_dir: Path, t_max: float | None = None,
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only `main` parses; the programmatic entry points import without it
+
     parser = argparse.ArgumentParser(
         prog="kerrdown",
         description="Quadrature squeezing of the Kerr-down-conversion system",

@@ -32,7 +32,6 @@ from any number of concurrent workers.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -119,7 +118,7 @@ def _variances(m: QuadratureMoments):
 
 
 def _rotated(u, w, d_abs, phi: float):
-    return (u + 2.0 * (w * cmath.exp(-2j * phi)).real) / d_abs
+    return (u + 2.0 * (w * complex(math.cos(-2.0 * phi), math.sin(-2.0 * phi))).real) / d_abs
 
 
 def factor_phase(m: QuadratureMoments, phi: float):

@@ -605,12 +605,31 @@ def test_unknown_figure_id_writes_nothing(tmp_path):
     assert not out_dir.exists()
 
 
-def test_python_dash_m_runs_the_cli():
-    # a usage error, so no grid runs; the package is found from this checkout
+def _python(*args):
+    """Run a fresh interpreter that finds the package in this checkout."""
     src = str(Path(kerrdown.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "kerrdown", "verify", "--cutoff", "3"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    # a usage error, so no grid runs
+    proc = _python("-m", "kerrdown", "verify", "--cutoff", "3")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("kerrdown verify: n_max must be in [4, 256]")
+
+
+def test_programmatic_entry_points_import_without_the_parser():
+    # argparse (and the gettext it loads) is for `main` only; quad_core rotates without cmath
+    proc = _python("-c", "import sys, kerrdown.cli, kerrdown.verify, kerrdown.fock_oracle; "
+                         "print(sorted({'argparse', 'gettext', 'cmath'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_help_lists_the_subcommands():
+    proc = _python("-m", "kerrdown", "--help")
+    assert proc.returncode == 0, proc.stderr
+    for command in ("sweep", "figure", "verify"):
+        assert command in proc.stdout

@@ -1,11 +1,12 @@
 """Tests of the generic moment -> squeezing-factor framework."""
 
+import cmath
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kerrdown import (
@@ -99,6 +100,17 @@ class TestDefinitionalIdentities:
     def test_phi_half_pi_is_factor_y(self):
         for m in (VACUUM, COHERENT_04, SQUEEZED):
             assert factor_phase(m, math.pi / 2) == factors(m)[1]
+
+    @given(phi=st.floats(-1e300, 1e300))
+    @example(phi=0.0)
+    @example(phi=-0.0)
+    @example(phi=math.pi / 2)
+    @example(phi=1e3)
+    def test_rotation_is_the_complex_exponential_bit_for_bit(self, phi):
+        for m in (VACUUM, COHERENT_04, SQUEEZED):
+            u, w, d_abs = quad_core._variances(m)
+            expected = (u + 2.0 * (w * cmath.exp(-2j * phi)).real) / d_abs
+            assert np.float64(factor_phase(m, phi)).tobytes() == np.float64(expected).tobytes()
 
     def test_degenerate_denominator(self):
         m = QuadratureMoments(0.0, 0.0, 0.0, 0.0)
