@@ -25,7 +25,6 @@ from .moments_engine import (
     kernel,
     mode_moments,
     moments_for,
-    pair_moments,
     sum_moments,
 )
 from .quad_core import (
@@ -53,6 +52,5 @@ __all__ = [
     "kernel",
     "mode_moments",
     "moments_for",
-    "pair_moments",
     "sum_moments",
 ]

@@ -237,7 +237,7 @@ def main(argv=None) -> int:
                 params=SystemParams(args.chi, args.k, args.alpha1, args.alpha2),
                 t_max=args.tmax,
                 steps=args.steps,
-                d_convention=DConvention(args.d_convention),
+                d_convention=args.d_convention,
                 cfg=OracleConfig(n_max=args.cutoff),
             )
         elif args.command == "figure":

@@ -87,7 +87,6 @@ __all__ = [
     "kernel",
     "kerr_kernel",
     "mode_moments",
-    "pair_moments",
     "sum_moments",
     "moments_for",
     "moment_sets",
@@ -260,17 +259,8 @@ def _pair_moments(p: SystemParams, t, m1: QuadratureMoments, m2: QuadratureMomen
     )
 
 
-def pair_moments(p: SystemParams, t) -> QuadratureMoments:
-    """Moments of the mode sum B = A1(t) + A2(t); d = 2."""
-    return moment_sets(p, t, [(SqueezeKind.TWO_MODE, DConvention.NUMBER_SUM)])[0]
-
-
-def sum_moments(
-    p: SystemParams,
-    t,
-    d_convention: DConvention = DConvention.NUMBER_SUM,
-) -> QuadratureMoments:
-    """Moments of the pair amplitude B = A1(t) A2(t).
+def sum_moments(p: SystemParams, t) -> QuadratureMoments:
+    """Moments of the pair amplitude B = A1(t) A2(t); d = <n1 + n2>, the number-sum reading.
 
     The Kerr phase enters only through the carrier rotation e^{2i chi t} of B;
     all magnitudes are those of the pure down-converter.
@@ -290,9 +280,8 @@ def sum_moments(
             + s * s * s * s
         )
         n_total = b1 * b1 + b2 * b2 + 2.0 * s * s
-    d = n_total if DConvention(d_convention) is DConvention.NUMBER_SUM else n_total + 1.0
     return QuadratureMoments(
-        mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_nb, mean_d=d
+        mean_b=mean_b, mean_b_sq=mean_b_sq, mean_bdag_b=mean_nb, mean_d=n_total
     )
 
 
@@ -300,7 +289,7 @@ def moment_sets(p: SystemParams, t, cells) -> list[QuadratureMoments]:
     """Moment sets of each (kind, d_convention) cell at the time(s) t; each mode's and the sum's formed once."""
     cells = SqueezeKind.cells(cells)
     mode = functools.cache(lambda kind: mode_moments(p.mirrored if kind is SqueezeKind.SINGLE2 else p, t))
-    number_sum = functools.cache(lambda: sum_moments(p, t, DConvention.NUMBER_SUM))
+    number_sum = functools.cache(lambda: sum_moments(p, t))
     sets = []
     for kind, conv in cells:
         if kind is SqueezeKind.TWO_MODE:

@@ -12,9 +12,11 @@ Fock oracle.
 Variants
 --------
 The single-mode formulas circulate with defects that the Fock oracle rules
-out, so the single-mode functions take a `Variant` (or its string value):
+out.  `single_mode_variants` gives every `Variant` from one evaluation of the
+terms; only `single_mode_extremum` takes one (or its string value):
 
-* ``"arbitrated"`` (default) -- the form the oracle confirms.
+* ``"arbitrated"`` (default) -- the form the oracle confirms; `factors` of
+  a single-mode kind gives its F and G.
 * ``"sin-theta"`` -- the alpha2^2 S^2 term of the middle block carries
   sin(theta) instead of cos(theta).  Already the k -> 0 limit shows it wrong
   (it gives 2 S^2 - 2 alpha2^2 S^2 against the exact Bogoliubov answer
@@ -124,17 +126,12 @@ def _single_mode(p: SystemParams, t):
     return f, g, h, scale, re_b, im_b, dephase_mean, variant_fg
 
 
-def single_mode_variants(p: SystemParams, t, variants=tuple(Variant)) -> dict:
-    """{variant: (F, G)} of mode 1, d = 1, from one evaluation of its terms; mode 2: of `p.mirrored`."""
-    variants = [Variant(v) for v in variants]
+def single_mode_variants(p: SystemParams, t) -> dict:
+    """{variant: (F, G)} of mode 1 for every variant, d = 1, from one evaluation of its terms;
+    mode 2: of `p.mirrored`."""
     f, g, _, scale, *_, variant_fg = _single_mode(p, t)
     return {v: _checked(scale, f, g) if v is Variant.ARBITRATED else _checked(*variant_fg(v))
-            for v in variants}
-
-
-def single_mode_fg(p: SystemParams, t, variant: Variant | str = Variant.ARBITRATED):
-    """Single-mode factors (F, G) of one variant, as `single_mode_variants` gives them."""
-    return single_mode_variants(p, t, [variant])[Variant(variant)]
+            for v in Variant}
 
 
 def single_mode_extremum(

@@ -29,7 +29,7 @@ from kerrdown import (
     quad_core,
 )
 from kerrdown.cli import write_figure
-from kerrdown.fock_oracle import OracleConfig, moment_set_numeric
+from kerrdown.fock_oracle import OracleConfig, moment_sets
 from kerrdown.squeezing_analytic import factors, single_mode_extremum
 from kerrdown.verify import conservation_checks, grid_params, grid_times, run_verification
 
@@ -89,7 +89,7 @@ def test_criterion_2_sum_identity_at_zero_gain(grid_times):
             for t in grid_times:
                 f_a, g_a, _ = factors(p, float(t), SqueezeKind.SUM)
                 m = moments_for(p, float(t), SqueezeKind.SUM)
-                mo = moment_set_numeric(p, float(t), SqueezeKind.SUM, cfg)
+                mo = moment_sets(p, float(t), [(SqueezeKind.SUM, DConvention.NUMBER_SUM)], cfg)[0]
                 (f_m, g_m, _), (f_o, g_o, _) = quad_core.factors(m), quad_core.factors(mo)
                 worst = max(worst, abs(f_a), abs(g_a), abs(f_m), abs(g_m), abs(f_o), abs(g_o))
     ok = worst <= 1e-12
@@ -121,7 +121,7 @@ def test_criterion_3_spot_value_matches_oracle_as_stated():
     """
     chi, k, a1, a2, t = 0.5, 0.0, 0.4, 0.4, math.pi
     p = SystemParams(chi, k, a1, a2)
-    m = moment_set_numeric(p, t, SqueezeKind.SINGLE1, OracleConfig())
+    m = moment_sets(p, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)], OracleConfig())[0]
     f_oracle = quad_core.factors(m)[0]
     exact = -4.0 * a1**2 * math.exp(-4.0 * (a1**2 + a2**2) * math.sin(chi * t) ** 2)
     gap_exact = abs(f_oracle - exact)
@@ -141,7 +141,7 @@ def test_criterion_3_arbitrated_form_matches_oracle():
     # the arbitrated reduced form does sit on the oracle to 1e-6
     p = SystemParams(0.5, 0.0, 0.4, 0.4)
     f_red, _ = single_mode_extremum(p, math.pi)
-    m = moment_set_numeric(p, math.pi, SqueezeKind.SINGLE1, OracleConfig())
+    m = moment_sets(p, math.pi, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)], OracleConfig())[0]
     diff = abs(f_red - quad_core.factors(m)[0])
     ok = diff <= 1e-6 and abs(f_red - (-0.64 * math.exp(-1.28))) <= 1e-12
     _line("criterion 3c arbitrated reduced form vs oracle", ok, f"|diff| = {diff:.2e} (<=1e-6)")

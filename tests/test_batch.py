@@ -22,7 +22,7 @@ from kerrdown import fock_oracle, moments_engine, quad_core, squeezing_analytic,
 from kerrdown.fock_oracle import OracleConfig
 from kerrdown.moments_engine import DConvention, SqueezeKind
 from kerrdown.quad_core import EPS_DEN
-from kerrdown.squeezing_analytic import Variant, factors, single_mode_fg
+from kerrdown.squeezing_analytic import Variant, factors, single_mode_variants
 from kerrdown.verify import KIND_CELLS
 
 PARAMS = verify.grid_params() + [SystemParams(0.5, 0.1, 0.0, 0.0)]  # with verify's probe
@@ -78,8 +78,8 @@ def test_factors_on_the_kept_points(kind, conv):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_single_mode_fg(variant):
     for mode1, rows in ((BATCH, PARAMS), (BATCH.mirrored, [p.mirrored for p in PARAMS])):
-        f, g = single_mode_fg(mode1, TS, variant)
-        ref = [single_mode_fg(p, TS, variant) for p in rows]
+        f, g = single_mode_variants(mode1, TS)[variant]
+        ref = [single_mode_variants(p, TS)[variant] for p in rows]
         _assert_rows_equal(f, [r[0] for r in ref])
         _assert_rows_equal(g, [r[1] for r in ref])
 
@@ -121,8 +121,7 @@ def _reference_deviations(p, ts, kind, conv, mm, mo) -> dict:
     }
     if kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2):
         mode1 = p if kind is SqueezeKind.SINGLE1 else p.mirrored
-        for variant in Variant:  # every variant evaluated here, the arbitrated one too
-            fv, gv = single_mode_fg(mode1, ts, variant)
+        for variant, (fv, gv) in single_mode_variants(mode1, ts).items():  # the arbitrated one too
             dev[variant] = np.maximum(abs(fv - fo), abs(gv - go))
     return {name: float(np.max(d)) for name, d in dev.items()}
 
@@ -223,12 +222,14 @@ def test_moments_engine_moment_sets():
 
 
 def test_single_mode_variants():
-    for mode1 in (BATCH, BATCH.mirrored):
-        variants = squeezing_analytic.single_mode_variants(mode1, TS)
+    # each mode's arbitrated entry is its single-mode cell of `factor_sets`, as verify's
+    # arbitrated row takes it
+    cells = [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM), (SqueezeKind.SINGLE2, DConvention.NUMBER_SUM)]
+    for mode1, (f, g, _) in zip((BATCH, BATCH.mirrored), squeezing_analytic.factor_sets(BATCH, TS, cells)):
+        variants = single_mode_variants(mode1, TS)
         assert list(variants) == list(Variant)
-        for variant in Variant:
-            for column, ref in zip(variants[variant], single_mode_fg(mode1, TS, variant)):
-                assert np.array_equal(column, ref)
+        for column, ref in zip(variants[Variant.ARBITRATED], (f, g)):
+            assert np.array_equal(column, ref)
 
 
 # -- validation --------------------------------------------------------------

@@ -120,11 +120,11 @@ class TestSweep:
         # 17 significant digits survive the text round trip losslessly
         _, out, _ = _run(capsys, SWEEP_ARGS)
         rows = _parse_csv(out)
-        from kerrdown.squeezing_analytic import single_mode_fg
+        from kerrdown.squeezing_analytic import factors
 
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
         for t, f, _, _ in rows:
-            assert f == single_mode_fg(p, t)[0]
+            assert f == factors(p, t, SqueezeKind.SINGLE1)[0]
 
 
 class TestExitCodes:

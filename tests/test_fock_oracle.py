@@ -24,7 +24,6 @@ from kerrdown import fock_oracle
 from kerrdown.fock_oracle import (
     OracleConfig,
     coherent_state,
-    moment_set_numeric,
     moment_sets,
 )
 from kerrdown.verify import GRID_KS, GRID_STEPS, KIND_CELLS, conservation_checks, run_verification
@@ -554,7 +553,7 @@ class TestMomentSets:
     def test_time_zero_matches_closed_form(self, kind):
         p = SystemParams(0.5, 0.1, 0.4, 0.4)
         a = moments_for(p, 0.0, kind)
-        b = moment_set_numeric(p, 0.0, kind, OracleConfig())
+        b = moment_sets(p, 0.0, [(kind, DConvention.NUMBER_SUM)], OracleConfig())[0]
         assert b.mean_b == pytest.approx(a.mean_b, abs=1e-12)
         assert b.mean_b_sq == pytest.approx(a.mean_b_sq, abs=1e-12)
         assert b.mean_bdag_b == pytest.approx(a.mean_bdag_b, abs=1e-12)
@@ -564,7 +563,7 @@ class TestMomentSets:
         # the seeded Kerr dip at chi t = pi/2: factor must equal the closed
         # form -4 a^2 exp(2 eps1) = -0.64 e^{-0.64}
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
-        m = moment_set_numeric(p, math.pi, SqueezeKind.SINGLE1, OracleConfig())
+        m = moment_sets(p, math.pi, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)], OracleConfig())[0]
         assert factors(m)[0] == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-6)
 
     def test_dressed_mode_mean_matches_closed_form(self):
@@ -572,7 +571,7 @@ class TestMomentSets:
         for p in (SystemParams(0.5, 0.1, 0.4, 0.2), SystemParams(0.25, 0.05, 0.2, 0.3)):
             for t in (0.5, 1.7, 3.0):
                 a = moments_for(p, t, SqueezeKind.SINGLE1)
-                b = moment_set_numeric(p, t, SqueezeKind.SINGLE1, cfg)
+                b = moment_sets(p, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)], cfg)[0]
                 assert b.mean_b == pytest.approx(a.mean_b, abs=1e-6)
 
     def test_mode2_is_the_mirror_of_mode1(self, grid_times):
@@ -645,7 +644,7 @@ def _assert_sets_match_per_point_sets(ts):
     for p in (SystemParams(0.5, 0.1, 0.4, 0.3), SystemParams(0.25, 0.05, 0.2, 0.0)):
         for (kind, conv), m in zip(KIND_CELLS, moment_sets(p, ts, KIND_CELLS, cfg)):
             for i, t in enumerate(ts.tolist()):
-                ref = moment_set_numeric(p, t, kind, cfg, conv)
+                ref = moment_sets(p, t, [(kind, conv)], cfg)[0]
                 assert abs(m.mean_b[i] - ref.mean_b) <= 1e-14
                 assert abs(m.mean_b_sq[i] - ref.mean_b_sq) <= 1e-14
                 assert abs(m.mean_bdag_b[i] - ref.mean_bdag_b) <= 1e-14
@@ -958,7 +957,7 @@ def test_uncertainty_product_on_oracle_sets():
     for p in (SystemParams(0.5, 0.1, 0.4, 0.4), SystemParams(0.25, 0.05, 0.2, 0.3)):
         for kind in SqueezeKind:
             for t in (0.0, 0.9, 2.7):
-                m = moment_set_numeric(p, t, kind, cfg, DConvention.COMMUTATOR)
+                m = moment_sets(p, t, [(kind, DConvention.COMMUTATOR)], cfg)[0]
                 f, g, _ = factors(m)
                 assert (f + 1.0) * (g + 1.0) >= 1.0 - 1e-10
 

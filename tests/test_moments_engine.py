@@ -15,7 +15,6 @@ from kerrdown import (
     kernel,
     mode_moments,
     moments_for,
-    pair_moments,
     sum_moments,
 )
 from kerrdown import fock_oracle, moments_engine, quad_core, squeezing_analytic
@@ -82,7 +81,7 @@ class TestCoherentStart:
 
     def test_pair(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        m = pair_moments(p, 0.0)
+        m = moments_for(p, 0.0, SqueezeKind.TWO_MODE)
         assert m.mean_b == pytest.approx(0.6, abs=1e-15)
         assert m.mean_b_sq == pytest.approx(0.36, abs=1e-15)
         assert m.mean_bdag_b == pytest.approx(0.36, abs=1e-15)
@@ -126,7 +125,7 @@ class TestPureDownConversion:
         for a1, a2 in ((0.4, 0.0), (0.3, 0.2)):
             p = SystemParams(0.0, 0.1, a1, a2)
             for t in (0.7, 3.0):
-                f, g, _ = factors(pair_moments(p, t))
+                f, g, _ = factors(moments_for(p, t, SqueezeKind.TWO_MODE))
                 assert f == pytest.approx(math.exp(0.2 * t) - 1, abs=1e-12)
                 assert g == pytest.approx(math.exp(-0.2 * t) - 1, abs=1e-12)
 
@@ -158,8 +157,8 @@ class TestStructure:
 
     def test_sum_conventions_differ_by_one(self):
         p = SystemParams(0.5, 0.1, 0.4, 0.2)
-        a = sum_moments(p, 1.3, DConvention.NUMBER_SUM)
-        b = sum_moments(p, 1.3, DConvention.COMMUTATOR)
+        a = moments_for(p, 1.3, SqueezeKind.SUM, DConvention.NUMBER_SUM)
+        b = moments_for(p, 1.3, SqueezeKind.SUM, DConvention.COMMUTATOR)
         assert b.mean_d - a.mean_d == pytest.approx(1.0, abs=1e-15)
         assert b.mean_b == a.mean_b
 
@@ -250,14 +249,12 @@ def test_kerr_periodicity_without_gain(chi, a1, a2, t, kind):
 
 def test_agrees_with_fock_oracle_sample(grid_times):
     # the full grid runs in the acceptance suite; here a spot sample per kind
-    from kerrdown.fock_oracle import OracleConfig, moment_set_numeric
-
-    cfg = OracleConfig()
+    cfg = fock_oracle.OracleConfig()
     p = SystemParams(0.5, 0.1, 0.4, 0.4)
     for kind in SqueezeKind:
         for t in grid_times[::16]:
             a = moments_for(p, float(t), kind)
-            b = moment_set_numeric(p, float(t), kind, cfg)
+            b = fock_oracle.moment_sets(p, float(t), [(kind, DConvention.NUMBER_SUM)], cfg)[0]
             assert a.mean_b == pytest.approx(b.mean_b, abs=1e-6)
             assert a.mean_b_sq == pytest.approx(b.mean_b_sq, abs=1e-6)
             assert a.mean_bdag_b == pytest.approx(b.mean_bdag_b, abs=1e-6)

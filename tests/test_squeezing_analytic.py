@@ -21,7 +21,7 @@ from kerrdown import (
     quad_core,
     squeezing_analytic,
 )
-from kerrdown.squeezing_analytic import factors, single_mode_extremum, single_mode_fg
+from kerrdown.squeezing_analytic import Variant, factors, single_mode_extremum, single_mode_variants
 
 GRID = [
     SystemParams(chi, k, a1, a2)
@@ -80,7 +80,7 @@ class TestSingleModeSpots:
         # (chi, k) = (0.5, 0), seeds (0.4, 0), t = pi: the dephasing weight is
         # exp(2 eps1) = e^{-0.64}
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
-        f, g = single_mode_fg(p, math.pi)
+        f, g = factors(p, math.pi, SqueezeKind.SINGLE1)[:2]
         assert f == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-14)
         assert f == pytest.approx(-0.337467, abs=1e-6)
         assert g == pytest.approx(0.64, abs=1e-13)
@@ -88,25 +88,25 @@ class TestSingleModeSpots:
     def test_kerr_dip_unarbitrated_value(self):
         # the circulated single-dephasing form quotes -0.64 e^{-0.32} here
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
-        f, _ = single_mode_fg(p, math.pi, variant="unarbitrated")
+        f, _ = single_mode_variants(p, math.pi)[Variant.UNARBITRATED]
         assert f == pytest.approx(-0.64 * math.exp(-0.32), abs=1e-14)
         assert f == pytest.approx(-0.4647, abs=5e-5)
 
     def test_kerr_dip_equal_seeds(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.4)
-        f, _ = single_mode_fg(p, math.pi)
+        f, _ = factors(p, math.pi, SqueezeKind.SINGLE1)[:2]
         assert f == pytest.approx(-0.64 * math.exp(-1.28), abs=1e-14)
-        f_u, _ = single_mode_fg(p, math.pi, variant="unarbitrated")
+        f_u, _ = single_mode_variants(p, math.pi)[Variant.UNARBITRATED]
         assert f_u == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-14)
         assert f_u == pytest.approx(-0.3375, abs=5e-5)
 
     def test_deeper_dip_for_smaller_second_seed(self):
         # raising the second seed shallows the squeezing dip
         shallow = min(
-            single_mode_fg(SystemParams(0.5, 0.0, 0.4, 0.4), t)[0] for t in TIMES
+            factors(SystemParams(0.5, 0.0, 0.4, 0.4), t, SqueezeKind.SINGLE1)[0] for t in TIMES
         )
         deep = min(
-            single_mode_fg(SystemParams(0.5, 0.0, 0.4, 0.0), t)[0] for t in TIMES
+            factors(SystemParams(0.5, 0.0, 0.4, 0.0), t, SqueezeKind.SINGLE1)[0] for t in TIMES
         )
         assert deep < shallow < 0.0
 
@@ -123,7 +123,7 @@ class TestSingleModeSpots:
                 * cmath.exp(alpha**2 * (cmath.exp(-4j * chi * t) - 1))
             )
             m = QuadratureMoments(mean_b, mean_b_sq, alpha**2, 1.0)
-            f, g = single_mode_fg(p, t)
+            f, g = factors(p, t, SqueezeKind.SINGLE1)[:2]
             f_m, g_m, _ = quad_core.factors(m)
             assert f == pytest.approx(f_m, abs=1e-13)
             assert g == pytest.approx(g_m, abs=1e-13)
@@ -132,7 +132,7 @@ class TestSingleModeSpots:
         # chi = 0 leaves only the amplifier: F = G = 2 sinh^2(kt)
         p = SystemParams(0.0, 0.1, 0.4, 0.4)
         for t in TIMES:
-            f, g = single_mode_fg(p, float(t))
+            f, g = factors(p, float(t), SqueezeKind.SINGLE1)[:2]
             want = 2.0 * math.sinh(0.1 * t) ** 2
             assert f == pytest.approx(want, abs=1e-10)
             assert g == pytest.approx(want, abs=1e-10)
@@ -144,7 +144,7 @@ class TestExtremumReduction:
             p = SystemParams(0.5, k, 0.4, 0.4)
             for m in (1, 3, 5):
                 t = m * math.pi / 2 / 0.5
-                f_full, g_full = single_mode_fg(p, t)
+                f_full, g_full = factors(p, t, SqueezeKind.SINGLE1)[:2]
                 f_red, g_red = single_mode_extremum(p, t)
                 assert f_red == pytest.approx(f_full, abs=1e-12)
                 assert g_red == pytest.approx(g_full, abs=1e-12)
@@ -196,8 +196,8 @@ class TestTwoMode:
         for m in (1, 2, 3):
             t = m * math.pi / 0.5
             f2, g2, _ = factors(p, t, SqueezeKind.TWO_MODE)
-            f1a, g1a = single_mode_fg(p, t)
-            f1b, g1b = single_mode_fg(p.mirrored, t)
+            f1a, g1a = factors(p, t, SqueezeKind.SINGLE1)[:2]
+            f1b, g1b = factors(p.mirrored, t, SqueezeKind.SINGLE1)[:2]
             assert f2 == pytest.approx(0.5 * (f1a + f1b), abs=1e-12)
             assert g2 == pytest.approx(0.5 * (g1a + g1b), abs=1e-12)
             assert abs(f2) < 1e-12 and abs(g2) < 1e-12
@@ -298,8 +298,12 @@ class TestPrecisionGuard:
             quad_core.factors(moments_for(p, 1.0, SqueezeKind.SUM))
 
     def test_variants_are_guarded_too(self):
+        # the arbitrated terms sit at 0.88 of the guard's threshold here, the
+        # single-dephasing ones at 1.14: only a rejected variant's own guard refuses
+        p, t = SystemParams(0.5, 0.0, 1100.0, 1100.0), 7.29e-4
+        assert np.all(np.isfinite(factors(p, t, SqueezeKind.SINGLE1)))
         with pytest.raises(NumericOverflow, match="lost its precision"):
-            single_mode_fg(SystemParams(0.5, 0.0, 3000.0, 3000.0), 0.0, "sin-theta")
+            single_mode_variants(p, t)
 
 
 class TestInvariants:
@@ -334,4 +338,4 @@ class TestInvariants:
     def test_variant_validation(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
         with pytest.raises(ValueError):
-            single_mode_fg(p, 1.0, variant="bogus")
+            single_mode_extremum(p, math.pi, variant="bogus")

@@ -23,9 +23,9 @@ from kerrdown import (
     moments_for,
     quad_core,
 )
-from kerrdown.fock_oracle import moment_set_numeric, moment_sets
+from kerrdown.fock_oracle import moment_sets
 from kerrdown.quad_core import EPS_DEN
-from kerrdown.squeezing_analytic import Variant, factors, single_mode_extremum, single_mode_fg
+from kerrdown.squeezing_analytic import Variant, factors, single_mode_extremum, single_mode_variants
 from kerrdown.verify import KIND_CELLS
 
 TS = np.linspace(0.0, 12.56, 157)
@@ -74,8 +74,8 @@ def test_analytic_factors_match_per_point(kind, conv):
 @pytest.mark.parametrize("mode1", [lambda p: p, lambda p: p.mirrored], ids=["1", "2"])
 def test_single_mode_variants_match_per_point(variant, mode1):
     for p in map(mode1, PARAMS):
-        f, g = single_mode_fg(p, TS, variant)
-        ref = [single_mode_fg(p, t, variant) for t in TS.tolist()]
+        f, g = single_mode_variants(p, TS)[variant]
+        ref = [single_mode_variants(p, t)[variant] for t in TS.tolist()]
         _assert_matches(f, [r[0] for r in ref])
         _assert_matches(g, [r[1] for r in ref])
 
@@ -88,14 +88,15 @@ def test_float_time_gives_scalars():
             *quad_core.factors(m), *factors(p, 1.3, kind, conv)
         ]:
             assert np.ndim(value) == 0
-        mo = moment_set_numeric(p, 1.3, kind, d_convention=conv)
+        mo = moment_sets(p, 1.3, [(kind, conv)])[0]
         assert all(np.ndim(getattr(mo, name)) == 0 for name in FIELDS)
 
 
 def test_variant_strings_and_members_agree():
-    p = PARAMS[0].mirrored
-    for variant in Variant:
-        assert single_mode_fg(p, 1.3, variant.value) == single_mode_fg(p, 1.3, variant)
+    # only the extremum reduction takes a variant
+    p = SystemParams(0.5, 0.0, 0.4, 0.4)
+    for variant in (Variant.ARBITRATED, Variant.UNARBITRATED):
+        assert single_mode_extremum(p, math.pi, variant.value) == single_mode_extremum(p, math.pi, variant)
     with pytest.raises(ValueError):
         single_mode_extremum(SystemParams(0.5, 0.0, 0.4, 0.4), math.pi, variant="sin-theta")
 
