@@ -28,7 +28,13 @@ from .fock_oracle import OracleConfig
 from .moments_engine import DConvention, SqueezeKind, SystemParams
 from .verify import run_verification
 
-_ENGINES = ("analytic", "moments", "oracle")
+# engine name -> its route, (p, t, cells, cfg) -> [(F, G, V) of each (kind, d_convention) cell];
+# each looks its module's function up at call time, so a patched one is the one that runs
+ENGINES = {
+    "analytic": lambda p, t, cells, cfg: squeezing_analytic.factor_sets(p, t, cells),
+    "moments": lambda p, t, cells, cfg: [quad_core.factors(m) for m in moments_engine.moment_sets(p, t, cells)],
+    "oracle": lambda p, t, cells, cfg: [quad_core.factors(m) for m in fock_oracle.moment_sets(p, t, cells, cfg)],
+}
 # Largest sweep; its columns are allocated whole (README *Limits* gives the memory this takes)
 MAX_STEPS = 10**6
 
@@ -74,8 +80,8 @@ class SweepRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "d_convention", DConvention(self.d_convention))
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {tuple(ENGINES)}")
         self.params.require_one("a sweep")
         if not isinstance(self.steps, (int, np.integer)):
             raise TypeError(f"steps must be an integer, got {self.steps!r}")
@@ -108,16 +114,9 @@ class SweepResult:
 
 
 def run_sweep(req: SweepRequest) -> SweepResult:
-    p, kind, conv = req.params, req.kind, req.d_convention
     with np.errstate(over="ignore"):  # the engines report an infinite time
         ts = np.arange(req.steps) * req.t_max / (req.steps - 1)
-    if req.engine == "analytic":
-        f, g, v = squeezing_analytic.factors(p, ts, kind, conv)
-    elif req.engine == "moments":
-        f, g, v = quad_core.factors(moments_engine.moments_for(p, ts, kind, conv))
-    else:
-        (m,) = fock_oracle.moment_sets(p, ts, [(kind, conv)], req.cfg)
-        f, g, v = quad_core.factors(m)
+    ((f, g, v),) = ENGINES[req.engine](req.params, ts, [(req.kind, req.d_convention)], req.cfg)
     return SweepResult(req, ts, f, g, v)
 
 
@@ -204,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="evaluate factors on a uniform time grid")
     sweep.add_argument("--kind", choices=sorted(k.value for k in SqueezeKind), required=True)
-    sweep.add_argument("--engine", choices=_ENGINES, default="analytic")
+    sweep.add_argument("--engine", choices=ENGINES, default="analytic")
     sweep.add_argument("--chi", type=float, required=True)
     sweep.add_argument("--k", type=float, required=True)
     sweep.add_argument("--alpha1", type=float, required=True)

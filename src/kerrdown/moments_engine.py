@@ -306,5 +306,6 @@ def moment_sets(p: SystemParams, t, cells) -> list[QuadratureMoments]:
 def moments_for(
     p: SystemParams, t, kind: SqueezeKind, d_convention: DConvention = DConvention.NUMBER_SUM
 ) -> QuadratureMoments:
-    """The moment set of the requested squeezing kind at the time(s) t: one cell of `moment_sets`."""
+    """The moment set of the requested squeezing kind at the time(s) t: one cell of `moment_sets`;
+    stays as `benchmarks/worker.py`'s entry point until ROADMAP item 2."""
     return moment_sets(p, t, [(kind, d_convention)])[0]

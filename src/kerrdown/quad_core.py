@@ -124,10 +124,13 @@ def _rotated(u, w, d_abs, phi: float):
 def factor_phase(m: QuadratureMoments, phi: float):
     """Squeezing factor of the phase-rotated quadrature X_phi = (B e^-iphi + B+ e^iphi)/2.
 
-    (u + 2 Re(w e^{-2i phi})) / |d|.  Raises DegenerateDenominator when
-    |mean_d| <= EPS_DEN at any point, and NumericOverflow where the roundoff
-    of the moments exceeds the check slack times |mean_d|.
+    (u + 2 Re(w e^{-2i phi})) / |d|.  Raises ValueError for a non-finite phi,
+    DegenerateDenominator when |mean_d| <= EPS_DEN at any point, and
+    NumericOverflow where the roundoff of the moments exceeds the check slack
+    times |mean_d|.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     return _rotated(*_variances(m), phi)
 
 

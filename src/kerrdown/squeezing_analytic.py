@@ -15,8 +15,8 @@ The single-mode formulas circulate with defects that the Fock oracle rules
 out.  `single_mode_variants` gives every `Variant` from one evaluation of the
 terms; only `single_mode_extremum` takes one (or its string value):
 
-* ``"arbitrated"`` (default) -- the form the oracle confirms; `factors` of
-  a single-mode kind gives its F and G.
+* ``"arbitrated"`` (default) -- the form the oracle confirms; `factor_sets`
+  gives it as a single-mode cell's F and G.
 * ``"sin-theta"`` -- the alpha2^2 S^2 term of the middle block carries
   sin(theta) instead of cos(theta).  Already the k -> 0 limit shows it wrong
   (it gives 2 S^2 - 2 alpha2^2 S^2 against the exact Bogoliubov answer
@@ -36,7 +36,7 @@ H = 2 Im w / |d| with w as in `quad_core`, and each kind's H is expanded from
 the terms of its F and G.  `factor_sets` gives its minimum over phi,
 V = (F + G)/2 - hypot((F - G)/2, H), as min(F, G) - (hypot((F - G)/2, H) -
 |F - G|/2), so V <= F, G holds without slack, for several (kind,
-d_convention) cells in one call; `factors` is its one-cell case.
+d_convention) cells in one call, or for one as a one-item list.
 
 As in `moments_engine`, t is a float or a 1-D numpy array and the params may
 be a batch broadcast against t (the extremum reduction takes a float t and
@@ -155,7 +155,7 @@ def single_mode_extremum(
             f"extremum reduction needs alpha1 == alpha2, got {p.alpha1}, {p.alpha2}"
         )
     x = p.chi_bar * t
-    m = round(x / (0.5 * math.pi))
+    m = round(x / (0.5 * math.pi)) if math.isfinite(x) else 0  # a non-finite chi*t is refused as m = 0
     if abs(x - m * 0.5 * math.pi) > _EXTREMUM_TOL or m < 1 or m % 2 == 0:
         raise NotAnExtremumTime(
             f"chi*t = {x} is not an odd multiple of pi/2 within {_EXTREMUM_TOL}"
@@ -243,8 +243,3 @@ def factor_sets(p: SystemParams, t, cells) -> list[tuple]:
             v = np.minimum(f, g) - (np.hypot(half_gap, h) - half_gap)
         sets.append(_checked(scale, f, g, v))
     return sets
-
-
-def factors(p: SystemParams, t, kind: SqueezeKind, d_convention: DConvention = DConvention.NUMBER_SUM):
-    """(F, G, V) of the requested kind along this module's closed-form route: one cell of `factor_sets`."""
-    return factor_sets(p, t, [(kind, d_convention)])[0]

@@ -159,7 +159,7 @@ def run_verification(cfg: OracleConfig = OracleConfig()) -> VerificationReport:
                 if not ok.all()
             ]
             *kept, kept_ts = (x[keep] for x in np.broadcast_arrays(*columns, ts))
-            fa = squeezing_analytic.factors(SystemParams(*kept), kept_ts, kind, conv)
+            (fa,) = squeezing_analytic.factor_sets(SystemParams(*kept), kept_ts, [(kind, conv)])
             mm, mo = (
                 quad_core.QuadratureMoments(*(getattr(m, f.name)[keep] for f in fields(m)))
                 for m in (mm, mo)

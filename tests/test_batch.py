@@ -22,7 +22,7 @@ from kerrdown import fock_oracle, moments_engine, quad_core, squeezing_analytic,
 from kerrdown.fock_oracle import OracleConfig
 from kerrdown.moments_engine import DConvention, SqueezeKind
 from kerrdown.quad_core import EPS_DEN
-from kerrdown.squeezing_analytic import Variant, factors, single_mode_variants
+from kerrdown.squeezing_analytic import Variant, factor_sets, single_mode_variants
 from kerrdown.verify import KIND_CELLS
 
 PARAMS = verify.grid_params() + [SystemParams(0.5, 0.1, 0.0, 0.0)]  # with verify's probe
@@ -69,8 +69,8 @@ def test_factors_on_the_kept_points(kind, conv):
     kept = SystemParams(
         *(np.broadcast_to(getattr(BATCH, f.name), SHAPE)[mask] for f in fields(BATCH))
     )
-    batched = factors(kept, np.broadcast_to(TS, SHAPE)[mask], kind, conv)
-    ref = [factors(p, TS[ok], kind, conv) for p, ok in zip(PARAMS, keep)]
+    batched = factor_sets(kept, np.broadcast_to(TS, SHAPE)[mask], [(kind, conv)])[0]
+    ref = [factor_sets(p, TS[ok], [(kind, conv)])[0] for p, ok in zip(PARAMS, keep)]
     for i, column in enumerate(batched):  # f, g and v
         assert np.array_equal(column, np.concatenate([r[i] for r in ref]))
 
@@ -85,8 +85,8 @@ def test_single_mode_fg(variant):
 
 
 def test_two_mode_factors():
-    batched = factors(BATCH, TS, SqueezeKind.TWO_MODE)
-    ref = [factors(p, TS, SqueezeKind.TWO_MODE) for p in PARAMS]
+    batched = factor_sets(BATCH, TS, [(SqueezeKind.TWO_MODE, DConvention.NUMBER_SUM)])[0]
+    ref = [factor_sets(p, TS, [(SqueezeKind.TWO_MODE, DConvention.NUMBER_SUM)])[0] for p in PARAMS]
     for i, column in enumerate(batched):  # f, g and v
         _assert_rows_equal(column, [r[i] for r in ref])
 
@@ -109,7 +109,7 @@ def test_mirrored_batch():
 
 def _reference_deviations(p, ts, kind, conv, mm, mo) -> dict:
     fm, gm, vm = quad_core.factors(mm)
-    fa, ga, va = factors(p, ts, kind, conv)
+    fa, ga, va = factor_sets(p, ts, [(kind, conv)])[0]
     fo, go, vo = quad_core.factors(mo)
     dev = {
         "analytic-moments": np.maximum.reduce([abs(fa - fm), abs(ga - gm), abs(va - vm)]),
@@ -203,13 +203,13 @@ def test_factor_sets():
     # the cells of one call share their terms and give the bits of one cell at a time
     whole = [cell for cell in KIND_CELLS if cell != (SqueezeKind.SUM, DConvention.NUMBER_SUM)]
     for cell, fgv in zip(whole, squeezing_analytic.factor_sets(BATCH, TS, whole)):
-        for column, ref in zip(fgv, factors(BATCH, TS, *cell)):
+        for column, ref in zip(fgv, factor_sets(BATCH, TS, [cell])[0]):
             assert np.array_equal(column, ref)
     keep = np.broadcast_to(TS > 0.0, SHAPE)  # off the probe's degenerate t = 0, every cell
     kept = SystemParams(*(np.broadcast_to(getattr(BATCH, f.name), SHAPE)[keep] for f in fields(BATCH)))
     kept_ts = np.broadcast_to(TS, SHAPE)[keep]
     for cell, fgv in zip(KIND_CELLS, squeezing_analytic.factor_sets(kept, kept_ts, KIND_CELLS)):
-        for column, ref in zip(fgv, factors(kept, kept_ts, *cell)):
+        for column, ref in zip(fgv, factor_sets(kept, kept_ts, [cell])[0]):
             assert np.array_equal(column, ref)
 
 

@@ -20,6 +20,7 @@ import kerrdown
 from kerrdown import DConvention, SqueezeKind, SystemParams, cli, fock_oracle, moments_engine, quad_core, verify
 from kerrdown.cli import main
 from kerrdown.fock_oracle import OracleConfig
+from kerrdown.squeezing_analytic import factor_sets
 
 
 def _reference_rows(*columns):
@@ -120,11 +121,9 @@ class TestSweep:
         # 17 significant digits survive the text round trip losslessly
         _, out, _ = _run(capsys, SWEEP_ARGS)
         rows = _parse_csv(out)
-        from kerrdown.squeezing_analytic import factors
-
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
         for t, f, _, _ in rows:
-            assert f == factors(p, t, SqueezeKind.SINGLE1)[0]
+            assert f == factor_sets(p, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][0]
 
 
 class TestExitCodes:

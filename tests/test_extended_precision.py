@@ -1,7 +1,7 @@
 """Each route's true error on verify's regular grid, against an extended-precision reference.
 
 Three routes that agree can still share one error, so agreement alone does
-not bound any of them.  `squeezing_analytic.factors` runs unmodified on
+not bound any of them.  `squeezing_analytic.factor_sets` runs unmodified on
 `np.longdouble` inputs; fed verify's float64 parameter sets and times cast
 up (the times are not rebuilt in longdouble, which would move them by up to
 half an ulp), it gives the factors with the roundoff of float64 removed.
@@ -16,8 +16,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kerrdown import SystemParams, moments_engine, quad_core, squeezing_analytic
-from kerrdown.fock_oracle import OracleConfig, moment_sets
+from kerrdown import SystemParams, cli, squeezing_analytic
+from kerrdown.fock_oracle import OracleConfig
 from kerrdown.verify import KIND_CELLS, grid_params, grid_times
 
 pytestmark = pytest.mark.skipif(
@@ -44,17 +44,12 @@ def worst():
     columns = [np.array([getattr(p, f.name) for p in params])[:, None] for f in fields(SystemParams)]
     grid = SystemParams(*columns)
     wide = _wide(*(column.astype(np.longdouble) for column in columns))
-    oracle = moment_sets(grid, ts, KIND_CELLS, OracleConfig(24))
+    refs = squeezing_analytic.factor_sets(wide, ts.astype(np.longdouble), KIND_CELLS)
+    assert all(x.dtype == np.longdouble for ref in refs for x in ref)
     found = {}
-    for (kind, conv), mo in zip(KIND_CELLS, oracle):
-        ref = squeezing_analytic.factors(wide, ts.astype(np.longdouble), kind, conv)
-        assert all(x.dtype == np.longdouble for x in ref)
-        routes = {
-            "analytic": squeezing_analytic.factors(grid, ts, kind, conv),
-            "moments": quad_core.factors(moments_engine.moments_for(grid, ts, kind, conv)),
-            "oracle": quad_core.factors(mo),
-        }
-        for route, got in routes.items():
+    for route in _MEASURED:
+        sets = cli.ENGINES[route](grid, ts, KIND_CELLS, OracleConfig(24))
+        for (kind, conv), got, ref in zip(KIND_CELLS, sets, refs):
             for name, x, want in zip("FGV", got, ref):
                 err = np.abs(x - want)
                 i, j = np.unravel_index(np.argmax(err), err.shape)

@@ -911,6 +911,19 @@ class TestConservation:
             assert column.shape == ts.shape
             assert np.all(column == column[0])
 
+    def test_motion_constants_match_their_closed_values(self):
+        # the drift rows see only changes; these are the values.  A coherent seed has
+        # <N> = a1^2 - a2^2 and Var N = a1^2 + a2^2, and for real seeds the pair part
+        # 2k Im<a1 a2> is conserved at 0, so <H> = chi (<N^2> - <N>).  Unequal seeds,
+        # so that a wrong sign of <N> in <H> shows
+        a1, a2, chi = 0.4, 0.3, 0.5
+        ts = np.linspace(0.0, 3.0, 16)
+        n, n_sq, energy, norm = fock_oracle.motion_constants(SystemParams(chi, 0.1, a1, a2), ts)
+        want_n = a1**2 - a2**2
+        want_n_sq = want_n**2 + a1**2 + a2**2
+        for got, want in ((n, want_n), (n_sq, want_n_sq), (energy, chi * (want_n_sq - want_n)), (norm, 1.0)):
+            assert np.max(np.abs(got - want)) <= 1e-14, (got, want)
+
     def test_frame_energy_check_fails_on_the_wrong_pair_term(self, monkeypatch):
         # without the quarter turn b = -i a2 the chain evolves k(a1 a2 + a1+ a2+)
         # in place of -ik(a1 a2 - a1+ a2+): still unitary and N-conserving, so

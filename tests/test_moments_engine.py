@@ -170,7 +170,7 @@ class TestStructure:
 
         def sum_f(conv):
             if route == "analytic":
-                return squeezing_analytic.factors(p, 1.0, SqueezeKind.SUM, conv)[0]
+                return squeezing_analytic.factor_sets(p, 1.0, [(SqueezeKind.SUM, conv)])[0][0]
             if route == "moments":
                 return quad_core.factors(moments_for(p, 1.0, SqueezeKind.SUM, conv))[0]
             return quad_core.factors(fock_oracle.moment_sets(p, 1.0, [(SqueezeKind.SUM, conv)])[0])[0]
@@ -214,7 +214,7 @@ class TestStructure:
         with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
             moments_for(p, 0.5, SqueezeKind.SINGLE1, "bogus")
         with pytest.raises(ValueError, match="^'bogus' is not a valid DConvention$"):
-            squeezing_analytic.factors(p, 0.5, SqueezeKind.SINGLE1, "bogus")
+            squeezing_analytic.factor_sets(p, 0.5, [(SqueezeKind.SINGLE1, "bogus")])[0]
 
     def test_sum_kerr_free_magnitudes(self):
         # Kerr phases cancel in every N-commuting product: only the carrier

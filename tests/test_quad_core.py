@@ -112,6 +112,12 @@ class TestDefinitionalIdentities:
             expected = (u + 2.0 * (w * cmath.exp(-2j * phi)).real) / d_abs
             assert np.float64(factor_phase(m, phi)).tobytes() == np.float64(expected).tobytes()
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_refused(self, phi):
+        # cos and sin of a non-finite phi are nan: refused, not returned as a silent nan
+        with pytest.raises(ValueError, match="^phi must be finite, got"):
+            factor_phase(SQUEEZED, phi)
+
     def test_degenerate_denominator(self):
         m = QuadratureMoments(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateDenominator):
@@ -162,7 +168,8 @@ def test_large_sum_set_within_its_roundoff_is_accepted(conv):
     # miss Cauchy-Schwarz by 2 ulp there
     p, ts = SystemParams(0.25, 0.0, 50.0, 50.0), np.linspace(0.0, 3.0, 301)
     m = moments_for(p, ts, SqueezeKind.SUM, conv)
-    for analytic, projected in zip(squeezing_analytic.factors(p, ts, SqueezeKind.SUM, conv), factors(m)):
+    (closed,) = squeezing_analytic.factor_sets(p, ts, [(SqueezeKind.SUM, conv)])
+    for analytic, projected in zip(closed, factors(m)):
         assert np.max(np.abs(projected - analytic)) <= 1e-10
 
 

@@ -273,32 +273,26 @@ def test_verify_grid_is_the_stated_one():
 # precision guards
 
 
-def _refuses(route, p, t, kind):
+def _refuses(engine, p, t, kind):
     try:
-        route(p, t, kind)
+        cli.ENGINES[engine](p, t, [(kind, DConvention.NUMBER_SUM)], OracleConfig())
     except NumericOverflow as exc:
         assert "lost its precision" in str(exc)
         return True
     return False
 
 
-_ROUTES = {
-    "analytic": lambda p, t, kind: squeezing_analytic.factors(p, t, kind),
-    "moments": lambda p, t, kind: quad_core.factors(moments_engine.moments_for(p, t, kind)),
-}
-
-
 def test_precision_guard_examples(capsys):
     (alpha,) = _one(r"a coherent seed of `alpha = ([^`]+)` is refused there")
-    assert _refuses(_ROUTES["moments"], SystemParams(0.5, 0.0, _number(alpha), 0.0), 0.0, SqueezeKind.SINGLE1)
+    assert _refuses("moments", SystemParams(0.5, 0.0, _number(alpha), 0.0), 0.0, SqueezeKind.SINGLE1)
     t, k, passed, refused = _one(
         r"at `t = (\d+), k = (\d+)` both pass `alpha1 = alpha2 = (\d+)` and both refuse `(\d+)`"
     )
     for kind in (SqueezeKind.SINGLE1, SqueezeKind.SINGLE2, SqueezeKind.TWO_MODE):
-        for route in _ROUTES.values():
+        for engine in ("analytic", "moments"):
             for seed, refuses in ((passed, False), (refused, True)):
                 p = SystemParams(0.5, float(k), float(seed), float(seed))
-                assert _refuses(route, p, float(t), kind) == refuses
+                assert _refuses(engine, p, float(t), kind) == refuses
     (flags,) = _one(
         r"so the seed alone never fires its guard \(`([^`]+)` evaluates, where the moments route is refused\)"
     )
@@ -315,12 +309,11 @@ def test_sum_precision_guard_thresholds():
     )
     p = SystemParams(0.5, 1.0, *map(float, seed.split(", ")))
     for name, printed in (("analytic", analytic), ("moments", moments)):
-        route = _ROUTES[name]
         lo, hi = float(passed), float(refused)
-        assert not _refuses(route, p, lo, SqueezeKind.SUM) and _refuses(route, p, hi, SqueezeKind.SUM)
+        assert not _refuses(name, p, lo, SqueezeKind.SUM) and _refuses(name, p, hi, SqueezeKind.SUM)
         while hi - lo > 1e-3:  # the guard's kt, by bisection
             mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if _refuses(route, p, mid, SqueezeKind.SUM) else (mid, hi)
+            lo, hi = (lo, mid) if _refuses(name, p, mid, SqueezeKind.SUM) else (mid, hi)
         assert _rounds_to(lo, printed), (name, lo)
 
 
@@ -346,10 +339,10 @@ def test_seed_amplitude_deviation():
     chi, k, ts = _seed_cells()
     for deviation, alpha in zip(found[::2], found[1::2]):
         p = SystemParams(chi, k, float(alpha), 0.0)
+        analytic, moments = (cli.ENGINES[route](p, ts, verify.KIND_CELLS, OracleConfig())
+                             for route in ("analytic", "moments"))
         worst = 0.0
-        for kind, conv in verify.KIND_CELLS:
-            fa, ga, _ = squeezing_analytic.factors(p, ts, kind, conv)
-            fm, gm, _ = quad_core.factors(moments_engine.moments_for(p, ts, kind, conv))
+        for (fa, ga, _), (fm, gm, _) in zip(analytic, moments):
             worst = max(worst, float(np.max(abs(fa - fm))), float(np.max(abs(ga - gm))))
         assert _rounds_to(worst, deviation), (alpha, worst, deviation)
     (photons,) = _one(r"`alpha = 20` averages (\d+) photons, past the largest cutoff")
@@ -375,13 +368,9 @@ def test_seed_amplitude_error_per_route():
         mirrored = types.SimpleNamespace(**couplings, alpha1=wide(0.0), alpha2=wide(a1))
         ref_p = types.SimpleNamespace(**couplings, alpha1=wide(a1), alpha2=wide(0.0), mirrored=mirrored)
         worst = {"moments": 0.0, "analytic": 0.0}
-        for kind, conv in verify.KIND_CELLS:
-            ref = squeezing_analytic.factors(ref_p, ts.astype(wide), kind, conv)
-            routes = {
-                "moments": quad_core.factors(moments_engine.moments_for(p, ts, kind, conv)),
-                "analytic": squeezing_analytic.factors(p, ts, kind, conv),
-            }
-            for route, got in routes.items():
+        refs = squeezing_analytic.factor_sets(ref_p, ts.astype(wide), verify.KIND_CELLS)
+        for route in worst:
+            for got, ref in zip(cli.ENGINES[route](p, ts, verify.KIND_CELLS, OracleConfig()), refs):
                 worst[route] = max([worst[route]] + [float(np.max(abs(x - want))) for x, want in zip(got, ref)])
         for route, error in zip(("moments", "analytic"), printed):
             assert _rounds_to(worst[route], error), (alpha, route, worst[route], error)

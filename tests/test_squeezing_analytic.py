@@ -21,7 +21,7 @@ from kerrdown import (
     quad_core,
     squeezing_analytic,
 )
-from kerrdown.squeezing_analytic import Variant, factors, single_mode_extremum, single_mode_variants
+from kerrdown.squeezing_analytic import Variant, factor_sets, single_mode_extremum, single_mode_variants
 
 GRID = [
     SystemParams(chi, k, a1, a2)
@@ -42,7 +42,7 @@ class TestCrossRoute:
                 m = moments_for(p, float(t), kind)
                 if abs(m.mean_d) < 1e-12:
                     continue
-                f, g, v = factors(p, float(t), kind)
+                f, g, v = factor_sets(p, float(t), [(kind, DConvention.NUMBER_SUM)])[0]
                 f_m, g_m, v_m = quad_core.factors(m)
                 assert f == pytest.approx(f_m, abs=1e-12)
                 assert g == pytest.approx(g_m, abs=1e-12)
@@ -80,7 +80,7 @@ class TestSingleModeSpots:
         # (chi, k) = (0.5, 0), seeds (0.4, 0), t = pi: the dephasing weight is
         # exp(2 eps1) = e^{-0.64}
         p = SystemParams(0.5, 0.0, 0.4, 0.0)
-        f, g = factors(p, math.pi, SqueezeKind.SINGLE1)[:2]
+        f, g = factor_sets(p, math.pi, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][:2]
         assert f == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-14)
         assert f == pytest.approx(-0.337467, abs=1e-6)
         assert g == pytest.approx(0.64, abs=1e-13)
@@ -94,7 +94,7 @@ class TestSingleModeSpots:
 
     def test_kerr_dip_equal_seeds(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.4)
-        f, _ = factors(p, math.pi, SqueezeKind.SINGLE1)[:2]
+        f, _ = factor_sets(p, math.pi, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][:2]
         assert f == pytest.approx(-0.64 * math.exp(-1.28), abs=1e-14)
         f_u, _ = single_mode_variants(p, math.pi)[Variant.UNARBITRATED]
         assert f_u == pytest.approx(-0.64 * math.exp(-0.64), abs=1e-14)
@@ -102,12 +102,9 @@ class TestSingleModeSpots:
 
     def test_deeper_dip_for_smaller_second_seed(self):
         # raising the second seed shallows the squeezing dip
-        shallow = min(
-            factors(SystemParams(0.5, 0.0, 0.4, 0.4), t, SqueezeKind.SINGLE1)[0] for t in TIMES
-        )
-        deep = min(
-            factors(SystemParams(0.5, 0.0, 0.4, 0.0), t, SqueezeKind.SINGLE1)[0] for t in TIMES
-        )
+        cells = [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)]
+        shallow = min(factor_sets(SystemParams(0.5, 0.0, 0.4, 0.4), t, cells)[0][0] for t in TIMES)
+        deep = min(factor_sets(SystemParams(0.5, 0.0, 0.4, 0.0), t, cells)[0][0] for t in TIMES)
         assert deep < shallow < 0.0
 
     def test_pure_kerr_reduction(self):
@@ -123,7 +120,7 @@ class TestSingleModeSpots:
                 * cmath.exp(alpha**2 * (cmath.exp(-4j * chi * t) - 1))
             )
             m = QuadratureMoments(mean_b, mean_b_sq, alpha**2, 1.0)
-            f, g = factors(p, t, SqueezeKind.SINGLE1)[:2]
+            f, g = factor_sets(p, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][:2]
             f_m, g_m, _ = quad_core.factors(m)
             assert f == pytest.approx(f_m, abs=1e-13)
             assert g == pytest.approx(g_m, abs=1e-13)
@@ -132,7 +129,7 @@ class TestSingleModeSpots:
         # chi = 0 leaves only the amplifier: F = G = 2 sinh^2(kt)
         p = SystemParams(0.0, 0.1, 0.4, 0.4)
         for t in TIMES:
-            f, g = factors(p, float(t), SqueezeKind.SINGLE1)[:2]
+            f, g = factor_sets(p, float(t), [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][:2]
             want = 2.0 * math.sinh(0.1 * t) ** 2
             assert f == pytest.approx(want, abs=1e-10)
             assert g == pytest.approx(want, abs=1e-10)
@@ -144,7 +141,7 @@ class TestExtremumReduction:
             p = SystemParams(0.5, k, 0.4, 0.4)
             for m in (1, 3, 5):
                 t = m * math.pi / 2 / 0.5
-                f_full, g_full = factors(p, t, SqueezeKind.SINGLE1)[:2]
+                f_full, g_full = factor_sets(p, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][:2]
                 f_red, g_red = single_mode_extremum(p, t)
                 assert f_red == pytest.approx(f_full, abs=1e-12)
                 assert g_red == pytest.approx(g_full, abs=1e-12)
@@ -182,6 +179,12 @@ class TestExtremumReduction:
         with pytest.raises(NotAnExtremumTime):
             single_mode_extremum(p, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        # refused before chi*t is rounded to a multiple of pi/2, which cannot take it
+        with pytest.raises(NotAnExtremumTime):
+            single_mode_extremum(SystemParams(0.5, 0.1, 0.4, 0.4), t)
+
     def test_rejects_unequal_seeds(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.3)
         with pytest.raises(AsymmetricAmplitudes):
@@ -195,9 +198,9 @@ class TestTwoMode:
         p = SystemParams(0.5, 0.0, 0.4, 0.2)
         for m in (1, 2, 3):
             t = m * math.pi / 0.5
-            f2, g2, _ = factors(p, t, SqueezeKind.TWO_MODE)
-            f1a, g1a = factors(p, t, SqueezeKind.SINGLE1)[:2]
-            f1b, g1b = factors(p.mirrored, t, SqueezeKind.SINGLE1)[:2]
+            f2, g2, _ = factor_sets(p, t, [(SqueezeKind.TWO_MODE, DConvention.NUMBER_SUM)])[0]
+            f1a, g1a = factor_sets(p, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][:2]
+            f1b, g1b = factor_sets(p.mirrored, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0][:2]
             assert f2 == pytest.approx(0.5 * (f1a + f1b), abs=1e-12)
             assert g2 == pytest.approx(0.5 * (g1a + g1b), abs=1e-12)
             assert abs(f2) < 1e-12 and abs(g2) < 1e-12
@@ -205,7 +208,7 @@ class TestTwoMode:
     def test_pure_gain_squeezes_y_only(self):
         p = SystemParams(0.0, 0.1, 0.4, 0.0)
         for t in TIMES[1:]:
-            f, g, _ = factors(p, float(t), SqueezeKind.TWO_MODE)
+            f, g, _ = factor_sets(p, float(t), [(SqueezeKind.TWO_MODE, DConvention.NUMBER_SUM)])[0]
             assert f == pytest.approx(math.exp(0.2 * t) - 1.0, abs=1e-12)
             assert g == pytest.approx(math.exp(-0.2 * t) - 1.0, abs=1e-12)
             assert g < 0.0 < f
@@ -216,7 +219,7 @@ class TestSum:
         for chi in (0.25, 0.5):
             p = SystemParams(chi, 0.0, 0.4, 0.4)
             for t in TIMES:
-                f, g, _ = factors(p, float(t), SqueezeKind.SUM)
+                f, g, _ = factor_sets(p, float(t), [(SqueezeKind.SUM, DConvention.NUMBER_SUM)])[0]
                 assert abs(f) <= 1e-12
                 assert abs(g) <= 1e-12
 
@@ -229,13 +232,13 @@ class TestSum:
                 b1, b2 = a1 * c + a2 * s, a2 * c + a1 * s
                 den = b1 * b1 + b2 * b2 + 2 * s * s
                 want_g = -(2 * s * s * (a1**2 + a2**2 + 1) + 4 * a1 * a2 * s * c) / den
-                f, g, _ = factors(p, float(t), SqueezeKind.SUM)
+                f, g, _ = factor_sets(p, float(t), [(SqueezeKind.SUM, DConvention.NUMBER_SUM)])[0]
                 assert g == pytest.approx(want_g, abs=1e-12)
                 assert g < 0.0
 
     def test_pure_gain_squeezing_monotone(self):
         p = SystemParams(0.0, 0.1, 0.4, 0.0)
-        gs = [factors(p, float(t), SqueezeKind.SUM)[1] for t in TIMES[1:]]
+        gs = [factor_sets(p, float(t), [(SqueezeKind.SUM, DConvention.NUMBER_SUM)])[0][1] for t in TIMES[1:]]
         assert all(b < a for a, b in zip(gs, gs[1:]))
 
     def test_kerr_alternates_quadratures(self):
@@ -245,17 +248,17 @@ class TestSum:
             c4 = math.cos(4 * 0.5 * t)
             if abs(c4) < 0.05:
                 continue
-            f, g, _ = factors(p, float(t), SqueezeKind.SUM)
+            f, g, _ = factor_sets(p, float(t), [(SqueezeKind.SUM, DConvention.NUMBER_SUM)])[0]
             assert (f - g) * c4 > 0.0
 
     def test_degenerate_seed_rejected(self):
         p = SystemParams(0.5, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateDenominator):
-            factors(p, 1.0, SqueezeKind.SUM)
+            factor_sets(p, 1.0, [(SqueezeKind.SUM, DConvention.NUMBER_SUM)])[0]
 
     def test_commutator_convention_never_degenerate(self):
         p = SystemParams(0.5, 0.0, 0.0, 0.0)
-        f, g, _ = factors(p, 1.0, SqueezeKind.SUM, DConvention.COMMUTATOR)
+        f, g, _ = factor_sets(p, 1.0, [(SqueezeKind.SUM, DConvention.COMMUTATOR)])[0]
         assert f == pytest.approx(0.0, abs=1e-12)
         assert g == pytest.approx(0.0, abs=1e-12)
 
@@ -281,7 +284,8 @@ class TestPrecisionGuard:
 
     @pytest.mark.parametrize("kind, p, t, refused", _PRECISION)
     def test_each_side_of_the_guard(self, kind, p, t, refused):
-        for route in (lambda: factors(p, t, kind), lambda: quad_core.factors(moments_for(p, t, kind))):
+        for route in (lambda: factor_sets(p, t, [(kind, DConvention.NUMBER_SUM)])[0],
+                      lambda: quad_core.factors(moments_for(p, t, kind))):
             if refused:
                 with pytest.raises(NumericOverflow, match="lost its precision"):
                     route()
@@ -293,7 +297,7 @@ class TestPrecisionGuard:
         # k = 0 its terms are 0 whatever the seed, while the moments route
         # cancels moments of 3e24 here
         p = SystemParams(0.5, 0.0, 1e6, 1e6)
-        assert factors(p, 1.0, SqueezeKind.SUM) == (0.0, 0.0, 0.0)
+        assert factor_sets(p, 1.0, [(SqueezeKind.SUM, DConvention.NUMBER_SUM)])[0] == (0.0, 0.0, 0.0)
         with pytest.raises(NumericOverflow, match="lost its precision"):
             quad_core.factors(moments_for(p, 1.0, SqueezeKind.SUM))
 
@@ -301,7 +305,7 @@ class TestPrecisionGuard:
         # the arbitrated terms sit at 0.88 of the guard's threshold here, the
         # single-dephasing ones at 1.14: only a rejected variant's own guard refuses
         p, t = SystemParams(0.5, 0.0, 1100.0, 1100.0), 7.29e-4
-        assert np.all(np.isfinite(factors(p, t, SqueezeKind.SINGLE1)))
+        assert np.all(np.isfinite(factor_sets(p, t, [(SqueezeKind.SINGLE1, DConvention.NUMBER_SUM)])[0]))
         with pytest.raises(NumericOverflow, match="lost its precision"):
             single_mode_variants(p, t)
 
@@ -312,7 +316,7 @@ class TestInvariants:
         for p in GRID:
             for t in TIMES:
                 try:
-                    f, g, v = factors(p, float(t), kind, DConvention.COMMUTATOR)
+                    f, g, v = factor_sets(p, float(t), [(kind, DConvention.COMMUTATOR)])[0]
                 except DegenerateDenominator:
                     continue
                 assert f >= -1.0 - 1e-10
@@ -325,15 +329,15 @@ class TestInvariants:
         for chi in (0.25, 0.5):
             p = SystemParams(chi, 0.0, 0.4, 0.2)
             for t in TIMES:
-                a = factors(p, float(t), kind)
-                b = factors(p, float(t) + math.pi / chi, kind)
+                a = factor_sets(p, float(t), [(kind, DConvention.NUMBER_SUM)])[0]
+                b = factor_sets(p, float(t) + math.pi / chi, [(kind, DConvention.NUMBER_SUM)])[0]
                 assert a[0] == pytest.approx(b[0], abs=1e-12)
                 assert a[1] == pytest.approx(b[1], abs=1e-12)
 
     def test_kind_validation(self):
         # the kind's value is not a kind
         with pytest.raises(ValueError, match="^unknown kind 'two'$"):
-            factors(SystemParams(0.5, 0.1, 0.4, 0.2), 1.0, "two")
+            factor_sets(SystemParams(0.5, 0.1, 0.4, 0.2), 1.0, [("two", DConvention.NUMBER_SUM)])[0]
 
     def test_variant_validation(self):
         p = SystemParams(0.5, 0.0, 0.4, 0.0)

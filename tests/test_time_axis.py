@@ -25,7 +25,7 @@ from kerrdown import (
 )
 from kerrdown.fock_oracle import moment_sets
 from kerrdown.quad_core import EPS_DEN
-from kerrdown.squeezing_analytic import Variant, factors, single_mode_extremum, single_mode_variants
+from kerrdown.squeezing_analytic import Variant, factor_sets, single_mode_extremum, single_mode_variants
 from kerrdown.verify import KIND_CELLS
 
 TS = np.linspace(0.0, 12.56, 157)
@@ -65,8 +65,8 @@ def test_moments_and_projections_match_per_point(kind, conv):
 def test_analytic_factors_match_per_point(kind, conv):
     for p in PARAMS:
         ts = _live(p, kind, conv)
-        for column, reference in zip(factors(p, ts, kind, conv),
-                                     zip(*(factors(p, t, kind, conv) for t in ts.tolist()))):
+        for column, reference in zip(factor_sets(p, ts, [(kind, conv)])[0],
+                                     zip(*(factor_sets(p, t, [(kind, conv)])[0] for t in ts.tolist()))):
             _assert_matches(column, reference)
 
 
@@ -85,7 +85,7 @@ def test_float_time_gives_scalars():
     for kind, conv in KIND_CELLS:
         m = moments_for(p, 1.3, kind, conv)
         for value in [getattr(m, name) for name in FIELDS] + [
-            *quad_core.factors(m), *factors(p, 1.3, kind, conv)
+            *quad_core.factors(m), *factor_sets(p, 1.3, [(kind, conv)])[0]
         ]:
             assert np.ndim(value) == 0
         mo = moment_sets(p, 1.3, [(kind, conv)])[0]
@@ -106,7 +106,7 @@ def test_one_degenerate_point_fails_the_whole_axis():
     with pytest.raises(DegenerateDenominator):
         quad_core.factors(moments_for(vacuum, TS, SqueezeKind.SUM))
     with pytest.raises(DegenerateDenominator):
-        factors(vacuum, TS, SqueezeKind.SUM)
+        factor_sets(vacuum, TS, [(SqueezeKind.SUM, DConvention.NUMBER_SUM)])[0]
     # the commutator convention is never degenerate
     m = moments_for(vacuum, TS, SqueezeKind.SUM, DConvention.COMMUTATOR)
     assert np.all(np.isfinite(quad_core.factors(m)))
@@ -130,7 +130,7 @@ def test_overflow_on_the_axis_is_typed(kind, conv, t_last, match):
     with pytest.raises(NumericOverflow, match=match):
         moments_for(p, ts, kind, conv)
     with pytest.raises(NumericOverflow, match=match):
-        factors(p, ts, kind, conv)
+        factor_sets(p, ts, [(kind, conv)])[0]
 
 
 @pytest.mark.parametrize("kind, conv", KIND_CELLS)
@@ -141,7 +141,7 @@ def test_kerr_phase_overflow_is_typed(kind, conv):
     with pytest.raises(NumericOverflow, match="Kerr phase"):
         moments_for(p, ts, kind, conv)
     with pytest.raises(NumericOverflow, match="Kerr phase"):
-        factors(p, ts, kind, conv)
+        factor_sets(p, ts, [(kind, conv)])[0]
 
 
 # the benchmark's closed-form domain, with time axes up to two Kerr periods
@@ -161,7 +161,7 @@ def test_principal_is_below_both_quadratures_on_both_routes(p, ts, cell):
     m = moments_for(p, ts, kind, conv)
     assume(np.all(np.abs(m.mean_d) > EPS_DEN))  # the seedless sum at t = 0
     f, g, v = quad_core.factors(m)
-    fa, ga, va = factors(p, ts, kind, conv)
+    fa, ga, va = factor_sets(p, ts, [(kind, conv)])[0]
     assert np.all(v <= np.minimum(f, g) + 1e-10)
     assert np.all(v <= np.minimum(fa, ga) + 1e-10)
     assert np.all(va <= np.minimum(fa, ga))  # without slack, as quad_core's V
@@ -194,5 +194,5 @@ _COMMUTATOR_CELLS = [
 def test_uncertainty_product_on_both_routes(p, ts, cell):
     kind, conv = cell
     m = moments_for(p, ts, kind, conv)
-    for f, g in (quad_core.factors(m)[:2], factors(p, ts, kind, conv)[:2]):
+    for f, g in (quad_core.factors(m)[:2], factor_sets(p, ts, [(kind, conv)])[0][:2]):
         assert np.all((f + 1.0) * (g + 1.0) >= 1.0 - 1e-9)

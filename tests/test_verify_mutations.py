@@ -37,6 +37,16 @@ def _item(i, change):
 _first = _item(0, lambda f: f * SCALE)
 
 
+def _sets_v(change):
+    """Apply `change` to V of each returned (F, G, V) cell."""
+    return _output(lambda sets: [(f, g, change(v)) for f, g, v in sets])
+
+
+def _pointwise(mutate):
+    """Mutate only the calls whose params are a 1-D pointwise batch, as verify's masked cell is."""
+    return lambda orig: lambda p, *args: (mutate(orig) if len(p.shape) == 1 else orig)(p, *args)
+
+
 def _argument(i):
     """A mutation that scales positional argument i of the wrapped function."""
     return lambda orig: lambda *args: orig(*args[:i], args[i] * SCALE, *args[i + 1:])
@@ -113,14 +123,13 @@ MUTATIONS = [
     (fock_oracle, "_phases", _argument(1), ("moments route vs oracle", "frame energy drift")),
     # a too-small V, which the envelope cannot see: the analytic route's own V can (appended too)
     (quad_core, "factors", _item(2, lambda v: v - 1e-3), (MOMENTS,)),
-    # the analytic V, read by both analytic rows and the envelope (appended too)
-    (squeezing_analytic, "factors", _item(2, lambda v: v + 1e-3),
+    # the analytic V of the masked sum/paper cell, read by both analytic rows and the envelope (appended too)
+    (squeezing_analytic, "factor_sets", _pointwise(_sets_v(lambda v: v + 1e-3)),
      (MOMENTS, ORACLE, "principal envelope v - min(f,g)")),
     # the frame of the real chains conjugated, b = +i a2 for -i a2: the pair term's sign flips (appended too)
     (fock_oracle, "_I_POWERS", lambda powers: powers.conj(), (ORACLE, "moments route vs oracle")),
-    # the analytic V of the cells verify takes on the whole grid in one call (appended too); the
-    # "factors" row above reaches only the sum/paper cell, masked to its kept points
-    (squeezing_analytic, "factor_sets", _output(lambda sets: [(f, g, v + 1e-3) for f, g, v in sets]),
+    # the analytic V of the cells verify takes on the whole grid in one call (appended too)
+    (squeezing_analytic, "factor_sets", _sets_v(lambda v: v + 1e-3),
      (MOMENTS, ORACLE, "principal envelope v - min(f,g)")),
 ]
 
